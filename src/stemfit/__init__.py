@@ -3,7 +3,6 @@
 from .errors import (
     DegenerateInputError,
     EvaluationFailureError,
-    FrameMismatchError,
     InsufficientSamplesError,
     ParseError,
     SimulationConfigError,
@@ -12,22 +11,13 @@ from .errors import (
     UnknownPlotKindError,
     ValidationError,
 )
-from .geometry import (
-    Frame,
-    RigidTransform,
-    UnitQuaternion,
-    Vec3,
-    Wrench,
-    adjoint_wrench_to_world,
-    angle_between,
-    transform_point,
-)
+from .geometry import UnitQuaternion, Vec3, angle_between
 from .spring_model import (
     Label,
     ModelEval,
+    SampleColumns,
     SpringParams,
     Trial,
-    TrialSample,
     apple_position_world,
     bias_compensate,
     evaluate,
@@ -56,13 +46,11 @@ __all__ = [
     "DegenerateInputError",
     "EvaluationFailureError",
     "FitResult",
-    "Frame",
-    "FrameMismatchError",
     "InsufficientSamplesError",
     "Label",
     "ModelEval",
     "ParseError",
-    "RigidTransform",
+    "SampleColumns",
     "SimConfig",
     "SimTrialRecord",
     "SimulationConfigError",
@@ -73,14 +61,11 @@ __all__ = [
     "SummaryStats",
     "Trial",
     "TrialMetrics",
-    "TrialSample",
     "UnitQuaternion",
     "UnknownPlotKindError",
     "ValidationError",
     "Vec3",
     "WelchResult",
-    "Wrench",
-    "adjoint_wrench_to_world",
     "angle_between",
     "apple_position_world",
     "bias_compensate",
@@ -104,6 +89,5 @@ __all__ = [
     "save_report",
     "save_trial",
     "summarize",
-    "transform_point",
     "welch_t_test",
 ]

@@ -6,7 +6,6 @@ Wall-clock timing is therefore kept out of the report unless explicitly
 requested, in a clearly separated ``timing`` section.
 """
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .evaluation import (
 )
 from .solver import SolverConfig, fit
 from .spring_model import Label, apple_position_world, bias_compensate
-from .trial_io import atomic_write_text, dump_json, load_manifest, load_trial
+from .trial_io import atomic_write_text, dump_json, load_manifest, load_trial, read_json
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -60,7 +59,7 @@ def _fit_entry(args):
             gt = trial.ground_truth
             row["ground_truth"] = [gt.x, gt.y, gt.z]
             row["localization_error"] = localization_error(result.r_o_hat, gt)
-            r_a0 = apple_position_world(trial.samples[0], trial.grasp_point)
+            r_a0 = apple_position_world(trial)
             try:
                 row["orientation_error"] = orientation_error(result.r_o_hat, gt, r_a0)
             except StemfitError:
@@ -215,11 +214,7 @@ def save_report(report: dict, path):
 
 
 def load_report(path) -> dict:
-    path = Path(path)
-    try:
-        report = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    report = read_json(path)
     if not isinstance(report, dict) or report.get("kind") != "stemfit-report":
         raise ValidationError(f"{path}: not a stemfit report file")
     return report

@@ -5,16 +5,14 @@ Exit codes: 0 success, 1 validation or parse error, 2 solver non-convergence
 """
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .batch import emit_plot_data, load_report, run_batch, save_report
 from .errors import EvaluationFailureError, StemfitError
 from .simulator import SimConfig, generate_corpus
 from .solver import SolverConfig, fit
 from .spring_model import bias_compensate
-from .trial_io import dump_json, load_trial, save_corpus
+from .trial_io import dump_json, load_trial, read_json, save_corpus
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -30,13 +28,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _load_json(path) -> dict:
-    from .errors import ParseError
-
+def _jobs(text: str) -> int:
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return jobs
 
 
 def _sim_config(args) -> SimConfig:
@@ -45,7 +44,7 @@ def _sim_config(args) -> SimConfig:
     config = SimConfig()
     if args.config is not None:
         try:
-            config = SimConfig.from_dict(_load_json(args.config))
+            config = SimConfig.from_dict(read_json(args.config))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{args.config}: {exc}") from exc
     if args.seed is not None:
@@ -61,7 +60,7 @@ def _solver_config(args) -> SolverConfig:
     if getattr(args, "solver_config", None) is None:
         return SolverConfig()
     try:
-        return SolverConfig.from_dict(_load_json(args.solver_config))
+        return SolverConfig.from_dict(read_json(args.solver_config))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{args.solver_config}: {exc}") from exc
 
@@ -171,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="fit a corpus and write a report")
     p_batch.add_argument("--corpus", required=True, help="corpus directory")
     p_batch.add_argument("--solver-config", help="solver config JSON file")
-    p_batch.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_batch.add_argument("--jobs", type=_jobs, default=1, help="parallel workers (at least 1)")
     p_batch.add_argument("--report", required=True, help="output report JSON file")
     p_batch.add_argument(
         "--with-timing",

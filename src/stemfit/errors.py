@@ -5,10 +5,6 @@ class StemfitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class FrameMismatchError(StemfitError):
-    """A wrench arrived in a different frame than the operation expects."""
-
-
 class DegenerateInputError(StemfitError):
     """Geometric input is too close to a singular configuration."""
 

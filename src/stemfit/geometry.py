@@ -1,27 +1,21 @@
-"""Frames, rigid transforms, and the wrench mapping between sensor and world.
+"""Vectors, quaternions and rotation matrices.
 
 Conventions used throughout the package:
 
 * quaternions are scalar-first ``(w, x, y, z)``,
-* a :class:`RigidTransform` carries the world-from-sensor rotation and the
-  sensor origin expressed in the world frame, so ``p_world = R @ p_sensor + t``,
+* a pose carries the world-from-sensor rotation and the sensor origin
+  expressed in the world frame, so ``p_world = R @ p_sensor + t``,
 * angles returned to callers are degrees; internal math is radians.
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateInputError, FrameMismatchError
+from .errors import DegenerateInputError
 
 DEGENERATE_NORM = 1e-12
-
-
-class Frame(Enum):
-    SENSOR = "sensor"
-    WORLD = "world"
 
 
 @dataclass(frozen=True)
@@ -129,83 +123,35 @@ class UnitQuaternion:
             z = 0.25 * s
         return cls(w, x, y, z)
 
-    def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
-
-    def multiply(self, other: "UnitQuaternion") -> "UnitQuaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return UnitQuaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
     def rotation_matrix(self) -> np.ndarray:
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-                [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-                [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-            ]
-        )
+        return rotation_matrices(np.array([[self.w, self.x, self.y, self.z]]))[0]
 
 
-@dataclass(frozen=True)
-class RigidTransform:
-    """World-from-sensor pose: rotation plus sensor origin in the world frame."""
-
-    rotation: UnitQuaternion
-    translation: Vec3
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(UnitQuaternion.identity(), Vec3(0.0, 0.0, 0.0))
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        rot = self.rotation.multiply(other.rotation)
-        trans = self.rotation.rotation_matrix() @ other.translation.as_array()
-        return RigidTransform(rot, Vec3.from_array(trans + self.translation.as_array()))
-
-    def inverse(self) -> "RigidTransform":
-        rot = self.rotation.conjugate()
-        trans = -(rot.rotation_matrix() @ self.translation.as_array())
-        return RigidTransform(rot, Vec3.from_array(trans))
+def rotation_matrices(wxyz: np.ndarray) -> np.ndarray:
+    """Rotation matrices ``(n, 3, 3)`` of unit quaternions given as rows
+    ``(n, 4)`` in scalar-first order; the rows are used as given."""
+    w, x, y, z = np.asarray(wxyz, dtype=float).T
+    rot = np.empty((w.size, 3, 3))
+    rot[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    rot[:, 0, 1] = 2.0 * (x * y - w * z)
+    rot[:, 0, 2] = 2.0 * (x * z + w * y)
+    rot[:, 1, 0] = 2.0 * (x * y + w * z)
+    rot[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    rot[:, 1, 2] = 2.0 * (y * z - w * x)
+    rot[:, 2, 0] = 2.0 * (x * z - w * y)
+    rot[:, 2, 1] = 2.0 * (y * z + w * x)
+    rot[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return rot
 
 
-@dataclass(frozen=True)
-class Wrench:
-    """Force/torque pair tagged with the frame its components live in."""
+def rotate_rows(rot: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate each row of ``v`` ``(n, 3)`` by ``rot``, one ``(3, 3)`` matrix or
+    a stack ``(n, 3, 3)``.
 
-    force: Vec3
-    torque: Vec3
-    frame: Frame
-
-
-def transform_point(transform: RigidTransform, point: Vec3) -> Vec3:
-    """Map a sensor-frame point into the world frame."""
-    rotated = transform.rotation.rotation_matrix() @ point.as_array()
-    return Vec3.from_array(rotated + transform.translation.as_array())
-
-
-def adjoint_wrench_to_world(transform: RigidTransform, wrench: Wrench) -> Wrench:
-    """Re-express a sensor-frame wrench in the world frame.
-
-    Force maps by rotation alone; torque gains the moment-arm cross term from
-    the frame origin offset.
+    Stacked matrix-vector products give each row the same bits as ``rot @ row``
+    alone; a single matrix-matrix product such as ``v @ rot.T`` need not.
     """
-    if wrench.frame is not Frame.SENSOR:
-        raise FrameMismatchError(
-            f"expected a sensor-frame wrench, got frame={wrench.frame.value}"
-        )
-    rot = transform.rotation.rotation_matrix()
-    force_w = rot @ wrench.force.as_array()
-    torque_w = rot @ wrench.torque.as_array() + np.cross(
-        transform.translation.as_array(), force_w
-    )
-    return Wrench(Vec3.from_array(force_w), Vec3.from_array(torque_w), Frame.WORLD)
+    return (rot @ v[:, :, None])[:, :, 0]
 
 
 def angle_between(r1: Vec3, r2: Vec3) -> float:

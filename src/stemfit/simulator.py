@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SimulationConfigError
-from .geometry import Frame, RigidTransform, UnitQuaternion, Vec3, Wrench
-from .spring_model import Label, SpringParams, Trial, TrialSample
+from .geometry import UnitQuaternion, Vec3, rotate_rows
+from .spring_model import Label, SampleColumns, SpringParams, Trial
 
 _ZERO_COMPLIANCE = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -168,10 +168,16 @@ def _rotate_about(vec: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray
     return vec * c + np.cross(axis, vec) * s + axis * np.dot(axis, vec) * (1.0 - c)
 
 
-def _spring_force(r_o: np.ndarray, fruit: np.ndarray, k: float, l: float) -> np.ndarray:
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # a stacked dot product gives each row the bits of np.linalg.norm(row);
+    # np.linalg.norm(v, axis=1) sums differently and can differ in the last bit
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _spring_forces(r_o: np.ndarray, fruit: np.ndarray, k: float, l: float) -> np.ndarray:
     d = r_o - fruit
-    dist = float(np.linalg.norm(d))
-    return k * (dist - l) * d / dist
+    dist = _row_norms(d)
+    return (k * (dist - l))[:, None] * d / dist[:, None]
 
 
 def _solve_equilibrium(r_o, rigid_pos, comp_world, k, l, x_init):
@@ -232,60 +238,49 @@ def generate_trial(
     dt = 1.0 / config.sample_rate
     step_travel = config.pull_speed * dt
     n_max = int(math.floor(config.pull_distance / step_travel))
+    travel = np.arange(n_max + 1) * step_travel
+    rigid = fruit_start - travel[:, None] * normal
 
-    times = []
-    sensor_positions = []
-    forces_world = []
-    fruit_true = []
-    capped = False
-    x_warm = fruit_start.copy()
-    for i in range(n_max + 1):
-        rigid_pos = fruit_start - (i * step_travel) * normal
-        if compliant:
-            x_true, f_world = _solve_equilibrium(
-                r_o, rigid_pos, comp_world, config.k, config.l, x_warm
-            )
-            x_warm = x_true
-        elif i == 0:
-            x_true, f_world = rigid_pos, np.zeros(3)
-        else:
-            x_true = rigid_pos
-            f_world = _spring_force(r_o, rigid_pos, config.k, config.l)
-        if float(np.linalg.norm(f_world)) >= config.force_cap:
-            capped = True
-            break
-        times.append(i * dt)
-        sensor_positions.append(sensor_start - (i * step_travel) * normal)
-        forces_world.append(f_world)
-        fruit_true.append(x_true)
-    if not capped:
+    if compliant:
+        # each equilibrium solve warm-starts from the previous sample's
+        fruit_true, forces_world = [], []
+        x = fruit_start
+        for rigid_pos in rigid:
+            x, f_world = _solve_equilibrium(r_o, rigid_pos, comp_world, config.k, config.l, x)
+            fruit_true.append(x)
+            forces_world.append(f_world)
+            if float(np.linalg.norm(f_world)) >= config.force_cap:
+                break
+        fruit_true, forces_world = np.array(fruit_true), np.array(forces_world)
+    else:
+        fruit_true = rigid
+        forces_world = _spring_forces(r_o, rigid, config.k, config.l)
+        forces_world[0] = 0.0  # the fruit starts at rest
+    capped = np.flatnonzero(_row_norms(forces_world) >= config.force_cap)
+    if capped.size == 0:
         raise SimulationConfigError(
             f"force cap {config.force_cap} N not reached within pull_distance "
             f"{config.pull_distance} m; lengthen the pull or soften the cap"
         )
-    if len(times) < 2:
+    n = int(capped[0])
+    if n < 2:
         raise SimulationConfigError(
             "force cap reached before the second sample; raise sample_rate or "
             "slow the pull"
         )
 
-    n = len(times)
-    forces_sensor = np.array([rot.T @ f for f in forces_world])
+    sensor_positions = sensor_start - travel[:n, None] * normal
+    forces_sensor = rotate_rows(rot.T, forces_world[:n])
     forces_sensor = forces_sensor + rng.normal(0.0, config.noise_sigma, size=(n, 3))
-    grasp_true_sensor = np.array([rot.T @ (x - p) for x, p in zip(fruit_true, sensor_positions)])
+    grasp_true_sensor = rotate_rows(rot.T, fruit_true[:n] - sensor_positions)
     torques_sensor = np.cross(grasp_true_sensor, forces_sensor)
 
-    samples = tuple(
-        TrialSample(
-            t=times[i],
-            pose=RigidTransform(orientation, Vec3.from_array(sensor_positions[i])),
-            wrench=Wrench(
-                Vec3.from_array(forces_sensor[i]),
-                Vec3.from_array(torques_sensor[i]),
-                Frame.SENSOR,
-            ),
-        )
-        for i in range(n)
+    samples = SampleColumns(
+        t=np.arange(n) * dt,
+        translation=sensor_positions,
+        rotation_wxyz=np.tile([orientation.w, orientation.x, orientation.y, orientation.z], (n, 1)),
+        force=forces_sensor,
+        torque=torques_sensor,
     )
     trial = Trial(
         samples=samples,

@@ -1,5 +1,5 @@
-"""Spring-tether force model: trial containers plus the fit cost, the tension
-constraints, and their analytic derivatives.
+"""Spring-tether force model: the columnar trial container plus the fit cost,
+the tension constraints, and their analytic derivatives.
 
 The stem is modeled as a linear spring of stiffness ``k`` and resting length
 ``l`` anchored at a fixed world-frame attachment point ``r_o``. With
@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SingularityError
-from .geometry import Frame, RigidTransform, Vec3, Wrench, transform_point
+from .geometry import Vec3, rotate_rows, rotation_matrices
 
 SINGULARITY_DISTANCE = 1e-12
 
@@ -40,20 +40,56 @@ class SpringParams:
             raise ValueError(f"spring resting length must be positive, got {self.l}")
 
 
-@dataclass(frozen=True)
-class TrialSample:
-    """One timestep: pose of the sensor frame and the sensor-frame wrench."""
+_COLUMN_WIDTHS = {"t": None, "translation": 3, "rotation_wxyz": 4, "force": 3, "torque": 3}
+# Trials hold normalized quaternions; trial_io normalizes once at parse.
+UNIT_QUATERNION_TOL = 1e-9
 
-    t: float
-    pose: RigidTransform
-    wrench: Wrench
+
+@dataclass(frozen=True, eq=False)
+class SampleColumns:
+    """A trial's samples as read-only columns, one row per timestep.
+
+    ``t`` (n,) in seconds; the sensor pose as ``translation`` (n, 3) in the
+    world frame and ``rotation_wxyz`` (n, 4), a world-from-sensor unit
+    quaternion; the sensor-frame wrench as ``force`` (n, 3) and
+    ``torque`` (n, 3). Each column is copied to float64 and made read-only on
+    construction; :class:`Trial` checks the values.
+    """
+
+    t: np.ndarray
+    translation: np.ndarray
+    rotation_wxyz: np.ndarray
+    force: np.ndarray
+    torque: np.ndarray
+
+    def __post_init__(self):
+        n = None
+        for name, width in _COLUMN_WIDTHS.items():
+            column = np.array(getattr(self, name), dtype=float)
+            if n is None:
+                if column.ndim != 1:
+                    raise ValueError(f"samples.t: expected shape (n,), got {column.shape}")
+                n = column.size
+            elif column.shape != (n, width):
+                raise ValueError(
+                    f"samples.{name}: expected shape {(n, width)}, got {column.shape}"
+                )
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __reduce__(self):
+        # rebuild through __post_init__: unpickled arrays come back writeable
+        return (SampleColumns, tuple(getattr(self, name) for name in _COLUMN_WIDTHS))
 
 
 @dataclass(frozen=True)
 class Trial:
-    """A pull recording: samples, spring parameters, grasp geometry, labels."""
+    """A pull recording: sample columns, spring parameters, grasp geometry, labels."""
 
-    samples: tuple[TrialSample, ...]
+    samples: SampleColumns
     spring: SpringParams
     grasp_point: Vec3
     label: Label = Label.SUCCESS
@@ -61,20 +97,33 @@ class Trial:
     id: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) < 2:
-            raise ValueError(f"trial needs at least 2 samples, got {len(self.samples)}")
-        for i, sample in enumerate(self.samples):
-            if sample.wrench.frame is not Frame.SENSOR:
-                raise ValueError(f"samples[{i}]: wrench must be in the sensor frame")
-            if i > 0 and not sample.t > self.samples[i - 1].t:
-                raise ValueError(
-                    f"samples[{i}]: timestamp {sample.t} not strictly greater "
-                    f"than previous {self.samples[i - 1].t}"
-                )
+        s = self.samples
+        if not isinstance(s, SampleColumns):
+            raise TypeError(f"Trial.samples must be SampleColumns, got {type(s).__name__}")
+        if len(s) < 2:
+            raise ValueError(f"trial needs at least 2 samples, got {len(s)}")
+        for name in _COLUMN_WIDTHS:
+            column = getattr(s, name)
+            finite = np.isfinite(column).reshape(len(s), -1).all(axis=1)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(f"samples[{i}]: {name} must be finite")
+        steps = np.flatnonzero(~(np.diff(s.t) > 0.0))
+        if steps.size:
+            i = int(steps[0]) + 1
+            raise ValueError(
+                f"samples[{i}]: timestamp {s.t[i]} not strictly greater "
+                f"than previous {s.t[i - 1]}"
+            )
+        q = s.rotation_wxyz
+        off_unit = ~(np.abs(np.sqrt(np.sum(q * q, axis=1)) - 1.0) <= UNIT_QUATERNION_TOL)
+        if off_unit.any():
+            i = int(np.argmax(off_unit))
+            raise ValueError(
+                f"samples[{i}]: rotation_wxyz {q[i].tolist()} is not a unit quaternion"
+            )
         if self.ground_truth is not None:
-            start = apple_position_world(self.samples[0], self.grasp_point)
-            dist = (self.ground_truth - start).norm()
+            dist = (self.ground_truth - apple_position_world(self)).norm()
             if not (math.isfinite(dist) and dist > 0.0):
                 raise ValueError(
                     "ground_truth must lie at a positive distance from the "
@@ -109,17 +158,13 @@ class TrialArrays:
 
     @classmethod
     def from_trial(cls, trial: Trial) -> "TrialArrays":
-        n = len(trial.samples)
-        times = np.empty(n)
-        grasp_world = np.empty((n, 3))
-        force_world = np.empty((n, 3))
-        grasp = trial.grasp_point.as_array()
-        for i, sample in enumerate(trial.samples):
-            rot = sample.pose.rotation.rotation_matrix()
-            times[i] = sample.t
-            grasp_world[i] = rot @ grasp + sample.pose.translation.as_array()
-            force_world[i] = rot @ sample.wrench.force.as_array()
-        return cls(times, grasp_world, force_world, trial.spring.k, trial.spring.l)
+        s = trial.samples
+        rot = rotation_matrices(s.rotation_wxyz)
+        # two stacked matrix-vector products keep each sample's bits; one
+        # (n, 3, 2) matrix product for both would not
+        grasp_world = rot @ trial.grasp_point.as_array() + s.translation
+        force_world = rotate_rows(rot, s.force)
+        return cls(s.t, grasp_world, force_world, trial.spring.k, trial.spring.l)
 
     def __len__(self) -> int:
         return self.times.size
@@ -190,9 +235,11 @@ def min_sample_distance(r_o: np.ndarray, arrays: TrialArrays) -> float:
     return float(np.linalg.norm(d, axis=1).min())
 
 
-def apple_position_world(sample: TrialSample, grasp_point: Vec3) -> Vec3:
-    """World-frame fruit position at one timestep (grasp point is sensor-fixed)."""
-    return transform_point(sample.pose, grasp_point)
+def apple_position_world(trial: Trial) -> Vec3:
+    """World-frame fruit position at the first sample (grasp point is sensor-fixed)."""
+    s = trial.samples
+    first = rotation_matrices(s.rotation_wxyz[:1]) @ trial.grasp_point.as_array()
+    return Vec3.from_array(first[0] + s.translation[0])
 
 
 def predict_force(r_o: Vec3, r_a_t: Vec3, spring: SpringParams) -> Vec3:
@@ -232,15 +279,6 @@ def bias_compensate(trial: Trial) -> Trial:
     the model's zero force at rest; removes constant sensor offsets and the
     fruit's weight in one step.
     """
-    first = trial.samples[0].wrench
-    f0 = first.force
-    t0 = first.torque
-    new_samples = tuple(
-        TrialSample(
-            t=s.t,
-            pose=s.pose,
-            wrench=Wrench(s.wrench.force - f0, s.wrench.torque - t0, s.wrench.frame),
-        )
-        for s in trial.samples
-    )
-    return replace(trial, samples=new_samples)
+    s = trial.samples
+    columns = replace(s, force=s.force - s.force[0], torque=s.torque - s.torque[0])
+    return replace(trial, samples=columns)

@@ -13,9 +13,11 @@ import os
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
-from .geometry import Frame, RigidTransform, UnitQuaternion, Vec3, Wrench
-from .spring_model import Label, SpringParams, Trial, TrialSample
+from .geometry import Vec3
+from .spring_model import Label, SampleColumns, SpringParams, Trial
 
 TRIAL_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
@@ -26,10 +28,27 @@ _QUAT_ERROR_TOL = 1e-3
 
 
 def atomic_write_text(path, text: str):
+    """Write ``text`` to ``path`` through a uniquely named temp file in the
+    same directory, renamed over ``path`` once complete; the temp file is
+    removed if the write fails. The new file's mode follows the umask."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_json(path):
+    """Parse a UTF-8 JSON file; undecodable or malformed contents raise ParseError."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # decode, syntax, or size/depth limits
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def dump_json(data) -> str:
@@ -41,45 +60,46 @@ def config_digest(config_dict: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _floats(values, shape: tuple, where: str) -> np.ndarray:
+    """The one conversion every number in a trial file goes through: an array
+    of ``shape`` holding finite floats, else a ValidationError naming ``where``."""
+    try:
+        array = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+    if array.shape != shape:
+        expected = f"a {shape[-1]}-element array" if shape else "a number"
+        raise ValidationError(f"{where}: expected {expected}")
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{where}: numbers must be finite")
+    return array
+
+
+def _column(rows: list, row_shape: tuple, where: str, name: str) -> np.ndarray:
+    """Stack one field of every sample; on failure, name the first bad sample."""
+    if not rows:
+        return np.empty((0, *row_shape))
+    try:
+        return _floats(rows, (len(rows), *row_shape), f"{where}: samples: {name}")
+    except ValidationError:
+        for i, row in enumerate(rows):
+            _floats(row, row_shape, f"{where}: samples[{i}]: {name}")
+        raise
+
+
 def _vec(v: Vec3) -> list:
     return [v.x, v.y, v.z]
 
 
-def _parse_vec(data, where: str) -> Vec3:
-    if not isinstance(data, (list, tuple)) or len(data) != 3:
-        raise ValidationError(f"{where}: expected a 3-element array")
-    try:
-        return Vec3(float(data[0]), float(data[1]), float(data[2]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-
-
-def _parse_quaternion(data, where: str) -> UnitQuaternion:
-    if not isinstance(data, (list, tuple)) or len(data) != 4:
-        raise ValidationError(f"{where}: expected a 4-element [w, x, y, z] array")
-    try:
-        values = [float(v) for v in data]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    norm = sum(v * v for v in values) ** 0.5
-    if abs(norm - 1.0) > _QUAT_ERROR_TOL:
-        raise ValidationError(
-            f"{where}: quaternion norm {norm:.6f} deviates from 1 by more than "
-            f"{_QUAT_ERROR_TOL}"
-        )
-    if abs(norm - 1.0) > _QUAT_WARN_TOL:
-        warnings.warn(
-            f"{where}: quaternion norm {norm:.9f} off unit by more than "
-            f"{_QUAT_WARN_TOL}; renormalizing",
-            stacklevel=2,
-        )
-    try:
-        return UnitQuaternion(*values)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-
-
 def trial_to_dict(trial: Trial) -> dict:
+    s = trial.samples
+    rows = zip(
+        s.t.tolist(),
+        s.translation.tolist(),
+        s.rotation_wxyz.tolist(),
+        s.force.tolist(),
+        s.torque.tolist(),
+    )
     doc = {
         "schema_version": TRIAL_SCHEMA_VERSION,
         "id": trial.id,
@@ -88,24 +108,39 @@ def trial_to_dict(trial: Trial) -> dict:
         "grasp_point": _vec(trial.grasp_point),
         "samples": [
             {
-                "t": s.t,
-                "pose": {
-                    "translation": _vec(s.pose.translation),
-                    "rotation_wxyz": [
-                        s.pose.rotation.w,
-                        s.pose.rotation.x,
-                        s.pose.rotation.y,
-                        s.pose.rotation.z,
-                    ],
-                },
-                "wrench": {"force": _vec(s.wrench.force), "torque": _vec(s.wrench.torque)},
+                "t": t,
+                "pose": {"translation": translation, "rotation_wxyz": rotation},
+                "wrench": {"force": force, "torque": torque},
             }
-            for s in trial.samples
+            for t, translation, rotation, force, torque in rows
         ],
     }
     if trial.ground_truth is not None:
         doc["ground_truth"] = _vec(trial.ground_truth)
     return doc
+
+
+def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
+    """Quaternions off unit norm by more than 1e-6 warn, by more than 1e-3
+    fail; all are normalized here, once."""
+    w, x, y, z = q.T
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    for tol, severe in ((_QUAT_ERROR_TOL, True), (_QUAT_WARN_TOL, False)):
+        off = np.abs(norm - 1.0) > tol
+        if off.any():
+            i = int(np.argmax(off))
+            where = f"{source}: samples[{i}]: rotation"
+            if severe:
+                raise ValidationError(
+                    f"{where}: quaternion norm {norm[i]:.6f} deviates from 1 by "
+                    f"more than {_QUAT_ERROR_TOL}"
+                )
+            warnings.warn(
+                f"{where}: quaternion norm {norm[i]:.9f} off unit by more than "
+                f"{_QUAT_WARN_TOL}; renormalizing",
+                stacklevel=2,
+            )
+    return q / norm[:, None]
 
 
 def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
@@ -129,20 +164,23 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
     spring_doc = doc["spring"]
     if not isinstance(spring_doc, dict) or "k" not in spring_doc or "l" not in spring_doc:
         raise ValidationError(f"{source}: spring must be an object with 'k' and 'l'")
+    k = _floats(spring_doc["k"], (), f"{source}: spring: k")
+    l = _floats(spring_doc["l"], (), f"{source}: spring: l")
     try:
-        spring = SpringParams(float(spring_doc["k"]), float(spring_doc["l"]))
-    except (TypeError, ValueError) as exc:
+        spring = SpringParams(float(k), float(l))
+    except ValueError as exc:
         raise ValidationError(f"{source}: spring: {exc}") from exc
-    grasp_point = _parse_vec(doc["grasp_point"], f"{source}: grasp_point")
+    grasp_point = Vec3.from_array(_floats(doc["grasp_point"], (3,), f"{source}: grasp_point"))
     ground_truth = None
     if doc.get("ground_truth") is not None:
-        ground_truth = _parse_vec(doc["ground_truth"], f"{source}: ground_truth")
+        ground_truth = Vec3.from_array(
+            _floats(doc["ground_truth"], (3,), f"{source}: ground_truth")
+        )
 
     raw_samples = doc["samples"]
     if not isinstance(raw_samples, list):
         raise ValidationError(f"{source}: samples must be an array")
-    samples = []
-    previous_t = None
+    fields = {"t": [], "translation": [], "rotation_wxyz": [], "force": [], "torque": []}
     for i, raw in enumerate(raw_samples):
         where = f"{source}: samples[{i}]"
         if not isinstance(raw, dict):
@@ -150,37 +188,31 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
         for field in ("t", "pose", "wrench"):
             if field not in raw:
                 raise ValidationError(f"{where}: missing '{field}'")
-        try:
-            t = float(raw["t"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}: t: {exc}") from exc
-        if previous_t is not None and not t > previous_t:
-            raise ValidationError(
-                f"{where}: timestamp {t} not strictly greater than previous {previous_t}"
-            )
-        previous_t = t
-        pose_doc = raw["pose"]
-        if not isinstance(pose_doc, dict) or "translation" not in pose_doc or "rotation_wxyz" not in pose_doc:
+        pose, wrench = raw["pose"], raw["wrench"]
+        if not isinstance(pose, dict) or "translation" not in pose or "rotation_wxyz" not in pose:
             raise ValidationError(
                 f"{where}: pose must contain 'translation' and 'rotation_wxyz'"
             )
-        pose = RigidTransform(
-            rotation=_parse_quaternion(pose_doc["rotation_wxyz"], f"{where}: rotation"),
-            translation=_parse_vec(pose_doc["translation"], f"{where}: translation"),
-        )
-        wrench_doc = raw["wrench"]
-        if not isinstance(wrench_doc, dict) or "force" not in wrench_doc or "torque" not in wrench_doc:
+        if not isinstance(wrench, dict) or "force" not in wrench or "torque" not in wrench:
             raise ValidationError(f"{where}: wrench must contain 'force' and 'torque'")
-        wrench = Wrench(
-            force=_parse_vec(wrench_doc["force"], f"{where}: force"),
-            torque=_parse_vec(wrench_doc["torque"], f"{where}: torque"),
-            frame=Frame.SENSOR,
-        )
-        samples.append(TrialSample(t=t, pose=pose, wrench=wrench))
+        fields["t"].append(raw["t"])
+        fields["translation"].append(pose["translation"])
+        fields["rotation_wxyz"].append(pose["rotation_wxyz"])
+        fields["force"].append(wrench["force"])
+        fields["torque"].append(wrench["torque"])
 
     try:
+        columns = SampleColumns(
+            t=_column(fields["t"], (), source, "t"),
+            translation=_column(fields["translation"], (3,), source, "translation"),
+            rotation_wxyz=_normalized_rotations(
+                _column(fields["rotation_wxyz"], (4,), source, "rotation"), source
+            ),
+            force=_column(fields["force"], (3,), source, "force"),
+            torque=_column(fields["torque"], (3,), source, "torque"),
+        )
         return Trial(
-            samples=tuple(samples),
+            samples=columns,
             spring=spring,
             grasp_point=grasp_point,
             label=label,
@@ -196,13 +228,7 @@ def save_trial(trial: Trial, path):
 
 
 def load_trial(path) -> Trial:
-    path = Path(path)
-    text = path.read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return trial_from_dict(doc, source=str(path))
+    return trial_from_dict(read_json(path), source=str(path))
 
 
 def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: int | None = None):
@@ -232,10 +258,7 @@ def load_manifest(corpus_dir) -> dict:
     manifest_path = corpus_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise ValidationError(f"{corpus_dir}: no {MANIFEST_NAME} found")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ValidationError(f"{manifest_path}: unsupported or missing schema_version")
     trials = manifest.get("trials")

@@ -1,10 +1,12 @@
-"""Shared builders for synthetic trials and random geometry."""
+"""Shared builders for synthetic trials and random geometry, plus the
+per-sample pose and wrench mappings that tests use as references for the
+package's stacked (columnar) computations."""
 
 import numpy as np
 import pytest
 
-from stemfit.geometry import Frame, RigidTransform, UnitQuaternion, Vec3, Wrench
-from stemfit.spring_model import SpringParams, Trial, TrialSample
+from stemfit.geometry import UnitQuaternion, Vec3
+from stemfit.spring_model import SampleColumns, SpringParams, Trial
 
 
 def random_unit_quaternion(rng) -> UnitQuaternion:
@@ -12,23 +14,59 @@ def random_unit_quaternion(rng) -> UnitQuaternion:
     return UnitQuaternion(q[0], q[1], q[2], q[3])
 
 
-def random_transform(rng, translation_scale=1.0) -> RigidTransform:
-    return RigidTransform(
-        rotation=random_unit_quaternion(rng),
-        translation=Vec3.from_array(rng.normal(scale=translation_scale, size=3)),
+def wxyz(q: UnitQuaternion) -> list:
+    return [q.w, q.x, q.y, q.z]
+
+
+def rotation_matrix_reference(q) -> np.ndarray:
+    """Rotation matrix of one unit quaternion ``(w, x, y, z)``, written out in
+    scalars and used as given (no renormalization)."""
+    w, x, y, z = (float(v) for v in q)
+    return np.array(
+        [
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+        ]
+    )
+
+
+def pose_point_reference(q, translation, point) -> np.ndarray:
+    """World position of a sensor-frame point at one pose: ``R @ p + t``."""
+    return rotation_matrix_reference(q) @ np.asarray(point, dtype=float) + np.asarray(
+        translation, dtype=float
+    )
+
+
+def wrench_to_world_reference(q, translation, force, torque):
+    """One sensor-frame wrench re-expressed in the world frame: force by
+    rotation alone, torque by rotation plus the moment arm of the sensor origin."""
+    rot = rotation_matrix_reference(q)
+    force_w = rot @ np.asarray(force, dtype=float)
+    torque_w = rot @ np.asarray(torque, dtype=float) + np.cross(translation, force_w)
+    return force_w, torque_w
+
+
+def columns(t, translation=None, rotation_wxyz=None, force=None, torque=None) -> SampleColumns:
+    """Sample columns for timestamps ``t``; the pose defaults to the identity
+    and the wrench to zero."""
+    n = len(t)
+    zeros = np.zeros((n, 3))
+    if rotation_wxyz is None:
+        rotation_wxyz = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    return SampleColumns(
+        t=t,
+        translation=zeros if translation is None else translation,
+        rotation_wxyz=rotation_wxyz,
+        force=zeros if force is None else force,
+        torque=zeros if torque is None else torque,
     )
 
 
 def static_trial(forces, spring=SpringParams(632.0, 0.1), grasp=Vec3(0.0, 0.0, 0.0)):
     """Trial with identity poses and the given sensor-frame forces."""
-    samples = tuple(
-        TrialSample(
-            t=0.002 * i,
-            pose=RigidTransform.identity(),
-            wrench=Wrench(Vec3.from_array(f), Vec3(0.0, 0.0, 0.0), Frame.SENSOR),
-        )
-        for i, f in enumerate(forces)
-    )
+    forces = np.asarray(forces, dtype=float)
+    samples = columns(0.002 * np.arange(len(forces)), force=forces)
     return Trial(samples=samples, spring=spring, grasp_point=grasp, id="static")
 
 
@@ -47,7 +85,7 @@ def pull_trial(
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     start = r_o + spring.l * direction
-    samples = []
+    times, positions, forces = [], [], []
     for i in range(n):
         t = 0.002 * i
         pos = start + speed * t * direction
@@ -56,15 +94,11 @@ def pull_trial(
         force = spring.k * (dist - spring.l) * d / dist
         if noise > 0.0 and rng is not None:
             force = force + rng.normal(0.0, noise, size=3)
-        samples.append(
-            TrialSample(
-                t=t,
-                pose=RigidTransform(UnitQuaternion.identity(), Vec3.from_array(pos)),
-                wrench=Wrench(Vec3.from_array(force), Vec3(0.0, 0.0, 0.0), Frame.SENSOR),
-            )
-        )
+        times.append(t)
+        positions.append(pos)
+        forces.append(force)
     return Trial(
-        samples=tuple(samples),
+        samples=columns(times, translation=positions, force=forces),
         spring=spring,
         grasp_point=Vec3(0.0, 0.0, 0.0),
         ground_truth=Vec3.from_array(r_o),

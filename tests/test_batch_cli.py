@@ -10,6 +10,26 @@ from stemfit.simulator import SimConfig, generate_corpus
 from stemfit.trial_io import save_corpus
 
 
+def _huge_number(path):
+    doc = json.loads(path.read_text())
+    doc["samples"][1]["wrench"]["force"][0] = 10**400
+    path.write_text(json.dumps(doc))
+
+
+def _non_utf8(path):
+    path.write_bytes(path.read_bytes().replace(b'"label"', b'"lab\xffel"', 1))
+
+
+CORRUPTIONS = {"huge_number": _huge_number, "non_utf8": _non_utf8}
+
+
+def _small_corpus(out, seed, n=3):
+    cfg = replace(SimConfig(), noise_sigma=0.0, seed=seed)
+    records = generate_corpus(cfg, n, 0.0)
+    save_corpus([r.trial for r in records], out, sim_config_dict=cfg.to_dict(), seed=seed)
+    return out
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus") / "c"
@@ -74,6 +94,16 @@ class TestRunBatch:
         assert statuses["trial_000"] == "ok"
 
 
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_unreadable_trial_gives_one_error_row(self, tmp_path, corruption):
+        out = _small_corpus(tmp_path / "c", seed=7)
+        CORRUPTIONS[corruption](out / "trial_001.json")
+        report = run_batch(out)
+        statuses = {r["id"]: r["status"] for r in report["per_trial"]}
+        assert [i for i, status in statuses.items() if status != "ok"] == ["trial_001"]
+        assert statuses["trial_001"].startswith("error:")
+
+
 class TestReportFiles:
     def test_save_load_round_trip(self, corpus_dir, tmp_path):
         report = run_batch(corpus_dir)
@@ -85,6 +115,13 @@ class TestReportFiles:
         for name in ("a.json", "b.json"):
             save_report(run_batch(corpus_dir), tmp_path / name)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_existing_tmp_file_survives_save(self, corpus_dir, tmp_path):
+        bystander = tmp_path / "report.json.tmp"
+        bystander.write_text("not ours")
+        save_report(run_batch(corpus_dir), tmp_path / "report.json")
+        assert bystander.read_text() == "not ours"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.tmp"]
 
     def test_not_a_report_rejected(self, tmp_path):
         path = tmp_path / "x.json"
@@ -205,6 +242,22 @@ class TestCli:
         assert main(["fit", "--trial", str(bad)]) == 1
         assert main(["fit", "--trial", str(tmp_path / "missing.json")]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_fit_unreadable_trial_exits_1(self, tmp_path, capsys, corruption):
+        out = _small_corpus(tmp_path / "c", seed=9, n=1)
+        CORRUPTIONS[corruption](out / "trial_000.json")
+        assert main(["fit", "--trial", str(out / "trial_000.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        out = _small_corpus(tmp_path / "c", seed=9, n=1)
+        report = tmp_path / "r.json"
+        assert main(["batch", "--corpus", str(out), "--jobs", jobs, "--report", str(report)]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_unknown_plot_kind_exits_1(self, tmp_path, capsys):
         corpus = tmp_path / "c"

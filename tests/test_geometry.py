@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from stemfit.errors import DegenerateInputError, FrameMismatchError
-from stemfit.geometry import (
-    Frame,
-    RigidTransform,
-    UnitQuaternion,
-    Vec3,
-    Wrench,
-    adjoint_wrench_to_world,
-    angle_between,
-    transform_point,
+from stemfit.errors import DegenerateInputError
+from stemfit.geometry import UnitQuaternion, Vec3, angle_between, rotation_matrices
+
+from conftest import (
+    pose_point_reference,
+    random_unit_quaternion,
+    rotation_matrix_reference,
+    wrench_to_world_reference,
+    wxyz,
 )
 
-from conftest import random_transform, random_unit_quaternion
+IDENTITY = [1.0, 0.0, 0.0, 0.0]
 
 
 def scipy_rotation(q: UnitQuaternion) -> Rotation:
@@ -65,96 +64,67 @@ class TestUnitQuaternion:
                 back.rotation_matrix(), q.rotation_matrix(), atol=1e-9
             )
 
-    def test_multiply_matches_matrix_product(self, rng):
-        for _ in range(20):
-            a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
-            np.testing.assert_allclose(
-                a.multiply(b).rotation_matrix(),
-                a.rotation_matrix() @ b.rotation_matrix(),
-                atol=1e-12,
-            )
-
-
-class TestRigidTransform:
-    def test_compose_with_inverse_is_identity(self, rng):
-        for _ in range(30):
-            t = random_transform(rng)
-            ident = t.compose(t.inverse())
-            np.testing.assert_allclose(
-                ident.rotation.rotation_matrix(), np.eye(3), atol=1e-9
-            )
-            np.testing.assert_allclose(ident.translation.as_array(), 0.0, atol=1e-9)
-
-    def test_transform_point_composition(self, rng):
-        p = Vec3(0.3, -0.2, 0.9)
-        for _ in range(30):
-            t1, t2 = random_transform(rng), random_transform(rng)
-            chained = transform_point(t1, transform_point(t2, p))
-            composed = transform_point(t1.compose(t2), p)
-            np.testing.assert_allclose(
-                composed.as_array(), chained.as_array(), atol=1e-9
-            )
+    def test_rotation_matrices_equal_per_quaternion_reference(self, rng):
+        rows = np.array([wxyz(random_unit_quaternion(rng)) for _ in range(200)])
+        stacked = rotation_matrices(rows)
+        for row, matrix in zip(rows, stacked):
+            np.testing.assert_array_equal(matrix, rotation_matrix_reference(row))
 
 
 class TestTransformPoint:
+    """The per-sample pose mapping that tests use as a reference."""
+
     def test_identity(self):
-        p = transform_point(RigidTransform.identity(), Vec3(1.0, 2.0, 3.0))
-        assert (p.x, p.y, p.z) == (1.0, 2.0, 3.0)
+        p = pose_point_reference(IDENTITY, [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+        assert p.tolist() == [1.0, 2.0, 3.0]
 
     def test_pure_translation(self):
-        t = RigidTransform(UnitQuaternion.identity(), Vec3(0.0, 0.0, 0.5))
-        p = transform_point(t, Vec3(0.0, 0.0, 0.0))
-        assert (p.x, p.y, p.z) == (0.0, 0.0, 0.5)
+        p = pose_point_reference(IDENTITY, [0.0, 0.0, 0.5], [0.0, 0.0, 0.0])
+        assert p.tolist() == [0.0, 0.0, 0.5]
 
     def test_quarter_turn_about_z(self):
         q = UnitQuaternion.from_axis_angle(Vec3(0.0, 0.0, 1.0), math.pi / 2.0)
-        p = transform_point(RigidTransform(q, Vec3(0.0, 0.0, 0.0)), Vec3(1.0, 0.0, 0.0))
+        p = pose_point_reference(wxyz(q), [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         expected = Rotation.from_euler("z", 90, degrees=True).apply([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(p.as_array(), expected, atol=1e-12)
-        np.testing.assert_allclose(p.as_array(), [0.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(p, expected, atol=1e-12)
+        np.testing.assert_allclose(p, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 class TestAdjointWrench:
+    """The per-sample wrench mapping that tests use as a reference."""
+
     def test_identity_changes_only_the_frame(self):
-        w = Wrench(Vec3(1.0, -2.0, 3.0), Vec3(0.1, 0.2, -0.3), Frame.SENSOR)
-        out = adjoint_wrench_to_world(RigidTransform.identity(), w)
-        assert out.frame is Frame.WORLD
-        np.testing.assert_allclose(out.force.as_array(), w.force.as_array())
-        np.testing.assert_allclose(out.torque.as_array(), w.torque.as_array())
+        force, torque = [1.0, -2.0, 3.0], [0.1, 0.2, -0.3]
+        force_w, torque_w = wrench_to_world_reference(IDENTITY, [0.0, 0.0, 0.0], force, torque)
+        np.testing.assert_allclose(force_w, force)
+        np.testing.assert_allclose(torque_w, torque)
 
     def test_translation_adds_moment_arm(self):
-        t = RigidTransform(UnitQuaternion.identity(), Vec3(1.0, 0.0, 0.0))
-        w = Wrench(Vec3(0.0, 0.0, 1.0), Vec3(0.0, 0.0, 0.0), Frame.SENSOR)
-        out = adjoint_wrench_to_world(t, w)
+        force_w, torque_w = wrench_to_world_reference(
+            IDENTITY, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]
+        )
         expected = np.cross([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(out.force.as_array(), [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(out.torque.as_array(), expected)
-        np.testing.assert_allclose(out.torque.as_array(), [0.0, -1.0, 0.0])
+        np.testing.assert_allclose(force_w, [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(torque_w, expected)
+        np.testing.assert_allclose(torque_w, [0.0, -1.0, 0.0])
 
     def test_rotation_maps_force(self):
         q = UnitQuaternion.from_axis_angle(Vec3(0.0, 0.0, 1.0), math.pi / 2.0)
-        t = RigidTransform(q, Vec3(0.0, 0.0, 0.0))
-        w = Wrench(Vec3(1.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0), Frame.SENSOR)
-        out = adjoint_wrench_to_world(t, w)
+        force_w, torque_w = wrench_to_world_reference(
+            wxyz(q), [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+        )
         expected = Rotation.from_euler("z", 90, degrees=True).apply([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(out.force.as_array(), expected, atol=1e-12)
-        np.testing.assert_allclose(out.torque.as_array(), [0.0, 0.0, 0.0], atol=1e-12)
-
-    def test_frame_mismatch_rejected(self):
-        w = Wrench(Vec3(1.0, 0.0, 0.0), Vec3(0.0, 0.0, 0.0), Frame.WORLD)
-        with pytest.raises(FrameMismatchError):
-            adjoint_wrench_to_world(RigidTransform.identity(), w)
+        np.testing.assert_allclose(force_w, expected, atol=1e-12)
+        np.testing.assert_allclose(torque_w, [0.0, 0.0, 0.0], atol=1e-12)
 
     def test_force_magnitude_preserved(self, rng):
         for _ in range(50):
-            t = random_transform(rng)
-            w = Wrench(
-                Vec3.from_array(rng.normal(size=3)),
-                Vec3.from_array(rng.normal(size=3)),
-                Frame.SENSOR,
+            q = random_unit_quaternion(rng)
+            force = rng.normal(size=3)
+            force_w, _ = wrench_to_world_reference(
+                wxyz(q), rng.normal(size=3), force, rng.normal(size=3)
             )
-            out = adjoint_wrench_to_world(t, w)
-            assert abs(out.force.norm() - w.force.norm()) < 1e-9
+            assert abs(np.linalg.norm(force_w) - np.linalg.norm(force)) < 1e-9
 
 
 class TestAngleBetween:

@@ -9,6 +9,7 @@ from stemfit.simulator import SimConfig, generate_corpus, generate_trial
 from stemfit.spring_model import Label
 from stemfit.trial_io import (
     MANIFEST_NAME,
+    atomic_write_text,
     load_corpus,
     load_manifest,
     load_trial,
@@ -35,10 +36,10 @@ class TestTrialRoundTrip:
         assert trial_to_dict(loaded) == trial_to_dict(trial)
         assert loaded.label is trial.label
         assert loaded.ground_truth == trial.ground_truth
-        for a, b in zip(loaded.samples, trial.samples):
-            assert a.t == b.t
-            assert a.wrench.force == b.wrench.force
-            assert a.pose.translation == b.pose.translation
+        for name in ("t", "translation", "rotation_wxyz", "force", "torque"):
+            np.testing.assert_array_equal(
+                getattr(loaded.samples, name), getattr(trial.samples, name)
+            )
 
     def test_serialization_is_byte_deterministic(self, tmp_path):
         trial = sim_trial()
@@ -50,6 +51,11 @@ class TestTrialRoundTrip:
     def test_no_temp_files_left(self, tmp_path):
         save_trial(sim_trial(), tmp_path / "t.json")
         assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "t.json", "\ud800")  # a lone surrogate
+        assert list(tmp_path.iterdir()) == []
 
     def test_minimal_two_sample_trial(self, tmp_path):
         trial = pull_trial([0.3, 0.0, 0.5], n=2)
@@ -104,6 +110,37 @@ class TestTrialValidationOnLoad:
         with pytest.raises(ValidationError, match="samples\\[0\\]"):
             trial_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "path, named",
+        [
+            (("samples", 1, "wrench", "force", 0), "samples\\[1\\]: force"),
+            (("samples", 2, "pose", "translation", 2), "samples\\[2\\]: translation"),
+            (("samples", 0, "t"), "samples\\[0\\]: t"),
+            (("grasp_point", 1), "grasp_point"),
+            (("spring", "k"), "spring: k"),
+        ],
+    )
+    def test_number_too_large_for_a_float(self, path, named):
+        doc = self.doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 10**400
+        with pytest.raises(ValidationError, match=named):
+            trial_from_dict(doc)
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"id": "\xff"}')
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_trial(path)
+
+    def test_empty_samples_rejected(self):
+        doc = self.doc()
+        doc["samples"] = []
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            trial_from_dict(doc)
+
     def test_quaternion_norm_policy(self):
         doc = self.doc()
         # slightly off: silently renormalized
@@ -113,7 +150,7 @@ class TestTrialValidationOnLoad:
         doc["samples"][0]["pose"]["rotation_wxyz"] = [1.0 + 5e-5, 0.0, 0.0, 0.0]
         with pytest.warns(UserWarning, match="renormalizing"):
             trial = trial_from_dict(doc)
-        assert abs(trial.samples[0].pose.rotation.w - 1.0) < 1e-12
+        assert abs(trial.samples.rotation_wxyz[0, 0] - 1.0) < 1e-12
         # error zone
         doc["samples"][0]["pose"]["rotation_wxyz"] = [1.1, 0.0, 0.0, 0.0]
         with pytest.raises(ValidationError, match="quaternion norm"):

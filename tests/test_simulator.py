@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stemfit.errors import SimulationConfigError
-from stemfit.geometry import Vec3, adjoint_wrench_to_world
+from stemfit.geometry import Vec3
 from stemfit.simulator import (
     SimConfig,
     generate_corpus,
@@ -14,6 +14,8 @@ from stemfit.simulator import (
 )
 from stemfit.spring_model import Label, apple_position_world, evaluate, predict_force
 from stemfit.trial_io import trial_to_dict
+
+from conftest import pose_point_reference, rotation_matrix_reference, wrench_to_world_reference
 
 
 def noiseless(**overrides):
@@ -74,9 +76,8 @@ class TestGenerateTrial:
         for seed in range(10):
             record = generate_trial(cfg, np.random.default_rng(seed), f"e{seed}")
             trial = record.trial
-            first = trial.samples[0]
-            assert first.wrench.force.norm() < 1e-12
-            r_a0 = apple_position_world(first, trial.grasp_point)
+            assert np.linalg.norm(trial.samples.force[0]) < 1e-12
+            r_a0 = apple_position_world(trial)
             d0 = (trial.ground_truth - r_a0).norm()
             assert abs(d0 - cfg.l) < 1e-9
 
@@ -84,7 +85,7 @@ class TestGenerateTrial:
         cfg = noiseless()
         record = generate_trial(cfg, np.random.default_rng(42), "cap")
         trial = record.trial
-        norms = [s.wrench.force.norm() for s in trial.samples]
+        norms = [float(np.linalg.norm(f)) for f in trial.samples.force]
         assert max(norms) < cfg.force_cap
         # one more sampling step would have crossed the cap
         per_step = cfg.k * cfg.pull_speed / cfg.sample_rate
@@ -94,19 +95,21 @@ class TestGenerateTrial:
         cfg = noiseless()
         record = generate_trial(cfg, np.random.default_rng(17), "rt")
         trial = record.trial
-        spring = trial.spring
-        for sample in trial.samples[1:]:
-            world = adjoint_wrench_to_world(sample.pose, sample.wrench)
-            fruit = apple_position_world(sample, trial.grasp_point)
-            model = predict_force(trial.ground_truth, fruit, spring)
-            np.testing.assert_allclose(
-                world.force.as_array(), model.as_array(), atol=1e-9
-            )
+        s = trial.samples
+        grasp = trial.grasp_point.as_array()
+        for i in range(1, len(s)):
+            q, translation = s.rotation_wxyz[i], s.translation[i]
+            force_w, torque_w = wrench_to_world_reference(q, translation, s.force[i], s.torque[i])
+            fruit = pose_point_reference(q, translation, grasp)
+            model = predict_force(trial.ground_truth, Vec3.from_array(fruit), trial.spring)
+            np.testing.assert_allclose(force_w, model.as_array(), atol=1e-9)
+            # a rigid grasp applies the force at the fruit: moment about the world origin
+            np.testing.assert_allclose(torque_w, np.cross(fruit, force_w), atol=1e-9)
 
     def test_straight_pull_window_matches_kinematic_oracle(self):
         cfg = noiseless()
         record = generate_trial(cfg, np.random.default_rng(3), "w")
-        window = record.trial.samples[-1].t
+        window = record.trial.samples.t[-1]
         oracle = time_to_cap_oracle(cfg, 0.0)
         assert oracle - 1.0 / cfg.sample_rate <= window <= oracle
 
@@ -115,7 +118,7 @@ class TestGenerateTrial:
         cfg = noiseless(off_axis_angle_deg=angle, pull_speed=0.14)
         for seed in range(5):
             record = generate_trial(cfg, np.random.default_rng(50 + seed), "oa")
-            window = record.trial.samples[-1].t
+            window = record.trial.samples.t[-1]
             oracle = time_to_cap_oracle(cfg, angle)
             assert oracle - 1.0 / cfg.sample_rate <= window <= oracle
 
@@ -124,7 +127,7 @@ class TestGenerateTrial:
         cfg = noiseless(off_axis_angle_deg=60.0, pull_speed=0.14)
         assert time_to_cap_oracle(cfg, 60.0) >= 0.1
         record = generate_trial(cfg, np.random.default_rng(4), "long")
-        assert record.trial.samples[-1].t >= 0.1
+        assert record.trial.samples.t[-1] >= 0.1
 
     def test_window_of_about_226_samples(self):
         # a pull slow enough to take 0.45 s to the cap yields 226 samples
@@ -179,10 +182,10 @@ class TestCompliance:
         record = generate_trial(cfg, np.random.default_rng(15), "eq")
         trial = record.trial
         comp = cfg.compliance_matrix
-        for sample in trial.samples:
-            rot = sample.pose.rotation.rotation_matrix()
-            f_s = sample.wrench.force.as_array()
-            rigid_fruit = rot @ trial.grasp_point.as_array() + sample.pose.translation.as_array()
+        s = trial.samples
+        for q, translation, f_s in zip(s.rotation_wxyz, s.translation, s.force):
+            rot = rotation_matrix_reference(q)
+            rigid_fruit = rot @ trial.grasp_point.as_array() + translation
             true_fruit = rigid_fruit + rot @ (comp @ f_s)
             model = predict_force(
                 trial.ground_truth, Vec3.from_array(true_fruit), trial.spring

@@ -17,12 +17,10 @@ from stemfit.solver import (
 from stemfit.spring_model import (
     SpringParams,
     Trial,
-    TrialSample,
     evaluate,
 )
-from stemfit.geometry import Frame, RigidTransform, UnitQuaternion, Wrench
 
-from conftest import pull_trial, static_trial
+from conftest import columns, pose_point_reference, pull_trial, static_trial
 
 
 def noiseless_config(**overrides):
@@ -81,11 +79,9 @@ class TestInitialGuess:
         record = generate_trial(noiseless_config(), np.random.default_rng(3), "g")
         trial = record.trial
         guess = initial_guess(trial)
-        start = trial.samples[0]
-        r_a0 = (
-            start.pose.rotation.rotation_matrix() @ trial.grasp_point.as_array()
-            + start.pose.translation.as_array()
-        )
+        s = trial.samples
+        grasp = trial.grasp_point.as_array()
+        r_a0 = pose_point_reference(s.rotation_wxyz[0], s.translation[0], grasp)
         assert abs(np.linalg.norm(guess.as_array() - r_a0) - trial.spring.l) < 1e-12
 
 
@@ -107,11 +103,9 @@ class TestMinimize:
 
     def test_singular_start_raises(self):
         trial = pull_trial([0.4, 0.0, 0.6], n=12)
-        start = trial.samples[0]
-        fruit0 = (
-            start.pose.rotation.rotation_matrix() @ trial.grasp_point.as_array()
-            + start.pose.translation.as_array()
-        )
+        s = trial.samples
+        grasp = trial.grasp_point.as_array()
+        fruit0 = pose_point_reference(s.rotation_wxyz[0], s.translation[0], grasp)
         with pytest.raises(EvaluationFailureError):
             minimize(trial, Vec3.from_array(fruit0))
 
@@ -171,17 +165,7 @@ class TestFitContracts:
                 replace(SimConfig(), noise_sigma=sigma), np.random.default_rng(8), "t"
             )
             trial = record.trial
-            moved_samples = tuple(
-                TrialSample(
-                    s.t,
-                    RigidTransform(
-                        s.pose.rotation,
-                        Vec3.from_array(s.pose.translation.as_array() + shift),
-                    ),
-                    s.wrench,
-                )
-                for s in trial.samples
-            )
+            moved_samples = replace(trial.samples, translation=trial.samples.translation + shift)
             moved = replace(
                 trial,
                 samples=moved_samples,
@@ -216,14 +200,10 @@ class TestFitContracts:
 
 def heavy_violation_trial(n=40):
     """Sign-flipping forces no spring placement can explain."""
-    samples = []
-    for i in range(n):
-        force = Vec3(50.0 if i % 2 else -50.0, 0.0, 12.0)
-        pose = RigidTransform(UnitQuaternion.identity(), Vec3(0.0, 0.0, -0.001 * i))
-        samples.append(
-            TrialSample(0.002 * i, pose, Wrench(force, Vec3(0, 0, 0), Frame.SENSOR))
-        )
-    return Trial(tuple(samples), SpringParams(632.0, 0.1), Vec3(0, 0, 0), id="heavy")
+    forces = [[50.0 if i % 2 else -50.0, 0.0, 12.0] for i in range(n)]
+    translations = [[0.0, 0.0, -0.001 * i] for i in range(n)]
+    samples = columns(0.002 * np.arange(n), translation=translations, force=forces)
+    return Trial(samples, SpringParams(632.0, 0.1), Vec3(0, 0, 0), id="heavy")
 
 
 class TestReseedingSchedule:

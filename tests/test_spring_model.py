@@ -5,20 +5,13 @@ import numpy as np
 import pytest
 
 from stemfit.errors import SingularityError
-from stemfit.geometry import (
-    Frame,
-    RigidTransform,
-    UnitQuaternion,
-    Vec3,
-    Wrench,
-)
+from stemfit.geometry import UnitQuaternion, Vec3
 from stemfit.simulator import SimConfig, generate_trial
 from stemfit.solver import fit
 from stemfit.spring_model import (
     SpringParams,
     Trial,
     TrialArrays,
-    TrialSample,
     apple_position_world,
     bias_compensate,
     cost_and_gradient,
@@ -28,31 +21,66 @@ from stemfit.spring_model import (
     predict_force,
 )
 
-from conftest import pull_trial, random_transform, static_trial
+from conftest import (
+    columns,
+    pose_point_reference,
+    pull_trial,
+    random_unit_quaternion,
+    rotation_matrix_reference,
+    static_trial,
+    wxyz,
+)
+
+
+def posed_trial(q, translation, grasp):
+    """Two-sample trial whose first pose is ``(q, translation)``."""
+    samples = columns(
+        [0.0, 0.002],
+        translation=[translation, translation],
+        rotation_wxyz=[wxyz(q), wxyz(q)],
+    )
+    return Trial(samples, SpringParams(632.0, 0.1), grasp)
 
 
 class TestApplePositionWorld:
     def test_identity_pose(self):
-        sample = TrialSample(
-            0.0,
-            RigidTransform.identity(),
-            Wrench(Vec3(0, 0, 0), Vec3(0, 0, 0), Frame.SENSOR),
-        )
-        p = apple_position_world(sample, Vec3(0.0, 0.0, 0.05))
-        np.testing.assert_allclose(p.as_array(), [0.0, 0.0, 0.05])
+        trial = posed_trial(UnitQuaternion.identity(), [0.0, 0.0, 0.0], Vec3(0.0, 0.0, 0.05))
+        np.testing.assert_allclose(apple_position_world(trial).as_array(), [0.0, 0.0, 0.05])
 
     def test_translation_only(self):
-        pose = RigidTransform(UnitQuaternion.identity(), Vec3(0.1, 0.0, 0.0))
-        sample = TrialSample(0.0, pose, Wrench(Vec3(0, 0, 0), Vec3(0, 0, 0), Frame.SENSOR))
-        p = apple_position_world(sample, Vec3(0.0, 0.0, 0.0))
-        np.testing.assert_allclose(p.as_array(), [0.1, 0.0, 0.0])
+        trial = posed_trial(UnitQuaternion.identity(), [0.1, 0.0, 0.0], Vec3(0.0, 0.0, 0.0))
+        np.testing.assert_allclose(apple_position_world(trial).as_array(), [0.1, 0.0, 0.0])
 
     def test_rotation_and_translation(self):
         q = UnitQuaternion.from_axis_angle(Vec3(0, 0, 1), math.pi / 2.0)
-        pose = RigidTransform(q, Vec3(1.0, 0.0, 0.0))
-        sample = TrialSample(0.0, pose, Wrench(Vec3(0, 0, 0), Vec3(0, 0, 0), Frame.SENSOR))
-        p = apple_position_world(sample, Vec3(0.05, 0.0, 0.0))
-        np.testing.assert_allclose(p.as_array(), [1.0, 0.05, 0.0], atol=1e-12)
+        trial = posed_trial(q, [1.0, 0.0, 0.0], Vec3(0.05, 0.0, 0.0))
+        np.testing.assert_allclose(
+            apple_position_world(trial).as_array(), [1.0, 0.05, 0.0], atol=1e-12
+        )
+
+
+class TestTrialArrays:
+    def test_stacked_arrays_equal_per_sample_reference(self):
+        record = generate_trial(SimConfig(off_axis_angle_deg=30.0), np.random.default_rng(5), "a")
+        trial = record.trial
+        s = trial.samples
+        # vary the pose per sample so every row takes its own rotation
+        rng = np.random.default_rng(6)
+        quats = np.array([wxyz(random_unit_quaternion(rng)) for _ in range(len(s))])
+        trial = replace(trial, samples=replace(s, rotation_wxyz=quats), ground_truth=None)
+        s = trial.samples
+        arrays = TrialArrays.from_trial(trial)
+        grasp = trial.grasp_point.as_array()
+        for i in range(len(s)):
+            q = s.rotation_wxyz[i]
+            np.testing.assert_array_equal(
+                arrays.grasp_world[i], pose_point_reference(q, s.translation[i], grasp)
+            )
+            np.testing.assert_array_equal(
+                arrays.force_world[i], rotation_matrix_reference(q) @ s.force[i]
+            )
+        np.testing.assert_array_equal(arrays.times, s.t)
+        assert len(arrays) == len(s)
 
 
 class TestPredictForce:
@@ -78,7 +106,7 @@ class TestPredictForce:
         for _ in range(30):
             r_o = Vec3.from_array(rng.normal(size=3))
             r_a = Vec3.from_array(r_o.as_array() + rng.normal(scale=0.2, size=3))
-            rot = random_transform(rng).rotation.rotation_matrix()
+            rot = random_unit_quaternion(rng).rotation_matrix()
             f = predict_force(r_o, r_a, self.spring).as_array()
             f_rot = predict_force(
                 Vec3.from_array(rot @ r_o.as_array()),
@@ -112,20 +140,9 @@ class TestEvaluate:
             r_a = Vec3(0.0, 0.0, dz)
             pred = predict_force(r_o, r_a, spring).as_array()
             forces.append(pred + np.array([0.0, 0.0, 1.0]))
-        trial = static_trial(forces)
-        # poses are identity so fruit sits at the origin both times; rebuild
-        # with the moving-pose trial instead
-        samples = []
-        for i, dz in enumerate((0.0, -0.001)):
-            pose = RigidTransform(UnitQuaternion.identity(), Vec3(0.0, 0.0, dz))
-            samples.append(
-                TrialSample(
-                    0.002 * i,
-                    pose,
-                    Wrench(Vec3.from_array(forces[i]), Vec3(0, 0, 0), Frame.SENSOR),
-                )
-            )
-        trial = Trial(tuple(samples), spring, Vec3(0, 0, 0), id="mse")
+        translation = [[0.0, 0.0, 0.0], [0.0, 0.0, -0.001]]
+        samples = columns([0.0, 0.002], translation=translation, force=forces)
+        trial = Trial(samples, spring, Vec3(0, 0, 0), id="mse")
         result = evaluate(r_o, trial)
         assert abs(result.cost - 1.0) < 1e-12
 
@@ -146,20 +163,19 @@ class TestEvaluate:
         trial = pull_trial([0.4, 0.1, 0.7], n=12)
         candidate = Vec3(0.42, 0.08, 0.75)
         base = evaluate(candidate, trial).cost
+        s = trial.samples
         for _ in range(10):
-            g = random_transform(rng)
-            moved_samples = tuple(
-                TrialSample(s.t, g.compose(s.pose), s.wrench) for s in trial.samples
+            g_rot = random_unit_quaternion(rng).rotation_matrix()
+            g_shift = rng.normal(size=3)
+            rotations = [
+                wxyz(UnitQuaternion.from_rotation_matrix(g_rot @ rotation_matrix_reference(q)))
+                for q in s.rotation_wxyz
+            ]
+            moved_samples = replace(
+                s, translation=s.translation @ g_rot.T + g_shift, rotation_wxyz=rotations
             )
-            moved_trial = replace(
-                trial,
-                samples=moved_samples,
-                ground_truth=None,
-            )
-            moved_candidate = Vec3.from_array(
-                g.rotation.rotation_matrix() @ candidate.as_array()
-                + g.translation.as_array()
-            )
+            moved_trial = replace(trial, samples=moved_samples, ground_truth=None)
+            moved_candidate = Vec3.from_array(g_rot @ candidate.as_array() + g_shift)
             assert abs(evaluate(moved_candidate, moved_trial).cost - base) < 1e-9
 
 
@@ -242,38 +258,24 @@ class TestBiasCompensate:
     def test_constant_wrench_zeros_out(self):
         trial = static_trial([[1.0, -2.0, 0.5]] * 4)
         out = bias_compensate(trial)
-        for s in out.samples:
-            np.testing.assert_allclose(s.wrench.force.as_array(), 0.0, atol=0.0)
+        np.testing.assert_allclose(out.samples.force, 0.0, atol=0.0)
 
     def test_two_sample_definition(self):
         trial = static_trial([[1.0, 0.0, 0.0], [3.0, 1.0, -1.0]])
         out = bias_compensate(trial)
-        np.testing.assert_allclose(out.samples[0].wrench.force.as_array(), [0, 0, 0])
-        np.testing.assert_allclose(out.samples[1].wrench.force.as_array(), [2, 1, -1])
+        np.testing.assert_allclose(out.samples.force, [[0, 0, 0], [2, 1, -1]])
 
     def test_original_trial_untouched(self):
         trial = static_trial([[1.0, 0.0, 0.0], [3.0, 1.0, -1.0]])
         bias_compensate(trial)
-        np.testing.assert_allclose(trial.samples[0].wrench.force.as_array(), [1, 0, 0])
+        np.testing.assert_allclose(trial.samples.force[0], [1, 0, 0])
 
     def test_bias_recovery_matches_unbiased_fit(self, rng):
         cfg = replace(SimConfig(), noise_sigma=0.0)
         record = generate_trial(cfg, np.random.default_rng(99), "bias")
         clean = record.trial
         bias = np.array([0.0, 0.0, -1.5])
-        biased_samples = tuple(
-            TrialSample(
-                s.t,
-                s.pose,
-                Wrench(
-                    Vec3.from_array(s.wrench.force.as_array() + bias),
-                    s.wrench.torque,
-                    Frame.SENSOR,
-                ),
-            )
-            for s in clean.samples
-        )
-        biased = replace(clean, samples=biased_samples)
+        biased = replace(clean, samples=replace(clean.samples, force=clean.samples.force + bias))
         fit_clean = fit(clean)
         fit_biased = fit(bias_compensate(biased))
         delta = (fit_clean.r_o_hat - fit_biased.r_o_hat).norm()
@@ -281,38 +283,39 @@ class TestBiasCompensate:
 
 
 class TestTrialValidation:
-    def sample(self, t):
-        return TrialSample(
-            t,
-            RigidTransform.identity(),
-            Wrench(Vec3(0, 0, 0), Vec3(0, 0, 0), Frame.SENSOR),
-        )
-
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
-            Trial((self.sample(0.0),), SpringParams(1.0, 1.0), Vec3(0, 0, 0))
+            Trial(columns([0.0]), SpringParams(1.0, 1.0), Vec3(0, 0, 0))
 
     def test_timestamps_strictly_increasing(self):
         with pytest.raises(ValueError, match="samples\\[1\\]"):
+            Trial(columns([0.0, 0.0]), SpringParams(1.0, 1.0), Vec3(0, 0, 0))
+
+    def test_non_finite_value_names_the_sample(self):
+        force = np.zeros((3, 3))
+        force[2, 1] = np.inf
+        with pytest.raises(ValueError, match="samples\\[2\\]: force"):
+            Trial(columns([0.0, 1.0, 2.0], force=force), SpringParams(1.0, 1.0), Vec3(0, 0, 0))
+
+    def test_quaternions_must_be_unit(self):
+        rotations = [[1.0, 0.0, 0.0, 0.0], [1.0 + 1e-6, 0.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="samples\\[1\\].*unit quaternion"):
             Trial(
-                (self.sample(0.0), self.sample(0.0)),
+                columns([0.0, 1.0], rotation_wxyz=rotations),
                 SpringParams(1.0, 1.0),
                 Vec3(0, 0, 0),
             )
 
-    def test_wrench_frame_checked(self):
-        bad = TrialSample(
-            1.0,
-            RigidTransform.identity(),
-            Wrench(Vec3(0, 0, 0), Vec3(0, 0, 0), Frame.WORLD),
-        )
-        with pytest.raises(ValueError, match="sensor frame"):
-            Trial((self.sample(0.0), bad), SpringParams(1.0, 1.0), Vec3(0, 0, 0))
+    def test_column_shapes_checked(self):
+        with pytest.raises(ValueError, match="samples.force"):
+            columns([0.0, 1.0], force=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="samples.t"):
+            columns(np.zeros((2, 1)))
 
     def test_ground_truth_must_be_apart_from_start(self):
         with pytest.raises(ValueError, match="positive distance"):
             Trial(
-                (self.sample(0.0), self.sample(1.0)),
+                columns([0.0, 1.0]),
                 SpringParams(1.0, 1.0),
                 Vec3(0, 0, 0),
                 ground_truth=Vec3(0, 0, 0),
