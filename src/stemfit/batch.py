@@ -16,13 +16,7 @@ from .errors import (
     UnknownPlotKindError,
     ValidationError,
 )
-from .evaluation import (
-    TrialMetrics,
-    class_comparison,
-    localization_error,
-    orientation_error,
-    summarize,
-)
+from .evaluation import localization_error, orientation_error, summarize, welch_t_test
 from .solver import SolverConfig, fit
 from .spring_model import Label, apple_position_world, bias_compensate
 from .trial_io import atomic_write_text, dump_json, load_manifest, load_trial, read_json
@@ -134,7 +128,7 @@ def run_batch(
         },
         "per_trial": rows,
         "summary": _summaries(fitted),
-        "class_comparison": _comparison(fitted, runtimes),
+        "class_comparison": _comparison(fitted),
     }
     if include_timing:
         ok_rt = [runtimes[r["id"]] for r in fitted]
@@ -170,43 +164,25 @@ def _summaries(fitted):
     return summary
 
 
-def _comparison(fitted, runtimes):
-    success = [r for r in fitted if r["label"] == Label.SUCCESS.value]
-    failure = [r for r in fitted if r["label"] == Label.FAILURE.value]
-    if len(success) < 2 or len(failure) < 2:
-        return None
-    metrics_s = [_row_metrics(r, runtimes) for r in success]
-    metrics_f = [_row_metrics(r, runtimes) for r in failure]
-    try:
-        comparison = class_comparison(metrics_s, metrics_f)
-    except StemfitError:
-        return None
-    return {
-        "localization_error": _comparison_block(comparison.localization_error),
-        "final_mse": _comparison_block(comparison.final_mse),
-    }
-
-
-def _row_metrics(row, runtimes):
-    return TrialMetrics(
-        trial_id=row["id"],
-        final_mse=row["final_mse"],
-        localization_error=row["localization_error"],
-        orientation_error=row["orientation_error"],
-        runtime=runtimes[row["id"]],
-        converged=row["converged"],
-        label=Label(row["label"]),
-    )
-
-
-def _comparison_block(metric):
-    return {
-        "success": metric.success.to_dict(),
-        "failure": metric.failure.to_dict(),
-        "t_statistic": metric.welch.t_statistic,
-        "p_value": metric.welch.p_value,
-        "degrees_of_freedom": metric.welch.degrees_of_freedom,
-    }
+def _comparison(fitted):
+    """Per-class summaries and a Welch test of success against failure, for
+    localization error and final MSE; None unless both classes have at least
+    two values of both metrics."""
+    blocks = {}
+    for key in ("localization_error", "final_mse"):
+        success = _metric_values([r for r in fitted if r["label"] == Label.SUCCESS.value], key)
+        failure = _metric_values([r for r in fitted if r["label"] == Label.FAILURE.value], key)
+        if len(success) < 2 or len(failure) < 2:
+            return None
+        welch = welch_t_test(success, failure)
+        blocks[key] = {
+            "success": summarize(success).to_dict(),
+            "failure": summarize(failure).to_dict(),
+            "t_statistic": welch.t_statistic,
+            "p_value": welch.p_value,
+            "degrees_of_freedom": welch.degrees_of_freedom,
+        }
+    return blocks
 
 
 def save_report(report: dict, path):

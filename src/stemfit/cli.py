@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 validation or parse error, 2 solver non-convergence
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .batch import emit_plot_data, load_report, run_batch, save_report
-from .errors import EvaluationFailureError, StemfitError
+from .errors import EvaluationFailureError, StemfitError, ValidationError
 from .simulator import SimConfig, generate_corpus
 from .solver import SolverConfig, fit
 from .spring_model import bias_compensate
@@ -39,29 +40,26 @@ def _jobs(text: str) -> int:
 
 
 def _sim_config(args) -> SimConfig:
-    from .errors import ValidationError
-
     config = SimConfig()
     if args.config is not None:
         try:
             config = SimConfig.from_dict(read_json(args.config))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"{args.config}: {exc}") from exc
     if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
+        try:
+            config = replace(config, seed=args.seed)
+        except ValueError as exc:
+            raise ValidationError(f"--seed: {exc}") from exc
     return config
 
 
 def _solver_config(args) -> SolverConfig:
-    from .errors import ValidationError
-
     if getattr(args, "solver_config", None) is None:
         return SolverConfig()
     try:
         return SolverConfig.from_dict(read_json(args.solver_config))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"{args.solver_config}: {exc}") from exc
 
 

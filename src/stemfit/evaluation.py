@@ -1,5 +1,4 @@
-"""Per-trial accuracy metrics, corpus summary statistics, and the
-success/failure class comparison."""
+"""Per-trial accuracy metrics, summary statistics, and Welch's t-test."""
 
 import math
 from dataclasses import dataclass
@@ -9,21 +8,6 @@ from scipy import special
 
 from .errors import InsufficientSamplesError
 from .geometry import Vec3, angle_between
-from .spring_model import Label
-
-
-@dataclass(frozen=True)
-class TrialMetrics:
-    """Metrics for one fitted trial; localization and orientation errors are
-    absent (None) when the trial carries no ground truth."""
-
-    trial_id: str
-    final_mse: float
-    localization_error: float | None
-    orientation_error: float | None
-    runtime: float
-    converged: bool
-    label: Label
 
 
 @dataclass(frozen=True)
@@ -44,21 +28,6 @@ class WelchResult:
     t_statistic: float
     p_value: float
     degrees_of_freedom: float
-
-
-@dataclass(frozen=True)
-class MetricComparison:
-    success: SummaryStats
-    failure: SummaryStats
-    welch: WelchResult
-
-
-@dataclass(frozen=True)
-class ClassComparison:
-    """Success-vs-failure comparison on localization error and final MSE."""
-
-    localization_error: MetricComparison
-    final_mse: MetricComparison
 
 
 def localization_error(r_hat: Vec3, r_true: Vec3) -> float:
@@ -116,29 +85,3 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
     p = 2.0 * float(special.stdtr(df, -abs(t)))
     return WelchResult(float(t), min(p, 1.0), float(df))
 
-
-def class_comparison(
-    success: list[TrialMetrics], failure: list[TrialMetrics]
-) -> ClassComparison:
-    """Per-class summary statistics plus Welch tests on localization error and
-    final MSE. Trials without a localization error are excluded from that
-    metric; each class needs at least two usable values per metric."""
-    if len(success) < 2 or len(failure) < 2:
-        raise InsufficientSamplesError(
-            f"class_comparison needs >= 2 trials per class, got "
-            f"{len(success)} success and {len(failure)} failure"
-        )
-
-    def metric(extract, name):
-        a = [extract(m) for m in success if extract(m) is not None]
-        b = [extract(m) for m in failure if extract(m) is not None]
-        if len(a) < 2 or len(b) < 2:
-            raise InsufficientSamplesError(
-                f"class_comparison needs >= 2 {name} values per class"
-            )
-        return MetricComparison(summarize(a), summarize(b), welch_t_test(a, b))
-
-    return ClassComparison(
-        localization_error=metric(lambda m: m.localization_error, "localization_error"),
-        final_mse=metric(lambda m: m.final_mse, "final_mse"),
-    )

@@ -18,6 +18,21 @@ from .errors import DegenerateInputError
 DEGENERATE_NORM = 1e-12
 
 
+def finite_number(name: str, value):
+    """``value`` if it is a finite int or float (not a bool), else a
+    ValueError naming ``name``; integers too large for a float count as
+    non-finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 @dataclass(frozen=True)
 class Vec3:
     """Immutable 3-vector with finite components (SI units per context)."""
@@ -77,21 +92,6 @@ class UnitQuaternion:
         object.__setattr__(self, "x", x / norm)
         object.__setattr__(self, "y", y / norm)
         object.__setattr__(self, "z", z / norm)
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_axis_angle(cls, axis, angle_rad: float) -> "UnitQuaternion":
-        ax = axis.as_array() if isinstance(axis, Vec3) else np.asarray(axis, dtype=float)
-        norm = float(np.linalg.norm(ax))
-        if norm < DEGENERATE_NORM:
-            raise DegenerateInputError("rotation axis has near-zero norm")
-        ax = ax / norm
-        half = 0.5 * angle_rad
-        s = math.sin(half)
-        return cls(math.cos(half), s * ax[0], s * ax[1], s * ax[2])
 
     @classmethod
     def from_rotation_matrix(cls, matrix) -> "UnitQuaternion":

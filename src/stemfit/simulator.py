@@ -15,10 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SimulationConfigError
-from .geometry import UnitQuaternion, Vec3, rotate_rows
+from .geometry import UnitQuaternion, Vec3, finite_number, rotate_rows
 from .spring_model import Label, SampleColumns, SpringParams, Trial
 
 _ZERO_COMPLIANCE = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+# generate_trial allocates the whole pull window before it finds the force
+# cap, so a config whose window exceeds this many samples is rejected
+MAX_WINDOW_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,23 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("k", "l", "pull_distance", "pull_speed", "sample_rate", "force_cap"):
-            if not (getattr(self, name) > 0.0):
+            if not (finite_number(name, getattr(self, name)) > 0.0):
                 raise ValueError(f"{name} must be positive")
-        if self.noise_sigma < 0.0:
+        if finite_number("noise_sigma", self.noise_sigma) < 0.0:
             raise ValueError("noise_sigma must be >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        window = float(self.pull_distance) * float(self.sample_rate) / float(self.pull_speed)
+        if not window <= MAX_WINDOW_SAMPLES:
+            raise ValueError(
+                f"pull window exceeds {MAX_WINDOW_SAMPLES} samples; shorten "
+                "pull_distance, lower sample_rate or raise pull_speed"
+            )
         comp = np.asarray(self.grasp_compliance, dtype=float)
         if comp.shape != (3, 3):
             raise ValueError("grasp_compliance must be a 3x3 matrix")
+        if not np.isfinite(comp).all():
+            raise ValueError("grasp_compliance must be finite")
         if not np.allclose(comp, comp.T, atol=1e-12):
             raise ValueError("grasp_compliance must be symmetric")
         if np.linalg.eigvalsh(comp).min() < -1e-12:
@@ -67,10 +80,14 @@ class SimConfig:
         lo, hi = self.attachment_region
         if not all(getattr(lo, a) < getattr(hi, a) for a in ("x", "y", "z")):
             raise ValueError("attachment_region must be a box with min < max per axis")
-        clo, chi = self.failure_compliance_range
+        if len(self.failure_compliance_range) != 2:
+            raise ValueError("failure_compliance_range must be a pair [lo, hi]")
+        clo, chi = (
+            finite_number("failure_compliance_range", v) for v in self.failure_compliance_range
+        )
         if not (0.0 < clo <= chi):
             raise ValueError("failure_compliance_range must satisfy 0 < lo <= hi")
-        if not (0.0 <= self.off_axis_angle_deg < 90.0):
+        if not (0.0 <= finite_number("off_axis_angle_deg", self.off_axis_angle_deg) < 90.0):
             raise ValueError("off_axis_angle_deg must lie in [0, 90)")
 
     @property
@@ -99,26 +116,29 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        known = set(cls().to_dict())
-        unknown = set(data) - known
+        """Build from a parsed JSON object; any malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("simulator config must be a JSON object")
+        unknown = set(data) - set(cls().to_dict())
         if unknown:
             raise ValueError(f"unknown simulator config fields: {sorted(unknown)}")
         kwargs = dict(data)
-        if "grasp_compliance" in kwargs:
-            kwargs["grasp_compliance"] = tuple(
-                tuple(float(v) for v in row) for row in kwargs["grasp_compliance"]
-            )
-        if "attachment_region" in kwargs:
-            region = kwargs["attachment_region"]
-            kwargs["attachment_region"] = (
-                Vec3.from_array(region["min"]),
-                Vec3.from_array(region["max"]),
-            )
-        if "failure_compliance_range" in kwargs:
-            kwargs["failure_compliance_range"] = tuple(kwargs["failure_compliance_range"])
-        if "grasp_point" in kwargs:
-            kwargs["grasp_point"] = Vec3.from_array(kwargs["grasp_point"])
+        for name, convert in _NESTED_FIELDS.items():
+            if name in kwargs:
+                try:
+                    kwargs[name] = convert(kwargs[name])
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"{name}: malformed value ({exc!r})") from exc
         return cls(**kwargs)
+
+
+# JSON form -> field value for the fields that are not plain numbers
+_NESTED_FIELDS = {
+    "grasp_compliance": lambda rows: tuple(tuple(float(v) for v in row) for row in rows),
+    "attachment_region": lambda box: (Vec3.from_array(box["min"]), Vec3.from_array(box["max"])),
+    "failure_compliance_range": tuple,
+    "grasp_point": Vec3.from_array,
+}
 
 
 @dataclass(frozen=True)
@@ -126,8 +146,6 @@ class SimTrialRecord:
     """A generated trial plus the generation facts a consumer may want."""
 
     trial: Trial
-    true_pull_direction: Vec3
-    orientation: UnitQuaternion
     compliance_applied: bool
 
 
@@ -282,20 +300,18 @@ def generate_trial(
         force=forces_sensor,
         torque=torques_sensor,
     )
-    trial = Trial(
-        samples=samples,
-        spring=SpringParams(config.k, config.l),
-        grasp_point=config.grasp_point,
-        label=Label.FAILURE if compliant else Label.SUCCESS,
-        ground_truth=Vec3.from_array(r_o),
-        id=trial_id,
-    )
-    return SimTrialRecord(
-        trial=trial,
-        true_pull_direction=Vec3.from_array(-normal),
-        orientation=orientation,
-        compliance_applied=compliant,
-    )
+    try:
+        trial = Trial(
+            samples=samples,
+            spring=SpringParams(config.k, config.l),
+            grasp_point=config.grasp_point,
+            label=Label.FAILURE if compliant else Label.SUCCESS,
+            ground_truth=Vec3.from_array(r_o),
+            id=trial_id,
+        )
+    except ValueError as exc:  # extreme but finite configs overflow the pull
+        raise SimulationConfigError(f"{trial_id}: {exc}") from exc
+    return SimTrialRecord(trial=trial, compliance_applied=compliant)
 
 
 def generate_corpus(

@@ -21,7 +21,7 @@ from scipy.optimize import minimize as _scipy_minimize
 from scipy.optimize import nnls
 
 from .errors import EvaluationFailureError, SingularityError
-from .geometry import Vec3
+from .geometry import Vec3, finite_number
 from .spring_model import (
     Trial,
     TrialArrays,
@@ -37,58 +37,55 @@ KKT_GRADIENT_TOL = 1e-6
 # Constraints within this of their boundary (m) join multiplier estimation.
 _ACTIVE_WIDTH = 1e-6
 _SLSQP_FTOL = 1e-12
+# an SQP cycle that lowers the cost by less than this, relative to
+# 1 + |cost|, and barely moves the KKT residual or violation, is stagnant
+_CYCLE_COST_TOL = 1e-10
+# polish gives up once a step this small (relative to the point's scale)
+# finds no acceptable point
+_POLISH_STEP_TOL = 1e-8
 _POLISH_MAX_ITER = 60
 _MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and schedule limits for a fit.
+    """The reseeding schedule's MSE target and limits, and the constraint
+    violation (m) a converged fit may keep.
 
-    ``initial_offset_magnitude`` of ``None`` means "use the trial's resting
-    length". SLSQP runs at a fixed internal tolerance; the configured
-    relative tolerances govern the polish stage's stagnation checks.
+    Every field must be a finite number; the two counts must be integers.
     """
 
     mse_target: float = 5.0
     max_restarts: int = 5
     max_iterations_per_run: int = 300
-    relative_step_tolerance: float = 1e-8
-    relative_cost_tolerance: float = 1e-10
     constraint_tolerance: float = 1e-8
-    initial_offset_magnitude: float | None = None
 
     def __post_init__(self):
+        for name in ("max_restarts", "max_iterations_per_run"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         if self.max_iterations_per_run < 1:
             raise ValueError("max_iterations_per_run must be >= 1")
-        for name in (
-            "mse_target",
-            "relative_step_tolerance",
-            "relative_cost_tolerance",
-            "constraint_tolerance",
-        ):
-            if not (getattr(self, name) > 0.0):
+        for name in ("mse_target", "constraint_tolerance"):
+            if not (finite_number(name, getattr(self, name)) > 0.0):
                 raise ValueError(f"{name} must be positive")
-        if self.initial_offset_magnitude is not None and not (
-            self.initial_offset_magnitude > 0.0
-        ):
-            raise ValueError("initial_offset_magnitude must be positive")
 
     def to_dict(self) -> dict:
         return {
             "mse_target": self.mse_target,
             "max_restarts": self.max_restarts,
             "max_iterations_per_run": self.max_iterations_per_run,
-            "relative_step_tolerance": self.relative_step_tolerance,
-            "relative_cost_tolerance": self.relative_cost_tolerance,
             "constraint_tolerance": self.constraint_tolerance,
-            "initial_offset_magnitude": self.initial_offset_magnitude,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
+        """Build from a parsed JSON object; any malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("solver config must be a JSON object")
         unknown = set(data) - set(cls().to_dict())
         if unknown:
             raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
@@ -226,14 +223,13 @@ _POLISH_KKT_GATE = 1.0
 _POLISH_VIOL_GATE = 1e-6
 
 
-def _polish(start: _Iterate, arrays: TrialArrays, config: SolverConfig, budget: int):
+def _polish(start: _Iterate, arrays: TrialArrays, ctol: float, budget: int):
     """Active-set Newton refinement; returns (best iterate, iterations used).
 
     Steps this close to the optimum are legitimately tiny, so stagnation is
     judged on the merit's decay rate, not on step size. A step is never
     accepted into new constraint violation beyond tolerance.
     """
-    ctol = config.constraint_tolerance
     x_scale = max(arrays.l, float(np.linalg.norm(start.x)))
     if start.kkt > _POLISH_KKT_GATE or start.viol > _POLISH_VIOL_GATE:
         return start, 0
@@ -263,7 +259,7 @@ def _polish(start: _Iterate, arrays: TrialArrays, config: SolverConfig, budget: 
                 break
             alpha *= 0.5
         if accepted is None:
-            if step_norm <= config.relative_step_tolerance * x_scale:
+            if step_norm <= _POLISH_STEP_TOL * x_scale:
                 break  # no acceptable step and nothing left to move
             mu = 10.0 * mu if mu > 0.0 else 1e-8
             if mu > 1e6:
@@ -282,24 +278,22 @@ def _polish(start: _Iterate, arrays: TrialArrays, config: SolverConfig, budget: 
     return current, iterations
 
 
-def initial_guess(trial: Trial, offset_magnitude: float | None = None) -> Vec3:
-    """Initial fruit position plus an offset along the mean measured force.
+def initial_guess(trial: Trial) -> Vec3:
+    """Initial fruit position plus one resting length along the mean measured
+    force.
 
-    The offset length defaults to the resting length, which puts the guess on
-    the first sample's tension-constraint boundary and away from the model
-    singularity. Falls back to the world z axis when the forces average out
-    to nearly zero.
+    The offset puts the guess on the first sample's tension-constraint
+    boundary and away from the model singularity. Falls back to the world z
+    axis when the forces average out to nearly zero.
     """
-    arrays = TrialArrays.from_trial(trial)
-    offset = trial.spring.l if offset_magnitude is None else offset_magnitude
-    return Vec3.from_array(_initial_guess_array(arrays, offset))
+    return Vec3.from_array(_initial_guess_array(TrialArrays.from_trial(trial)))
 
 
-def _initial_guess_array(arrays: TrialArrays, offset: float) -> np.ndarray:
+def _initial_guess_array(arrays: TrialArrays) -> np.ndarray:
     mean_force = arrays.force_world.mean(axis=0)
     norm = float(np.linalg.norm(mean_force))
     direction = mean_force / norm if norm >= 1e-9 else np.array([0.0, 0.0, 1.0])
-    return arrays.grasp_world[0] + offset * direction
+    return arrays.grasp_world[0] + arrays.l * direction
 
 
 def minimize(
@@ -377,7 +371,7 @@ def _minimize_arrays(
                 constraints=[{"type": "ineq", "fun": cons_fun, "jac": cons_jac}],
                 options={
                     "maxiter": budget - used,
-                    "ftol": min(config.relative_cost_tolerance, _SLSQP_FTOL),
+                    "ftol": _SLSQP_FTOL,
                 },
             )
         except SingularityError:
@@ -391,7 +385,7 @@ def _minimize_arrays(
             break
         if used < budget:
             polished, polish_used = _polish(
-                current, arrays, config, min(_POLISH_MAX_ITER, budget - used)
+                current, arrays, ctol, min(_POLISH_MAX_ITER, budget - used)
             )
             used += polish_used
             if polished is not current:
@@ -402,7 +396,7 @@ def _minimize_arrays(
                 break
         cost_drop = cycle_start.cost - current.cost
         made_progress = (
-            cost_drop > config.relative_cost_tolerance * (1.0 + abs(cycle_start.cost))
+            cost_drop > _CYCLE_COST_TOL * (1.0 + abs(cycle_start.cost))
             or current.kkt < 0.75 * cycle_start.kkt
             or current.viol < 0.75 * cycle_start.viol
         )
@@ -444,12 +438,7 @@ def fit(
     """
     start = time.perf_counter()
     arrays = TrialArrays.from_trial(trial)
-    offset = (
-        trial.spring.l
-        if config.initial_offset_magnitude is None
-        else config.initial_offset_magnitude
-    )
-    x0 = _initial_guess_array(arrays, offset)
+    x0 = _initial_guess_array(arrays)
     ctol = config.constraint_tolerance
 
     trace: list[tuple[int, Vec3, float]] = []

@@ -131,16 +131,6 @@ class Trial:
                 )
 
 
-@dataclass(frozen=True)
-class ModelEval:
-    """Cost, gradient, and per-sample tension constraint data at one candidate."""
-
-    cost: float
-    gradient: Vec3
-    constraint_values: tuple[float, ...]
-    constraint_jacobian: tuple[Vec3, ...]
-
-
 class TrialArrays:
     """Per-trial arrays precomputed for fast repeated model evaluation.
 
@@ -256,20 +246,6 @@ def predict_force(r_o: Vec3, r_a_t: Vec3, spring: SpringParams) -> Vec3:
             f"attachment point within {SINGULARITY_DISTANCE} m of the fruit position"
         )
     return Vec3.from_array(spring.k * (dist - spring.l) * d / dist)
-
-
-def evaluate(r_o: Vec3, trial: Trial) -> ModelEval:
-    """Cost, gradient, and constraint data for one candidate attachment point."""
-    arrays = TrialArrays.from_trial(trial)
-    x = r_o.as_array()
-    cost, grad = cost_and_gradient(x, arrays)
-    values, jac = constraint_values_jacobian(x, arrays)
-    return ModelEval(
-        cost=cost,
-        gradient=Vec3.from_array(grad),
-        constraint_values=tuple(float(v) for v in values),
-        constraint_jacobian=tuple(Vec3.from_array(row) for row in jac),
-    )
 
 
 def bias_compensate(trial: Trial) -> Trial:

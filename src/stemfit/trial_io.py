@@ -264,16 +264,21 @@ def load_manifest(corpus_dir) -> dict:
     trials = manifest.get("trials")
     if not isinstance(trials, list) or not trials:
         raise ValidationError(f"{manifest_path}: manifest lists no trials")
+    seen = set()
     for i, entry in enumerate(trials):
+        where = f"{manifest_path}: trials[{i}]"
         if not isinstance(entry, dict) or not {"id", "label", "file"} <= set(entry):
+            raise ValidationError(f"{where} must carry 'id', 'label', and 'file'")
+        trial_id, file = entry["id"], entry["file"]
+        if not isinstance(trial_id, str) or not isinstance(file, str):
+            raise ValidationError(f"{where}: 'id' and 'file' must be strings")
+        if trial_id in seen:
+            raise ValidationError(f"{where}: duplicate id {trial_id!r}")
+        seen.add(trial_id)
+        # a relative path without '..' cannot leave the corpus directory
+        parts = Path(file).parts
+        if not parts or Path(file).is_absolute() or ".." in parts:
             raise ValidationError(
-                f"{manifest_path}: trials[{i}] must carry 'id', 'label', and 'file'"
+                f"{where}: 'file' must name a file inside the corpus directory, got {file!r}"
             )
     return manifest
-
-
-def load_corpus(corpus_dir) -> list[Trial]:
-    """Load every trial named by the manifest; any bad file aborts the load."""
-    corpus_dir = Path(corpus_dir)
-    manifest = load_manifest(corpus_dir)
-    return [load_trial(corpus_dir / entry["file"]) for entry in manifest["trials"]]

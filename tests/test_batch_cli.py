@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from stemfit.batch import emit_plot_data, load_report, run_batch, save_report
+from stemfit.batch import _comparison, emit_plot_data, load_report, run_batch, save_report
 from stemfit.cli import main
 from stemfit.errors import UnknownPlotKindError, ValidationError
+from stemfit.evaluation import summarize, welch_t_test
 from stemfit.simulator import SimConfig, generate_corpus
-from stemfit.trial_io import save_corpus
+from stemfit.trial_io import MANIFEST_NAME, save_corpus
 
 
 def _huge_number(path):
@@ -21,6 +22,34 @@ def _non_utf8(path):
 
 
 CORRUPTIONS = {"huge_number": _huge_number, "non_utf8": _non_utf8}
+
+# config files the CLI must reject with "error: ..." and exit 1
+BAD_SIM_CONFIGS = {
+    "empty_attachment_region": '{"attachment_region": {}}',
+    "400_digit_k": '{"k": 1' + "0" * 399 + "}",
+    "nan_noise_sigma": '{"noise_sigma": NaN}',
+    "fractional_seed": '{"seed": 1.5}',
+    "huge_pull_distance": '{"pull_distance": 1e300}',
+}
+BAD_SOLVER_CONFIGS = {
+    "overflowing_max_restarts": '{"max_restarts": 1e400}',
+    "infinite_constraint_tolerance": '{"constraint_tolerance": Infinity}',
+    "removed_field": '{"relative_cost_tolerance": 1e-10}',
+}
+
+
+def _duplicate_id(trials):
+    trials[1]["id"] = trials[0]["id"]
+
+
+# manifest edits that load_manifest must reject
+BAD_MANIFEST_ENTRIES = {
+    "file_not_a_string": lambda trials: trials[0].update(file=5),
+    "id_not_a_string": lambda trials: trials[0].update(id=["x"]),
+    "duplicate_id": _duplicate_id,
+    "file_outside_corpus": lambda trials: trials[0].update(file="../trial_000.json"),
+    "absolute_file": lambda trials: trials[0].update(file="/trial_000.json"),
+}
 
 
 def _small_corpus(out, seed, n=3):
@@ -79,6 +108,41 @@ class TestRunBatch:
         assert len(timing["per_trial"]) == 10
         assert timing["all"]["median"] > 0.0
         assert timing["total"] > 0.0
+
+    def test_class_comparison_matches_summaries_and_welch(self, corpus_dir):
+        report = run_batch(corpus_dir)
+        rows = report["per_trial"]
+        for key in ("localization_error", "final_mse"):
+            success = [r[key] for r in rows if r["label"] == "success"]
+            failure = [r[key] for r in rows if r["label"] == "failure"]
+            welch = welch_t_test(success, failure)
+            assert report["class_comparison"][key] == {
+                "success": summarize(success).to_dict(),
+                "failure": summarize(failure).to_dict(),
+                "t_statistic": welch.t_statistic,
+                "p_value": welch.p_value,
+                "degrees_of_freedom": welch.degrees_of_freedom,
+            }
+
+    def test_all_success_corpus_has_no_class_comparison(self, tmp_path):
+        report = run_batch(_small_corpus(tmp_path / "c", seed=5, n=3))
+        assert report["counts"]["failure"] == 0
+        assert report["class_comparison"] is None
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [("success", 0.1, 0.1), ("failure", 0.1, 0.1), ("failure", 0.2, 0.2)],
+            [("success", None, 0.1), ("success", None, 0.2), ("failure", 0.1, 0.2)] * 2,
+        ],
+        ids=["one_success_row", "no_localization_error"],
+    )
+    def test_class_comparison_needs_two_values_per_class(self, rows):
+        fitted = [
+            {"label": label, "localization_error": loc, "final_mse": mse}
+            for label, loc, mse in rows
+        ]
+        assert _comparison(fitted) is None
 
     def test_corrupted_trial_recorded_not_fatal(self, tmp_path):
         cfg = replace(SimConfig(), noise_sigma=0.0, seed=7)
@@ -269,6 +333,43 @@ class TestCli:
         assert main(["report", "--in", str(report), "--plot-data", "nope",
                      "--out", str(tmp_path / "x.csv")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("case", sorted(BAD_SIM_CONFIGS))
+    def test_bad_sim_config_exits_1(self, tmp_path, capsys, case):
+        config = tmp_path / "sim.json"
+        config.write_text(BAD_SIM_CONFIGS[case])
+        out = tmp_path / "c"
+        assert main(["simulate", "--config", str(config), "--n", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_SOLVER_CONFIGS))
+    def test_bad_solver_config_exits_1(self, tmp_path, capsys, case):
+        trial = _small_corpus(tmp_path / "c", seed=9, n=1) / "trial_000.json"
+        config = tmp_path / "solver.json"
+        config.write_text(BAD_SOLVER_CONFIGS[case])
+        assert main(["fit", "--trial", str(trial), "--solver-config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        assert main(["simulate", "--n", "2", "--seed", "-1", "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err.startswith("error: --seed")
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_ENTRIES))
+    def test_bad_manifest_entry_exits_1(self, tmp_path, capsys, case):
+        out = _small_corpus(tmp_path / "c", seed=9, n=3)
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        BAD_MANIFEST_ENTRIES[case](manifest["trials"])
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match=r"trials\[[01]\]"):
+            run_batch(out)
+        report = tmp_path / "r.json"
+        assert main(["batch", "--corpus", str(out), "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not report.exists()
 
     def test_bad_usage_exits_1(self, capsys):
         assert main(["simulate", "--n", "notanumber", "--out", "x"]) == 1

@@ -7,15 +7,12 @@ from scipy import stats
 from stemfit.errors import DegenerateInputError, InsufficientSamplesError
 from stemfit.evaluation import (
     SummaryStats,
-    TrialMetrics,
-    class_comparison,
     localization_error,
     orientation_error,
     summarize,
     welch_t_test,
 )
 from stemfit.geometry import Vec3
-from stemfit.spring_model import Label
 
 # fixture pair with unequal variances for cross-checking the Welch test
 WELCH_A = [27.5, 21.0, 19.0, 23.6, 17.0, 17.9, 16.9, 20.1, 21.9, 22.6, 23.1, 19.6, 19.0, 21.7, 21.4]
@@ -151,34 +148,3 @@ class TestWelch:
         r = welch_t_test([0.0, 0.0], [1.0, 1.0])
         assert math.isinf(r.t_statistic) and r.p_value == 0.0
 
-
-def metric(label, loc, mse):
-    return TrialMetrics(
-        trial_id="x",
-        final_mse=mse,
-        localization_error=loc,
-        orientation_error=None,
-        runtime=0.0,
-        converged=True,
-        label=label,
-    )
-
-
-class TestClassComparison:
-    def test_report_shape(self, rng):
-        success = [metric(Label.SUCCESS, abs(rng.normal(0.01, 0.002)), abs(rng.normal(0.05, 0.01))) for _ in range(10)]
-        failure = [metric(Label.FAILURE, abs(rng.normal(0.08, 0.02)), abs(rng.normal(2.0, 0.5))) for _ in range(8)]
-        report = class_comparison(success, failure)
-        assert report.localization_error.failure.median > report.localization_error.success.median
-        assert report.localization_error.welch.p_value < 0.01
-        assert report.final_mse.welch.p_value < 0.01
-
-    def test_insufficient_class(self):
-        with pytest.raises(InsufficientSamplesError):
-            class_comparison([metric(Label.SUCCESS, 0.1, 0.1)], [metric(Label.FAILURE, 0.1, 0.1)] * 3)
-
-    def test_missing_localization_values_rejected(self):
-        success = [metric(Label.SUCCESS, None, 0.1) for _ in range(3)]
-        failure = [metric(Label.FAILURE, 0.1, 0.2) for _ in range(3)]
-        with pytest.raises(InsufficientSamplesError):
-            class_comparison(success, failure)

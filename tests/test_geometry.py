@@ -83,7 +83,7 @@ class TestTransformPoint:
         assert p.tolist() == [0.0, 0.0, 0.5]
 
     def test_quarter_turn_about_z(self):
-        q = UnitQuaternion.from_axis_angle(Vec3(0.0, 0.0, 1.0), math.pi / 2.0)
+        q = UnitQuaternion(math.cos(math.pi / 4.0), 0.0, 0.0, math.sin(math.pi / 4.0))
         p = pose_point_reference(wxyz(q), [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         expected = Rotation.from_euler("z", 90, degrees=True).apply([1.0, 0.0, 0.0])
         np.testing.assert_allclose(p, expected, atol=1e-12)
@@ -109,7 +109,7 @@ class TestAdjointWrench:
         np.testing.assert_allclose(torque_w, [0.0, -1.0, 0.0])
 
     def test_rotation_maps_force(self):
-        q = UnitQuaternion.from_axis_angle(Vec3(0.0, 0.0, 1.0), math.pi / 2.0)
+        q = UnitQuaternion(math.cos(math.pi / 4.0), 0.0, 0.0, math.sin(math.pi / 4.0))
         force_w, torque_w = wrench_to_world_reference(
             wxyz(q), [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]
         )

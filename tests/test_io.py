@@ -10,7 +10,6 @@ from stemfit.spring_model import Label
 from stemfit.trial_io import (
     MANIFEST_NAME,
     atomic_write_text,
-    load_corpus,
     load_manifest,
     load_trial,
     save_corpus,
@@ -173,7 +172,7 @@ class TestCorpus:
         assert manifest["config_digest"].startswith("sha256:")
         labels = [e["label"] for e in manifest["trials"]]
         assert labels.count(Label.FAILURE.value) == 3
-        trials = load_corpus(out)
+        trials = [load_trial(out / e["file"]) for e in manifest["trials"]]
         assert [t.id for t in trials] == [e["id"] for e in manifest["trials"]]
 
     def test_missing_manifest(self, tmp_path):

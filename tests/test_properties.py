@@ -1,11 +1,12 @@
-"""Property tests of the input boundaries: trial documents, sample columns and
-corpus files."""
+"""Property tests of the input boundaries: trial documents, sample columns,
+corpus files and CLI config files."""
 
 import copy
 import json
 import pickle
 import shutil
 import tempfile
+from argparse import Namespace
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stemfit.batch import run_batch
+from stemfit.cli import _sim_config, _solver_config
 from stemfit.errors import StemfitError
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
+from stemfit.solver import SolverConfig
 from stemfit.spring_model import SampleColumns, SpringParams, Trial
 from stemfit.trial_io import save_corpus, trial_from_dict, trial_to_dict
 
@@ -91,6 +94,32 @@ def test_any_one_value_replaced_raises_only_stemfit_errors(data):
     except StemfitError:
         return
     assert len(trial.samples) >= 2
+
+
+CONFIG_FIELDS = sorted({*SimConfig().to_dict(), *SolverConfig().to_dict()})
+config_objects = st.dictionaries(
+    st.sampled_from(CONFIG_FIELDS) | st.text(max_size=6),
+    json_values | st.fixed_dictionaries({"min": json_values, "max": json_values}),
+    max_size=4,
+)
+
+
+# builds configs only: an allowed config can still ask generate_trial for a
+# pull window of up to MAX_WINDOW_SAMPLES samples
+@settings(deadline=None)
+@given(config_objects | json_values)
+def test_arbitrary_config_objects_raise_only_stemfit_errors(doc):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "config.json"
+        path.write_text(json.dumps(doc))
+        for load in (
+            lambda: _sim_config(Namespace(config=str(path), seed=None)),
+            lambda: _solver_config(Namespace(solver_config=str(path))),
+        ):
+            try:
+                load()
+            except StemfitError:
+                pass
 
 
 def _column_strategy(n, width, unit_rows=False):

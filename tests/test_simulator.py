@@ -12,7 +12,13 @@ from stemfit.simulator import (
     generate_trial,
     sample_orientation,
 )
-from stemfit.spring_model import Label, apple_position_world, evaluate, predict_force
+from stemfit.spring_model import (
+    Label,
+    TrialArrays,
+    apple_position_world,
+    cost_and_gradient,
+    predict_force,
+)
 from stemfit.trial_io import trial_to_dict
 
 from conftest import pose_point_reference, rotation_matrix_reference, wrench_to_world_reference
@@ -140,6 +146,12 @@ class TestGenerateTrial:
         with pytest.raises(SimulationConfigError, match="force cap"):
             generate_trial(cfg, np.random.default_rng(6), "short")
 
+    def test_overflowing_pull_raises_config_error(self):
+        # finite noise this large makes the recorded forces non-finite
+        cfg = replace(SimConfig(), noise_sigma=1e308)
+        with np.errstate(all="ignore"), pytest.raises(SimulationConfigError, match="over: "):
+            generate_trial(cfg, np.random.default_rng(6), "over")
+
     def test_ground_truth_recorded(self):
         record = generate_trial(noiseless(), np.random.default_rng(9), "gt")
         assert record.trial.ground_truth is not None
@@ -163,14 +175,16 @@ class TestCompliance:
         record = generate_trial(cfg, np.random.default_rng(13), "c")
         assert record.compliance_applied
         assert record.trial.label is Label.FAILURE
-        result = evaluate(record.trial.ground_truth, record.trial)
-        assert result.cost > 1e-6
+        truth = record.trial.ground_truth.as_array()
+        cost, _ = cost_and_gradient(truth, TrialArrays.from_trial(record.trial))
+        assert cost > 1e-6
 
     def test_rigid_trial_cost_zero_at_ground_truth(self):
         record = generate_trial(noiseless(), np.random.default_rng(13), "r")
         assert not record.compliance_applied
-        result = evaluate(record.trial.ground_truth, record.trial)
-        assert result.cost < 1e-12
+        truth = record.trial.ground_truth.as_array()
+        cost, _ = cost_and_gradient(truth, TrialArrays.from_trial(record.trial))
+        assert cost < 1e-12
 
     def test_compliance_softens_the_ramp(self):
         rigid = generate_trial(noiseless(), np.random.default_rng(14), "r")
