@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 validation or parse error, 2 solver non-convergence
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -29,14 +30,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _jobs(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return jobs
+    return value
+
+
+def _fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+    return value
 
 
 def _sim_config(args) -> SimConfig:
@@ -143,12 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic trial corpus")
     p_sim.add_argument("--config", help="simulator config JSON file")
-    p_sim.add_argument("--n", type=int, required=True, help="number of trials")
+    p_sim.add_argument(
+        "--n", type=_positive_int, required=True, help="number of trials (at least 1)"
+    )
     p_sim.add_argument(
         "--failure-fraction",
-        type=float,
+        type=_fraction,
         default=0.0,
-        help="fraction of trials generated with a compliant grasp (default 0)",
+        help="fraction of trials generated with a compliant grasp, in [0, 1] (default 0)",
     )
     p_sim.add_argument("--seed", type=int, help="override the config seed")
     p_sim.add_argument("--out", required=True, help="output corpus directory")
@@ -168,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="fit a corpus and write a report")
     p_batch.add_argument("--corpus", required=True, help="corpus directory")
     p_batch.add_argument("--solver-config", help="solver config JSON file")
-    p_batch.add_argument("--jobs", type=_jobs, default=1, help="parallel workers (at least 1)")
+    p_batch.add_argument(
+        "--jobs", type=_positive_int, default=1, help="parallel workers (at least 1)"
+    )
     p_batch.add_argument("--report", required=True, help="output report JSON file")
     p_batch.add_argument(
         "--with-timing",

@@ -45,6 +45,10 @@ _CYCLE_COST_TOL = 1e-10
 _POLISH_STEP_TOL = 1e-8
 _POLISH_MAX_ITER = 60
 _MAX_HALVINGS = 30
+# Upper limits of the two SolverConfig counts. SLSQP's iteration count is a C
+# integer (2**63 fails inside scipy), and unbounded restarts can run forever.
+MAX_ITERATIONS_PER_RUN = 1_000_000
+MAX_RESTARTS = 1_000
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,8 @@ class SolverConfig:
     """The reseeding schedule's MSE target and limits, and the constraint
     violation (m) a converged fit may keep.
 
-    Every field must be a finite number; the two counts must be integers.
+    Every field must be a finite number; the two counts must be integers of
+    at most ``MAX_RESTARTS`` and ``MAX_ITERATIONS_PER_RUN``.
     """
 
     mse_target: float = 5.0
@@ -65,10 +70,10 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
-        if self.max_iterations_per_run < 1:
-            raise ValueError("max_iterations_per_run must be >= 1")
+        if not 0 <= self.max_restarts <= MAX_RESTARTS:
+            raise ValueError(f"max_restarts must be in [0, {MAX_RESTARTS}]")
+        if not 1 <= self.max_iterations_per_run <= MAX_ITERATIONS_PER_RUN:
+            raise ValueError(f"max_iterations_per_run must be in [1, {MAX_ITERATIONS_PER_RUN}]")
         for name in ("mse_target", "constraint_tolerance"):
             if not (finite_number(name, getattr(self, name)) > 0.0):
                 raise ValueError(f"{name} must be positive")
@@ -116,9 +121,17 @@ class _Iterate:
         self.x = x
         self.cost, self.grad = cost_and_gradient(x, arrays)
         self.values, self.jac = constraint_values_jacobian(x, arrays)
-        self.kkt, self.lam, self.active = _projected_gradient(
-            self.grad, self.values, self.jac
-        )
+        # Finite but extreme trials (numbers near 1e154 and beyond) overflow
+        # here, and no fit may certify or return such a point. A finite cost
+        # means every sample distance was finite, so the constraint values
+        # and Jacobian are finite too, as nnls requires.
+        finite = math.isfinite(self.cost) and np.isfinite(self.grad).all()
+        if finite:
+            self.kkt, self.lam, self.active = _projected_gradient(
+                self.grad, self.values, self.jac
+            )
+        if not (finite and math.isfinite(self.kkt)):
+            raise EvaluationFailureError("model evaluation overflowed at an iterate")
         self.viol = max(0.0, float(self.values.max()))
 
     def meets(self, constraint_tolerance: float, margin: float = 1.0) -> bool:

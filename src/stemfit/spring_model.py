@@ -34,10 +34,10 @@ class SpringParams:
     l: float
 
     def __post_init__(self):
-        if not (self.k > 0.0):
-            raise ValueError(f"spring stiffness must be positive, got {self.k}")
-        if not (self.l > 0.0):
-            raise ValueError(f"spring resting length must be positive, got {self.l}")
+        if not (0.0 < self.k < math.inf):
+            raise ValueError(f"spring stiffness must be positive and finite, got {self.k}")
+        if not (0.0 < self.l < math.inf):
+            raise ValueError(f"spring resting length must be positive and finite, got {self.l}")
 
 
 _COLUMN_WIDTHS = {"t": None, "translation": 3, "rotation_wxyz": 4, "force": 3, "torque": 3}

@@ -1,7 +1,9 @@
 """Trial and corpus file formats.
 
 Trials are single JSON documents with an explicit schema version; floats are
-serialized at full round-trip precision so save/load is lossless. A corpus is
+serialized at full round-trip precision so save/load is lossless. A trial file
+is byte for byte ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` of its
+document, though ``dump_trial`` writes the samples without ``json``. A corpus is
 a directory of trial files plus ``manifest.json`` listing ids, labels, the
 generation seed, and a digest of the generating configuration. All writes go
 through a temp-file-then-rename step.
@@ -91,33 +93,68 @@ def _vec(v: Vec3) -> list:
     return [v.x, v.y, v.z]
 
 
-def trial_to_dict(trial: Trial) -> dict:
-    s = trial.samples
-    rows = zip(
-        s.t.tolist(),
-        s.translation.tolist(),
-        s.rotation_wxyz.tolist(),
-        s.force.tolist(),
-        s.torque.tolist(),
-    )
-    doc = {
-        "schema_version": TRIAL_SCHEMA_VERSION,
-        "id": trial.id,
-        "label": trial.label.value,
-        "spring": {"k": trial.spring.k, "l": trial.spring.l},
-        "grasp_point": _vec(trial.grasp_point),
-        "samples": [
-            {
-                "t": t,
-                "pose": {"translation": translation, "rotation_wxyz": rotation},
-                "wrench": {"force": force, "torque": torque},
-            }
-            for t, translation, rotation, force, torque in rows
+# One sample as json.dumps(..., sort_keys=True, indent=2) lays it out inside a
+# trial document; each %r takes float.__repr__, which is how json writes a float.
+_SAMPLE = """\
+    {
+      "pose": {
+        "rotation_wxyz": [
+          %r,
+          %r,
+          %r,
+          %r
         ],
-    }
+        "translation": [
+          %r,
+          %r,
+          %r
+        ]
+      },
+      "t": %r,
+      "wrench": {
+        "force": [
+          %r,
+          %r,
+          %r
+        ],
+        "torque": [
+          %r,
+          %r,
+          %r
+        ]
+      }
+    }"""
+
+
+def dump_trial(trial: Trial) -> str:
+    """The trial document exactly as ``dump_json`` would write it.
+
+    The samples are written from the columns through ``_SAMPLE``; only the
+    keys before and after ``"samples"`` go through ``dump_json``. This relies
+    on what ``Trial`` validates: at least 2 samples (so the array is never the
+    empty ``[]``), finite values (so no NaN check is needed) and fixed column
+    widths (so every sample fills the template).
+    """
+    s = trial.samples
+    values = np.column_stack((s.rotation_wxyz, s.translation, s.t, s.force, s.torque))
+    samples = ",\n".join([_SAMPLE] * len(s)) % tuple(values.ravel().tolist())
+    head = {"grasp_point": _vec(trial.grasp_point), "id": trial.id, "label": trial.label.value}
     if trial.ground_truth is not None:
-        doc["ground_truth"] = _vec(trial.ground_truth)
-    return doc
+        head["ground_truth"] = _vec(trial.ground_truth)
+    tail = {
+        "schema_version": TRIAL_SCHEMA_VERSION,
+        "spring": {"k": trial.spring.k, "l": trial.spring.l},
+    }
+    # sort_keys puts "samples" after every head key and before every tail key;
+    # the head's closing "\n}\n" and the tail's opening "{\n" are cut off by
+    # position, so nothing in the id can move the join
+    return (
+        dump_json(head)[:-3]
+        + ',\n  "samples": [\n'
+        + samples
+        + "\n  ],\n"
+        + dump_json(tail)[2:]
+    )
 
 
 def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
@@ -224,7 +261,7 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
 
 
 def save_trial(trial: Trial, path):
-    atomic_write_text(path, dump_json(trial_to_dict(trial)))
+    atomic_write_text(path, dump_trial(trial))
 
 
 def load_trial(path) -> Trial:

@@ -1,12 +1,14 @@
 """Shared builders for synthetic trials and random geometry, plus the
-per-sample pose and wrench mappings that tests use as references for the
-package's stacked (columnar) computations."""
+references that tests hold the package to: the per-sample pose and wrench
+mappings behind its stacked (columnar) computations, and the trial document
+behind its trial-file writer."""
 
 import numpy as np
 import pytest
 
 from stemfit.geometry import UnitQuaternion, Vec3
 from stemfit.spring_model import SampleColumns, SpringParams, Trial
+from stemfit.trial_io import TRIAL_SCHEMA_VERSION
 
 
 def random_unit_quaternion(rng) -> UnitQuaternion:
@@ -45,6 +47,38 @@ def wrench_to_world_reference(q, translation, force, torque):
     force_w = rot @ np.asarray(force, dtype=float)
     torque_w = rot @ np.asarray(torque, dtype=float) + np.cross(translation, force_w)
     return force_w, torque_w
+
+
+def trial_to_dict(trial: Trial) -> dict:
+    """The v1 trial document, built sample by sample as plain JSON values;
+    a trial file holds exactly its ``json.dumps(..., sort_keys=True, indent=2)``."""
+    s = trial.samples
+    rows = zip(
+        s.t.tolist(),
+        s.translation.tolist(),
+        s.rotation_wxyz.tolist(),
+        s.force.tolist(),
+        s.torque.tolist(),
+    )
+    doc = {
+        "schema_version": TRIAL_SCHEMA_VERSION,
+        "id": trial.id,
+        "label": trial.label.value,
+        "spring": {"k": trial.spring.k, "l": trial.spring.l},
+        "grasp_point": [trial.grasp_point.x, trial.grasp_point.y, trial.grasp_point.z],
+        "samples": [
+            {
+                "t": t,
+                "pose": {"translation": translation, "rotation_wxyz": rotation},
+                "wrench": {"force": force, "torque": torque},
+            }
+            for t, translation, rotation, force, torque in rows
+        ],
+    }
+    if trial.ground_truth is not None:
+        gt = trial.ground_truth
+        doc["ground_truth"] = [gt.x, gt.y, gt.z]
+    return doc
 
 
 def columns(t, translation=None, rotation_wxyz=None, force=None, torque=None) -> SampleColumns:

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from stemfit.batch import _comparison, emit_plot_data, load_report, run_batch, save_report
@@ -23,6 +24,13 @@ def _non_utf8(path):
 
 CORRUPTIONS = {"huge_number": _huge_number, "non_utf8": _non_utf8}
 
+
+def _overflowing_translation(path):
+    """A finite value that every load check passes but whose square overflows."""
+    doc = json.loads(path.read_text())
+    doc["samples"][1]["pose"]["translation"] = [1.34078079e154, 0.0, 0.0]
+    path.write_text(json.dumps(doc))
+
 # config files the CLI must reject with "error: ..." and exit 1
 BAD_SIM_CONFIGS = {
     "empty_attachment_region": '{"attachment_region": {}}',
@@ -35,6 +43,18 @@ BAD_SOLVER_CONFIGS = {
     "overflowing_max_restarts": '{"max_restarts": 1e400}',
     "infinite_constraint_tolerance": '{"constraint_tolerance": Infinity}',
     "removed_field": '{"relative_cost_tolerance": 1e-10}',
+    "max_iterations_per_run_2_63": '{"max_iterations_per_run": 9223372036854775808}',
+    "max_restarts_10_12": '{"max_restarts": 1000000000000}',
+}
+# simulate arguments the CLI must reject as usage errors (exit 1)
+BAD_SIMULATE_ARGS = {
+    "n_negative": ["--n", "-1"],
+    "n_zero": ["--n", "0"],
+    "n_fractional": ["--n", "1.5"],
+    "fraction_nan": ["--n", "2", "--failure-fraction", "nan"],
+    "fraction_infinite": ["--n", "2", "--failure-fraction", "inf"],
+    "fraction_above_one": ["--n", "2", "--failure-fraction", "1.5"],
+    "fraction_negative": ["--n", "2", "--failure-fraction", "-0.1"],
 }
 
 
@@ -157,6 +177,17 @@ class TestRunBatch:
         assert statuses["trial_001"].startswith("error:")
         assert statuses["trial_000"] == "ok"
 
+
+    def test_overflowing_trial_gives_one_error_row(self, tmp_path):
+        out = _small_corpus(tmp_path / "c", seed=7, n=2)
+        _overflowing_translation(out / "trial_001.json")
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_batch(out)
+        statuses = {r["id"]: r["status"] for r in report["per_trial"]}
+        assert statuses["trial_000"] == "ok"
+        assert statuses["trial_001"].startswith("error: ")
+        save_report(report, tmp_path / "r.json")
+        assert load_report(tmp_path / "r.json")["counts"]["failed"] == 1
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_unreadable_trial_gives_one_error_row(self, tmp_path, corruption):
@@ -315,6 +346,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_fit_overflowing_trial_fails_cleanly(self, tmp_path, capsys):
+        out = _small_corpus(tmp_path / "c", seed=7, n=1)
+        _overflowing_translation(out / "trial_000.json")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["fit", "--trial", str(out / "trial_000.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fit failed: ") and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
         out = _small_corpus(tmp_path / "c", seed=9, n=1)
@@ -352,6 +392,14 @@ class TestCli:
         assert main(["fit", "--trial", str(trial), "--solver-config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_SIMULATE_ARGS))
+    def test_bad_simulate_args_exit_1(self, tmp_path, capsys, case):
+        out = tmp_path / "c"
+        assert main(["simulate", *BAD_SIMULATE_ARGS[case], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: argument --" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         assert main(["simulate", "--n", "2", "--seed", "-1", "--out", str(tmp_path / "c")]) == 1

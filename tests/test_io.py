@@ -1,12 +1,18 @@
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stemfit.errors import ParseError, ValidationError
 from stemfit.simulator import SimConfig, generate_corpus, generate_trial
-from stemfit.spring_model import Label
+from stemfit.geometry import Vec3
+from stemfit.spring_model import Label, SampleColumns, SpringParams, Trial
 from stemfit.trial_io import (
     MANIFEST_NAME,
     atomic_write_text,
@@ -15,10 +21,9 @@ from stemfit.trial_io import (
     save_corpus,
     save_trial,
     trial_from_dict,
-    trial_to_dict,
 )
 
-from conftest import pull_trial
+from conftest import columns, pull_trial, trial_to_dict
 
 
 def sim_trial(seed=1, **overrides):
@@ -61,6 +66,112 @@ class TestTrialRoundTrip:
         path = tmp_path / "min.json"
         save_trial(trial, path)
         assert len(load_trial(path).samples) == 2
+
+
+def json_text(trial) -> bytes:
+    """What a trial file must hold: its document as json writes it."""
+    doc = trial_to_dict(trial)
+    return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+
+
+def written(trial) -> bytes:
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "t.json"
+        save_trial(trial, path)
+        return path.read_bytes()
+
+
+# floats whose shortest repr takes each of its forms: signed zero, subnormal,
+# exponent below and above the fixed-point range, the largest double
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, 1e22, 1.7976931348623157e308]
+# ids that must stay inside the escaped "id" string
+SPECIAL_IDS = ['"', "\\", '"samples": []', "\u00e9\u6837", "\ud800", '",\n  "samples": [\n']
+
+
+class TestTrialFileBytes:
+    """A trial file is byte for byte ``json.dumps(document, sort_keys=True,
+    indent=2) + "\\n"`` of its trial document."""
+
+    def test_generated_corpus_files(self, tmp_path):
+        cfg = replace(SimConfig(), noise_sigma=0.05, seed=31)
+        records = generate_corpus(cfg, 6, 0.5)
+        assert {r.compliance_applied for r in records} == {False, True}
+        save_corpus([r.trial for r in records], tmp_path, sim_config_dict=cfg.to_dict(), seed=31)
+        for record in records:
+            path = tmp_path / f"{record.trial.id}.json"
+            assert path.read_bytes() == json_text(record.trial)
+
+    @pytest.mark.parametrize("trial_id", SPECIAL_IDS)
+    @pytest.mark.parametrize("ground_truth", [None, Vec3(0.3, -0.0, 0.5)])
+    def test_special_ids_and_values(self, trial_id, ground_truth):
+        n = 3
+        values = np.resize(SPECIAL_FLOATS, (n, 3))
+        samples = columns(
+            np.array([-0.0, 1e-05, 1e22]),
+            translation=values,
+            rotation_wxyz=np.tile([-0.0, 5e-324, 1.0, 1e-05], (n, 1)),
+            force=values[::-1],
+            torque=-values,
+        )
+        trial = Trial(
+            samples=samples,
+            spring=SpringParams(632, 1e-05),
+            grasp_point=Vec3(-0.0, 5e-324, 1e16),
+            label=Label.FAILURE,
+            ground_truth=ground_truth,
+            id=trial_id,
+        )
+        assert written(trial) == json_text(trial)
+
+
+float_values = st.sampled_from(SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+# a unit quaternion with tiny or signed-zero entries, or a normalized random one
+near_axis_rows = st.sampled_from([-0.0, 0.0, 5e-324, 1e-05]).flatmap(
+    lambda small: st.permutations([1.0, small, -small, -0.0])
+)
+random_rows = (
+    arrays(float, 4, elements=st.floats(-1.0, 1.0))
+    .filter(lambda q: np.linalg.norm(q) > 1e-3)
+    .map(lambda q: q / np.linalg.norm(q))
+)
+unit_rows = near_axis_rows | random_rows
+trial_ids = st.lists(st.sampled_from(SPECIAL_IDS) | st.text(max_size=3), max_size=4).map("".join)
+vectors = st.tuples(float_values, float_values, float_values)
+
+
+@st.composite
+def trials(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    t = draw(arrays(float, n, elements=float_values, unique=True).map(np.sort))
+    positive = st.floats(min_value=5e-324, allow_infinity=False)
+    spring_k = draw(st.integers(min_value=1, max_value=10**6) | positive)
+    truth = draw(st.none() | vectors)
+    with np.errstate(all="ignore"):
+        try:
+            return Trial(
+                samples=SampleColumns(
+                    t=t,
+                    translation=draw(arrays(float, (n, 3), elements=float_values)),
+                    rotation_wxyz=np.array(draw(st.lists(unit_rows, min_size=n, max_size=n))),
+                    force=draw(arrays(float, (n, 3), elements=float_values)),
+                    torque=draw(arrays(float, (n, 3), elements=float_values)),
+                ),
+                spring=SpringParams(spring_k, draw(positive)),
+                grasp_point=Vec3(*draw(vectors)),
+                label=draw(st.sampled_from(Label)),
+                ground_truth=None if truth is None else Vec3(*truth),
+                id=draw(trial_ids),
+            )
+        except ValueError:  # a ground truth too far away to measure
+            reject()
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(trials())
+def test_any_trial_file_is_its_json_document(trial):
+    assert written(trial) == json_text(trial)
 
 
 class TestTrialValidationOnLoad:

@@ -1,5 +1,5 @@
 """Property tests of the input boundaries: trial documents, sample columns,
-corpus files and CLI config files."""
+corpus files, CLI config files, and fits of extreme but finite trials."""
 
 import copy
 import json
@@ -18,14 +18,14 @@ from hypothesis.extra.numpy import arrays
 
 from stemfit.batch import run_batch
 from stemfit.cli import _sim_config, _solver_config
-from stemfit.errors import StemfitError
+from stemfit.errors import EvaluationFailureError, StemfitError
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
-from stemfit.solver import SolverConfig
+from stemfit.solver import SolverConfig, fit
 from stemfit.spring_model import SampleColumns, SpringParams, Trial
-from stemfit.trial_io import save_corpus, trial_from_dict, trial_to_dict
+from stemfit.trial_io import save_corpus, trial_from_dict
 
-from conftest import pull_trial
+from conftest import pull_trial, trial_to_dict
 
 COLUMN_WIDTHS = {"t": None, "translation": 3, "rotation_wxyz": 4, "force": 3, "torque": 3}
 
@@ -255,3 +255,44 @@ def test_one_corrupted_file_gives_exactly_one_error_row(clean_corpus, data, corr
     errors = [r["id"] for r in report["per_trial"] if r["status"] != "ok"]
     assert errors == [victim.stem]
     assert report["counts"]["failed"] == 1 and report["counts"]["fitted"] == 2
+
+
+extreme = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@st.composite
+def extreme_trials(draw):
+    """Valid trials of 2-20 samples whose numbers reach +-1e300."""
+    n = draw(st.integers(min_value=2, max_value=20))
+    q = draw(
+        arrays(float, (n, 4), elements=st.floats(-1.0, 1.0)).filter(
+            lambda q: np.all(np.linalg.norm(q, axis=1) > 1e-3)
+        )
+    )
+    samples = SampleColumns(
+        t=draw(arrays(float, n, elements=extreme, unique=True).map(np.sort)),
+        translation=draw(arrays(float, (n, 3), elements=extreme)),
+        rotation_wxyz=q / np.linalg.norm(q, axis=1)[:, None],
+        force=draw(arrays(float, (n, 3), elements=extreme)),
+        torque=draw(arrays(float, (n, 3), elements=extreme)),
+    )
+    positive = st.floats(min_value=1e-300, max_value=1e300)
+    spring = SpringParams(draw(positive), draw(positive))
+    return Trial(samples, spring, Vec3(*draw(st.tuples(extreme, extreme, extreme))))
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(extreme_trials())
+def test_fit_of_a_finite_trial_is_finite_or_an_evaluation_failure(trial):
+    with np.errstate(all="ignore"):
+        try:
+            result = fit(trial)
+        except EvaluationFailureError:
+            return
+    assert np.isfinite([result.final_mse, result.max_constraint_violation]).all()
+    assert np.isfinite(result.projected_gradient)
+    assert np.isfinite(result.r_o_hat.as_array()).all()

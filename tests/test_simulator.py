@@ -19,9 +19,13 @@ from stemfit.spring_model import (
     cost_and_gradient,
     predict_force,
 )
-from stemfit.trial_io import trial_to_dict
 
-from conftest import pose_point_reference, rotation_matrix_reference, wrench_to_world_reference
+from conftest import (
+    pose_point_reference,
+    rotation_matrix_reference,
+    trial_to_dict,
+    wrench_to_world_reference,
+)
 
 
 def noiseless(**overrides):

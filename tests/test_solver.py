@@ -9,6 +9,8 @@ from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_trial
 from stemfit.solver import (
     KKT_GRADIENT_TOL,
+    MAX_ITERATIONS_PER_RUN,
+    MAX_RESTARTS,
     SolverConfig,
     fit,
     initial_guess,
@@ -42,6 +44,13 @@ class TestSolverConfig:
             SolverConfig(mse_target=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations_per_run=0)
+
+    def test_count_limits(self):
+        SolverConfig(max_restarts=MAX_RESTARTS, max_iterations_per_run=MAX_ITERATIONS_PER_RUN)
+        with pytest.raises(ValueError, match="max_restarts"):
+            SolverConfig(max_restarts=MAX_RESTARTS + 1)
+        with pytest.raises(ValueError, match="max_iterations_per_run"):
+            SolverConfig(max_iterations_per_run=MAX_ITERATIONS_PER_RUN + 1)
 
     def test_dict_round_trip(self):
         cfg = SolverConfig(mse_target=2.0, max_restarts=3)

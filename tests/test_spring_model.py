@@ -324,3 +324,7 @@ class TestTrialValidation:
             SpringParams(0.0, 0.1)
         with pytest.raises(ValueError):
             SpringParams(632.0, -0.1)
+        with pytest.raises(ValueError):
+            SpringParams(math.inf, 0.1)
+        with pytest.raises(ValueError):
+            SpringParams(632.0, math.nan)
