@@ -112,15 +112,51 @@ class FitResult:
     trace: tuple[tuple[int, Vec3, float], ...] | None = None
 
 
+class _Model:
+    """The model kernels at one trial, each evaluated once per point.
+
+    SLSQP asks for the cost and gradient, the constraint values and the
+    constraint Jacobian at the same point in separate calls, and the
+    iterate it returns is evaluated again; the last point's results answer
+    all of them. The key is the point's exact bytes, because SLSQP updates
+    its point in place.
+    """
+
+    __slots__ = ("arrays", "_key", "_cost", "_constraints")
+
+    def __init__(self, arrays: TrialArrays):
+        self.arrays = arrays
+        self._key = None
+        self._cost = None
+        self._constraints = None
+
+    def _at(self, x: np.ndarray):
+        key = x.tobytes()
+        if key != self._key:
+            self._key, self._cost, self._constraints = key, None, None
+
+    def cost(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        self._at(x)
+        if self._cost is None:
+            self._cost = cost_and_gradient(x, self.arrays)
+        return self._cost
+
+    def constraints(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        self._at(x)
+        if self._constraints is None:
+            self._constraints = constraint_values_jacobian(x, self.arrays)
+        return self._constraints
+
+
 class _Iterate:
     """Fully evaluated candidate point."""
 
     __slots__ = ("x", "cost", "grad", "values", "jac", "kkt", "lam", "active", "viol")
 
-    def __init__(self, x: np.ndarray, arrays: TrialArrays):
+    def __init__(self, x: np.ndarray, model: _Model):
         self.x = x
-        self.cost, self.grad = cost_and_gradient(x, arrays)
-        self.values, self.jac = constraint_values_jacobian(x, arrays)
+        self.cost, self.grad = model.cost(x)
+        self.values, self.jac = model.constraints(x)
         # Finite but extreme trials (numbers near 1e154 and beyond) overflow
         # here, and no fit may certify or return such a point. A finite cost
         # means every sample distance was finite, so the constraint values
@@ -236,13 +272,14 @@ _POLISH_KKT_GATE = 1.0
 _POLISH_VIOL_GATE = 1e-6
 
 
-def _polish(start: _Iterate, arrays: TrialArrays, ctol: float, budget: int):
+def _polish(start: _Iterate, model: _Model, ctol: float, budget: int):
     """Active-set Newton refinement; returns (best iterate, iterations used).
 
     Steps this close to the optimum are legitimately tiny, so stagnation is
     judged on the merit's decay rate, not on step size. A step is never
     accepted into new constraint violation beyond tolerance.
     """
+    arrays = model.arrays
     x_scale = max(arrays.l, float(np.linalg.norm(start.x)))
     if start.kkt > _POLISH_KKT_GATE or start.viol > _POLISH_VIOL_GATE:
         return start, 0
@@ -263,7 +300,7 @@ def _polish(start: _Iterate, arrays: TrialArrays, ctol: float, budget: int):
         viol_cap = max(current.viol, ctol)
         for _ in range(_MAX_HALVINGS):
             try:
-                trial_it = _Iterate(current.x + alpha * step, arrays)
+                trial_it = _Iterate(current.x + alpha * step, model)
             except SingularityError:
                 alpha *= 0.5
                 continue
@@ -317,9 +354,10 @@ def minimize(
     collect_trace: bool = False,
 ) -> FitResult:
     """One constrained minimization run from ``x0``."""
-    arrays = TrialArrays.from_trial(trial)
+    model = _Model(TrialArrays.from_trial(trial))
     start = time.perf_counter()
-    result = _minimize_arrays(arrays, x0.as_array(), config, collect_trace, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _minimize_arrays(model, x0.as_array(), config, collect_trace, 0)
     return _to_fit_result(result, restarts_used=0, runtime=time.perf_counter() - start)
 
 
@@ -334,12 +372,15 @@ class _RunResult:
 
 
 def _minimize_arrays(
-    arrays: TrialArrays,
+    model: _Model,
     x0: np.ndarray,
     config: SolverConfig,
     collect_trace: bool,
     trace_base: int,
 ) -> _RunResult:
+    """One run from ``x0``; the caller has set numpy to ignore overflow,
+    which ``_Iterate`` turns into an ``EvaluationFailureError``."""
+    arrays = model.arrays
     if min_sample_distance(x0, arrays) <= 1e-12:
         raise EvaluationFailureError(
             "starting point coincides with a fruit position sample"
@@ -353,22 +394,17 @@ def _minimize_arrays(
         if collect_trace:
             trace.append((trace_base + used, Vec3.from_array(it.x.copy()), it.cost))
 
-    current = _Iterate(np.asarray(x0, dtype=float), arrays)
+    current = _Iterate(np.asarray(x0, dtype=float), model)
     best = current
     note(current)
     if current.meets(ctol):
         return _RunResult(current, 0, True, tuple(trace) if collect_trace else None)
 
-    def objective(x):
-        return cost_and_gradient(x, arrays)
-
     def cons_fun(x):
-        values, _ = constraint_values_jacobian(x, arrays)
-        return -values  # scipy wants >= 0 when feasible
+        return -model.constraints(x)[0]  # scipy wants >= 0 when feasible
 
     def cons_jac(x):
-        _, jac = constraint_values_jacobian(x, arrays)
-        return -jac
+        return -model.constraints(x)[1]
 
     # cycle the SQP stage while it makes headway: a restart resets its
     # quasi-Newton model, which is what digs it out of curved valleys
@@ -377,7 +413,7 @@ def _minimize_arrays(
         cycle_start = current
         try:
             res = _scipy_minimize(
-                objective,
+                model.cost,
                 current.x,
                 jac=True,
                 method="SLSQP",
@@ -391,14 +427,14 @@ def _minimize_arrays(
             break  # keep the best evaluated iterate
         used += max(int(res.nit), 1)
         if np.all(np.isfinite(res.x)) and min_sample_distance(res.x, arrays) > 1e-12:
-            current = _Iterate(res.x, arrays)
+            current = _Iterate(res.x, model)
             best = _better(best, current, ctol)
             note(current)
         if current.meets(ctol):
             break
         if used < budget:
             polished, polish_used = _polish(
-                current, arrays, ctol, min(_POLISH_MAX_ITER, budget - used)
+                current, model, ctol, min(_POLISH_MAX_ITER, budget - used)
             )
             used += polish_used
             if polished is not current:
@@ -450,8 +486,7 @@ def fit(
     propagates.
     """
     start = time.perf_counter()
-    arrays = TrialArrays.from_trial(trial)
-    x0 = _initial_guess_array(arrays)
+    model = _Model(TrialArrays.from_trial(trial))
     ctol = config.constraint_tolerance
 
     trace: list[tuple[int, Vec3, float]] = []
@@ -467,20 +502,22 @@ def fit(
         if best_run is None or _better(best_run.iterate, run.iterate, ctol) is run.iterate:
             best_run = run
 
-    run = _minimize_arrays(arrays, x0, config, collect_trace, 0)
-    absorb(run)
-    while (
-        best_run.iterate.cost > config.mse_target
-        and restarts_used < config.max_restarts
-    ):
-        restarts_used += 1
-        try:
-            run = _minimize_arrays(
-                arrays, run.iterate.x, config, collect_trace, iterations_total
-            )
-        except EvaluationFailureError:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = _initial_guess_array(model.arrays)
+        run = _minimize_arrays(model, x0, config, collect_trace, 0)
         absorb(run)
+        while (
+            best_run.iterate.cost > config.mse_target
+            and restarts_used < config.max_restarts
+        ):
+            restarts_used += 1
+            try:
+                run = _minimize_arrays(
+                    model, run.iterate.x, config, collect_trace, iterations_total
+                )
+            except EvaluationFailureError:
+                break
+            absorb(run)
 
     return FitResult(
         r_o_hat=Vec3.from_array(best_run.iterate.x),

@@ -136,13 +136,18 @@ class TrialArrays:
 
     ``grasp_world`` holds the fruit positions implied by the poses and the
     constant sensor-frame grasp point; ``force_world`` holds the measured
-    forces already rotated into the world frame.
+    forces already rotated into the world frame. Both are (n, 3); the model
+    kernels read their contiguous (3, n) copies ``grasp_columns`` and
+    ``force_columns``, because numpy's reductions over a length-3 inner axis
+    cost several times an elementwise pass over the columns.
     """
 
     def __init__(self, times, grasp_world, force_world, k, l):
         self.times = times
         self.grasp_world = grasp_world
         self.force_world = force_world
+        self.grasp_columns = np.ascontiguousarray(grasp_world.T)
+        self.force_columns = np.ascontiguousarray(force_world.T)
         self.k = float(k)
         self.l = float(l)
 
@@ -160,10 +165,24 @@ class TrialArrays:
         return self.times.size
 
 
+# The kernels below compute on the (3, n) columns and keep the bits of the
+# (n, 3) formulas in tests/conftest.py: a sum over one sample's three
+# coordinates is written out left to right, the cost sums its squares laid
+# out as (n, 3) rows (numpy's pairwise sum follows the memory layout), and
+# the gradient adds the samples one at a time with np.add.accumulate, as a
+# sum over the rows did; a pairwise sum along the columns would not.
+
+
+def _distances(r_o: np.ndarray, arrays: TrialArrays):
+    """Displacement columns ``r_o - grasp`` (3, n) and their lengths (n,)."""
+    d = r_o[:, None] - arrays.grasp_columns
+    dx, dy, dz = d
+    return d, np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def _displacements(r_o: np.ndarray, arrays: TrialArrays):
-    d = r_o[None, :] - arrays.grasp_world
-    dist = np.linalg.norm(d, axis=1)
-    if np.any(dist <= SINGULARITY_DISTANCE):
+    d, dist = _distances(r_o, arrays)
+    if dist.min() <= SINGULARITY_DISTANCE:
         idx = int(np.argmin(dist))
         raise SingularityError(
             f"candidate attachment point coincides with fruit position at "
@@ -175,23 +194,29 @@ def _displacements(r_o: np.ndarray, arrays: TrialArrays):
 def cost_and_gradient(r_o: np.ndarray, arrays: TrialArrays) -> tuple[float, np.ndarray]:
     """Mean squared force residual and its analytic gradient at ``r_o``."""
     d, dist = _displacements(r_o, arrays)
-    unit = d / dist[:, None]
-    pred = (arrays.k * (dist - arrays.l))[:, None] * unit
-    resid = pred - arrays.force_world
+    unit = d / dist
+    ux, uy, uz = unit
+    resid = (arrays.k * (dist - arrays.l)) * unit - arrays.force_columns
+    rx, ry, rz = resid
     n = dist.size
-    cost = float(np.sum(resid * resid) / n)
+    squares = np.empty((n, 3))
+    np.multiply(resid, resid, out=squares.T)
+    cost = float(np.sum(squares) / n)
     # Force Jacobian wrt r_o is k[(1 - l/|d|) I + (l/|d|) u u^T]; apply its
     # transpose to each residual and average.
     a = arrays.k * (1.0 - arrays.l / dist)
     b = arrays.k * arrays.l / dist
-    dot = np.sum(unit * resid, axis=1)
-    grad = (2.0 / n) * np.sum(a[:, None] * resid + (b * dot)[:, None] * unit, axis=0)
+    dot = ux * rx + uy * ry + uz * rz
+    terms = a * resid + (b * dot) * unit
+    grad = (2.0 / n) * np.add.accumulate(terms, axis=1, out=terms)[:, -1]
     return cost, grad
 
 
 def cost_hessian(r_o: np.ndarray, arrays: TrialArrays) -> np.ndarray:
     """Exact Hessian of the cost (Gauss-Newton part plus residual curvature)."""
     d, dist = _displacements(r_o, arrays)
+    # only the polish asks for the Hessian, so it stays on (n, 3) rows
+    d = np.ascontiguousarray(d.T)
     unit = d / dist[:, None]
     pred = (arrays.k * (dist - arrays.l))[:, None] * unit
     resid = pred - arrays.force_world
@@ -216,13 +241,12 @@ def constraint_values_jacobian(
     """Tension constraints ``l - |d_t|`` (feasible when <= 0) and their rows."""
     d, dist = _displacements(r_o, arrays)
     values = arrays.l - dist
-    jac = -d / dist[:, None]
+    jac = (-d / dist).T
     return values, jac
 
 
 def min_sample_distance(r_o: np.ndarray, arrays: TrialArrays) -> float:
-    d = r_o[None, :] - arrays.grasp_world
-    return float(np.linalg.norm(d, axis=1).min())
+    return float(_distances(r_o, arrays)[1].min())
 
 
 def apple_position_world(trial: Trial) -> Vec3:

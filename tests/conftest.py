@@ -1,13 +1,16 @@
 """Shared builders for synthetic trials and random geometry, plus the
 references that tests hold the package to: the per-sample pose and wrench
-mappings behind its stacked (columnar) computations, and the trial document
+mappings behind its stacked (columnar) computations, the row-wise (n, 3)
+model formulas behind its columnar model kernels, and the trial document
 behind its trial-file writer."""
 
 import numpy as np
 import pytest
 
+from stemfit import spring_model
+from stemfit.errors import SingularityError
 from stemfit.geometry import UnitQuaternion, Vec3
-from stemfit.spring_model import SampleColumns, SpringParams, Trial
+from stemfit.spring_model import SINGULARITY_DISTANCE, SampleColumns, SpringParams, Trial
 from stemfit.trial_io import TRIAL_SCHEMA_VERSION
 
 
@@ -47,6 +50,73 @@ def wrench_to_world_reference(q, translation, force, torque):
     force_w = rot @ np.asarray(force, dtype=float)
     torque_w = rot @ np.asarray(torque, dtype=float) + np.cross(translation, force_w)
     return force_w, torque_w
+
+
+def _row_displacements(r_o, arrays):
+    d = r_o[None, :] - arrays.grasp_world
+    dist = np.linalg.norm(d, axis=1)
+    if np.any(dist <= SINGULARITY_DISTANCE):
+        idx = int(np.argmin(dist))
+        raise SingularityError(
+            f"candidate attachment point coincides with fruit position at "
+            f"sample {idx} (distance {dist[idx]:.3e} m)"
+        )
+    return d, dist
+
+
+def cost_and_gradient_reference(r_o, arrays):
+    """Mean squared force residual and its gradient, on the (n, 3) rows of
+    ``arrays``; the package's columnar kernel must give the same bits."""
+    d, dist = _row_displacements(r_o, arrays)
+    unit = d / dist[:, None]
+    pred = (arrays.k * (dist - arrays.l))[:, None] * unit
+    resid = pred - arrays.force_world
+    n = dist.size
+    cost = float(np.sum(resid * resid) / n)
+    a = arrays.k * (1.0 - arrays.l / dist)
+    b = arrays.k * arrays.l / dist
+    dot = np.sum(unit * resid, axis=1)
+    grad = (2.0 / n) * np.sum(a[:, None] * resid + (b * dot)[:, None] * unit, axis=0)
+    return cost, grad
+
+
+def constraint_values_jacobian_reference(r_o, arrays):
+    """Tension constraints ``l - |d_t|`` and their Jacobian rows, on the
+    (n, 3) rows of ``arrays``."""
+    d, dist = _row_displacements(r_o, arrays)
+    return arrays.l - dist, -d / dist[:, None]
+
+
+def min_sample_distance_reference(r_o, arrays):
+    return float(np.linalg.norm(r_o[None, :] - arrays.grasp_world, axis=1).min())
+
+
+def _result_or_message(fn, x, arrays):
+    try:
+        return fn(x, arrays)
+    except SingularityError as exc:
+        return str(exc)
+
+
+def assert_kernels_match_reference(x, arrays):
+    """The package's model kernels at ``x`` give the bits of the references
+    (NaN matching NaN), or the same SingularityError message."""
+    cost = _result_or_message(spring_model.cost_and_gradient, x, arrays)
+    cost_ref = _result_or_message(cost_and_gradient_reference, x, arrays)
+    constraints = _result_or_message(spring_model.constraint_values_jacobian, x, arrays)
+    constraints_ref = _result_or_message(constraint_values_jacobian_reference, x, arrays)
+    assert type(cost) is type(cost_ref)
+    if isinstance(cost, str):
+        assert cost == cost_ref and constraints == constraints_ref
+    else:
+        assert cost[0] == cost_ref[0] or (np.isnan(cost[0]) and np.isnan(cost_ref[0]))
+        assert np.array_equal(cost[1], cost_ref[1], equal_nan=True)
+        for got, want in zip(constraints, constraints_ref):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+    distance = spring_model.min_sample_distance(x, arrays)
+    distance_ref = min_sample_distance_reference(x, arrays)
+    assert distance == distance_ref or (np.isnan(distance) and np.isnan(distance_ref))
 
 
 def trial_to_dict(trial: Trial) -> dict:

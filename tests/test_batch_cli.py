@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stemfit
 from stemfit.batch import _comparison, emit_plot_data, load_report, run_batch, save_report
 from stemfit.cli import main
 from stemfit.errors import UnknownPlotKindError, ValidationError
@@ -181,8 +187,10 @@ class TestRunBatch:
     def test_overflowing_trial_gives_one_error_row(self, tmp_path):
         out = _small_corpus(tmp_path / "c", seed=7, n=2)
         _overflowing_translation(out / "trial_001.json")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             report = run_batch(out)
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
         statuses = {r["id"]: r["status"] for r in report["per_trial"]}
         assert statuses["trial_000"] == "ok"
         assert statuses["trial_001"].startswith("error: ")
@@ -349,11 +357,22 @@ class TestCli:
     def test_fit_overflowing_trial_fails_cleanly(self, tmp_path, capsys):
         out = _small_corpus(tmp_path / "c", seed=7, n=1)
         _overflowing_translation(out / "trial_000.json")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["fit", "--trial", str(out / "trial_000.json")]) == 2
+        assert main(["fit", "--trial", str(out / "trial_000.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("fit failed: ") and "Traceback" not in captured.err
+        # a fresh interpreter prints the warnings a user would see
+        src = str(Path(stemfit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-m", "stemfit.cli", "fit", "--trial", str(out / "trial_000.json")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert run.returncode == 2
+        assert run.stderr.startswith("fit failed: ") and "RuntimeWarning" not in run.stderr
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):

@@ -22,10 +22,10 @@ from stemfit.errors import EvaluationFailureError, StemfitError
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
 from stemfit.solver import SolverConfig, fit
-from stemfit.spring_model import SampleColumns, SpringParams, Trial
+from stemfit.spring_model import SampleColumns, SpringParams, Trial, TrialArrays
 from stemfit.trial_io import save_corpus, trial_from_dict
 
-from conftest import pull_trial, trial_to_dict
+from conftest import assert_kernels_match_reference, pull_trial, trial_to_dict
 
 COLUMN_WIDTHS = {"t": None, "translation": 3, "rotation_wxyz": 4, "force": 3, "torque": 3}
 
@@ -296,3 +296,32 @@ def test_fit_of_a_finite_trial_is_finite_or_an_evaluation_failure(trial):
     assert np.isfinite([result.final_mse, result.max_constraint_violation]).all()
     assert np.isfinite(result.projected_gradient)
     assert np.isfinite(result.r_o_hat.as_array()).all()
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Model arrays of 1-40 samples and a point that is anywhere, on a
+    sample, or a tiny step off one; moderate or extreme numbers."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    values = draw(st.sampled_from([st.floats(-10.0, 10.0), extreme]))
+    grasp = draw(arrays(float, (n, 3), elements=values))
+    force = draw(arrays(float, (n, 3), elements=values))
+    positive = st.floats(min_value=1e-300, max_value=1e300)
+    model = TrialArrays(np.arange(n, dtype=float), grasp, force, draw(positive), draw(positive))
+    point = draw(
+        arrays(float, 3, elements=values)
+        | st.integers(0, n - 1).flatmap(
+            lambda i: arrays(float, 3, elements=st.floats(-1e-9, 1e-9)).map(
+                lambda step: grasp[i] + step
+            )
+        )
+    )
+    return point, model
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_columnar_kernels_give_the_bits_of_the_row_formulas(inputs):
+    point, model = inputs
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_kernels_match_reference(point, model)

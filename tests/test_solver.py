@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stemfit import solver
 from stemfit.errors import EvaluationFailureError
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_trial
@@ -246,3 +247,26 @@ class TestReseedingSchedule:
         result = fit(heavy_violation_trial())
         assert result.runtime > 0.0
         assert result.iterations_total >= result.restarts_used + 1
+
+
+def default_trial():
+    return generate_trial(SimConfig(), np.random.default_rng(3), "default").trial
+
+
+class TestEvaluationsPerPoint:
+    @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
+    def test_each_kernel_evaluates_each_point_once(self, monkeypatch, make_trial):
+        points = {}
+        for name in ("cost_and_gradient", "constraint_values_jacobian"):
+            seen = points[name] = []
+
+            def counted(x, arrays, kernel=getattr(solver, name), seen=seen):
+                seen.append(x.tobytes())
+                return kernel(x, arrays)
+
+            monkeypatch.setattr(solver, name, counted)
+        fit(make_trial())
+        assert points["cost_and_gradient"] and points["constraint_values_jacobian"]
+        # no kernel sees a point twice: its call count is its distinct points
+        for seen in points.values():
+            assert len(seen) == len(set(seen))

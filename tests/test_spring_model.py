@@ -6,7 +6,7 @@ import pytest
 
 from stemfit.errors import SingularityError
 from stemfit.geometry import UnitQuaternion, Vec3
-from stemfit.simulator import SimConfig, generate_trial
+from stemfit.simulator import SimConfig, generate_corpus, generate_trial
 from stemfit.solver import fit
 from stemfit.spring_model import (
     SpringParams,
@@ -17,10 +17,12 @@ from stemfit.spring_model import (
     cost_and_gradient,
     cost_hessian,
     constraint_values_jacobian,
+    min_sample_distance,
     predict_force,
 )
 
 from conftest import (
+    assert_kernels_match_reference,
     columns,
     pose_point_reference,
     pull_trial,
@@ -80,6 +82,49 @@ class TestTrialArrays:
             )
         np.testing.assert_array_equal(arrays.times, s.t)
         assert len(arrays) == len(s)
+
+
+# hold times (s) that give generated success trials of 2, 12 (the default
+# pull speed), 226 and 2001 samples; failure trials, whose fruit drifts in
+# the hand, run longer (7 to ~12,000 samples)
+HOLD_TIMES = {"n2": 0.002, "n12": None, "n226": 0.45, "n2000": 4.0}
+
+
+class TestColumnarKernels:
+    """The columnar kernels give the bits of the (n, 3) formulas."""
+
+    @pytest.mark.parametrize("label", ["success", "failure"])
+    @pytest.mark.parametrize("length", sorted(HOLD_TIMES))
+    def test_generated_trials_match_reference(self, length, label):
+        cfg = SimConfig(seed=11)
+        if HOLD_TIMES[length] is not None:
+            cfg = replace(cfg, pull_speed=cfg.force_cap / cfg.k / HOLD_TIMES[length])
+        record = generate_corpus(cfg, 1, 1.0 if label == "failure" else 0.0)[0]
+        trial = bias_compensate(record.trial)
+        arrays = TrialArrays.from_trial(trial)
+        rng = np.random.default_rng(12)
+        truth = trial.ground_truth.as_array()
+        points = [truth] + [truth + rng.normal(scale=s, size=3) for s in (1e-4, 1e-2, 1.0)]
+        for i in rng.choice(len(arrays), size=min(5, len(arrays)), replace=False):
+            sample = arrays.grasp_world[i]
+            points += [sample, sample + rng.normal(scale=1e-12, size=3)]
+            points += [sample + rng.normal(scale=s, size=3) for s in (1e-9, 1e-6)]
+        for x in points:
+            assert_kernels_match_reference(x, arrays)
+
+    def test_singularity_names_the_first_coincident_sample(self):
+        translation = np.zeros((6, 3))
+        translation[:, 2] = -0.01 * np.arange(6)
+        translation[4] = translation[2]
+        samples = columns(0.002 * np.arange(6), translation=translation)
+        trial = Trial(samples, SpringParams(632.0, 0.1), Vec3(0, 0, 0))
+        arrays = TrialArrays.from_trial(trial)
+        x = translation[2].copy()
+        for kernel in (cost_and_gradient, constraint_values_jacobian, cost_hessian):
+            with pytest.raises(SingularityError, match="at sample 2 "):
+                kernel(x, arrays)
+        assert_kernels_match_reference(x, arrays)
+        assert min_sample_distance(x, arrays) == 0.0
 
 
 class TestPredictForce:
