@@ -19,7 +19,6 @@ from .spring_model import (
     Trial,
     apple_position_world,
     bias_compensate,
-    predict_force,
 )
 from .solver import FitResult, SolverConfig, fit, initial_guess, minimize
 from .simulator import SimConfig, SimTrialRecord, generate_corpus, generate_trial, sample_orientation
@@ -71,7 +70,6 @@ __all__ = [
     "localization_error",
     "minimize",
     "orientation_error",
-    "predict_force",
     "run_batch",
     "sample_orientation",
     "save_corpus",

@@ -189,10 +189,50 @@ def save_report(report: dict, path):
     atomic_write_text(path, dump_json(report))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_row(row, where: str):
+    """A per-trial row carries what ``emit_plot_data`` reads of it: the
+    status of every row, and the values of the rows that were fitted."""
+    if not isinstance(row, dict) or not isinstance(row.get("status"), str):
+        raise ValidationError(f"{where}: expected an object with a string 'status'")
+    if row["status"] != "ok":
+        return
+    if not (isinstance(row.get("id"), str) and isinstance(row.get("label"), str)):
+        raise ValidationError(f"{where}: 'id' and 'label' must be strings")
+    if not isinstance(row.get("converged"), bool):
+        raise ValidationError(f"{where}: 'converged' must be true or false")
+    for key in ("final_mse", "localization_error", "orientation_error"):
+        if key not in row or not (row[key] is None or _is_number(row[key])):
+            raise ValidationError(f"{where}: '{key}' must be a number or null")
+    for key in ("ground_truth", "r_o_hat"):
+        value = row.get(key, ())
+        if value is not None and not (
+            isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
+        ):
+            raise ValidationError(f"{where}: '{key}' must be a 3-element array or null")
+
+
 def load_report(path) -> dict:
+    """Read a report file; everything ``emit_plot_data`` reads is checked, and
+    a report that lacks or malforms any of it is a ValidationError."""
     report = read_json(path)
     if not isinstance(report, dict) or report.get("kind") != "stemfit-report":
         raise ValidationError(f"{path}: not a stemfit report file")
+    rows = report.get("per_trial")
+    if not isinstance(rows, list):
+        raise ValidationError(f"{path}: per_trial must be an array")
+    for i, row in enumerate(rows):
+        _check_row(row, f"{path}: per_trial[{i}]")
+    timing = report.get("timing")
+    if timing is not None:
+        per_trial = timing.get("per_trial") if isinstance(timing, dict) else None
+        if not isinstance(per_trial, dict) or not all(map(_is_number, per_trial.values())):
+            raise ValidationError(
+                f"{path}: timing must be an object whose per_trial maps ids to seconds"
+            )
     return report
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import SingularityError, ValidationError
 from .geometry import Vec3, rotate_rows, rotation_matrices
 
 SINGULARITY_DISTANCE = 1e-12
@@ -40,7 +40,7 @@ class SpringParams:
             raise ValueError(f"spring resting length must be positive and finite, got {self.l}")
 
 
-_COLUMN_WIDTHS = {"t": None, "translation": 3, "rotation_wxyz": 4, "force": 3, "torque": 3}
+COLUMN_WIDTHS = {"t": None, "translation": 3, "rotation_wxyz": 4, "force": 3, "torque": 3}
 # Trials hold normalized quaternions; trial_io normalizes once at parse.
 UNIT_QUATERNION_TOL = 1e-9
 
@@ -64,7 +64,7 @@ class SampleColumns:
 
     def __post_init__(self):
         n = None
-        for name, width in _COLUMN_WIDTHS.items():
+        for name, width in COLUMN_WIDTHS.items():
             column = np.array(getattr(self, name), dtype=float)
             if n is None:
                 if column.ndim != 1:
@@ -82,7 +82,7 @@ class SampleColumns:
 
     def __reduce__(self):
         # rebuild through __post_init__: unpickled arrays come back writeable
-        return (SampleColumns, tuple(getattr(self, name) for name in _COLUMN_WIDTHS))
+        return (SampleColumns, tuple(getattr(self, name) for name in COLUMN_WIDTHS))
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class Trial:
             raise TypeError(f"Trial.samples must be SampleColumns, got {type(s).__name__}")
         if len(s) < 2:
             raise ValueError(f"trial needs at least 2 samples, got {len(s)}")
-        for name in _COLUMN_WIDTHS:
+        for name in COLUMN_WIDTHS:
             column = getattr(s, name)
             finite = np.isfinite(column).reshape(len(s), -1).all(axis=1)
             if not finite.all():
@@ -116,14 +116,22 @@ class Trial:
                 f"than previous {s.t[i - 1]}"
             )
         q = s.rotation_wxyz
-        off_unit = ~(np.abs(np.sqrt(np.sum(q * q, axis=1)) - 1.0) <= UNIT_QUATERNION_TOL)
+        # a finite entry beyond ~1e154 squares to inf, which fails the check
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.sum(q * q, axis=1))
+        off_unit = ~(np.abs(norm - 1.0) <= UNIT_QUATERNION_TOL)
         if off_unit.any():
             i = int(np.argmax(off_unit))
             raise ValueError(
                 f"samples[{i}]: rotation_wxyz {q[i].tolist()} is not a unit quaternion"
             )
         if self.ground_truth is not None:
-            dist = (self.ground_truth - apple_position_world(self)).norm()
+            # an overflowing fruit position fails the check, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    dist = (self.ground_truth - apple_position_world(self)).norm()
+                except ValueError:
+                    dist = math.inf
             if not (math.isfinite(dist) and dist > 0.0):
                 raise ValueError(
                     "ground_truth must lie at a positive distance from the "
@@ -256,22 +264,6 @@ def apple_position_world(trial: Trial) -> Vec3:
     return Vec3.from_array(first[0] + s.translation[0])
 
 
-def predict_force(r_o: Vec3, r_a_t: Vec3, spring: SpringParams) -> Vec3:
-    """Spring force on the fruit for attachment ``r_o`` and fruit at ``r_a_t``.
-
-    Evaluated as written even when ``|d| < l`` (a pushing force): the solver's
-    tension constraint excludes that regime at the solution, but keeping the
-    function smooth there keeps line searches well behaved.
-    """
-    d = r_o.as_array() - r_a_t.as_array()
-    dist = float(np.linalg.norm(d))
-    if dist <= SINGULARITY_DISTANCE:
-        raise SingularityError(
-            f"attachment point within {SINGULARITY_DISTANCE} m of the fruit position"
-        )
-    return Vec3.from_array(spring.k * (dist - spring.l) * d / dist)
-
-
 def bias_compensate(trial: Trial) -> Trial:
     """Subtract the first sample's wrench from every sample.
 
@@ -280,5 +272,9 @@ def bias_compensate(trial: Trial) -> Trial:
     fruit's weight in one step.
     """
     s = trial.samples
-    columns = replace(s, force=s.force - s.force[0], torque=s.torque - s.torque[0])
-    return replace(trial, samples=columns)
+    with np.errstate(over="ignore"):
+        columns = replace(s, force=s.force - s.force[0], torque=s.torque - s.torque[0])
+    try:
+        return replace(trial, samples=columns)
+    except ValueError as exc:  # a difference of two finite values overflowed
+        raise ValidationError(f"{trial.id}: bias compensation overflows: {exc}") from exc

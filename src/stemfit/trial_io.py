@@ -1,14 +1,20 @@
 """Trial and corpus file formats.
 
-Trials are single JSON documents with an explicit schema version; floats are
-serialized at full round-trip precision so save/load is lossless. A trial file
-is byte for byte ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` of its
-document, though ``dump_trial`` writes the samples without ``json``. A corpus is
-a directory of trial files plus ``manifest.json`` listing ids, labels, the
-generation seed, and a digest of the generating configuration. All writes go
-through a temp-file-then-rename step.
+A trial file is one JSON document with an explicit schema version, written
+by ``dump_json`` like every other stemfit file. ``save_trial`` writes schema
+version 2: the head keys (``id``, ``label``, ``spring``, ``grasp_point``,
+optional ``ground_truth``) as plain JSON, and under ``columns`` each sample
+column (``t``, ``translation``, ``rotation_wxyz``, ``force``, ``torque``) as
+the RFC 4648 base64 text of its row-major little-endian float64 bytes, so
+save/load is bit-exact and no number is formatted or parsed as decimal text.
+``load_trial`` also reads the legacy version 1, one object per sample with
+decimal numbers, which is what a hand-written or externally recorded file
+may still be. A corpus is a directory of trial files plus ``manifest.json``
+listing ids, labels, the generation seed, and a digest of the generating
+configuration. All writes go through a temp-file-then-rename step.
 """
 
+import base64
 import hashlib
 import json
 import os
@@ -19,9 +25,9 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .geometry import Vec3
-from .spring_model import Label, SampleColumns, SpringParams, Trial
+from .spring_model import COLUMN_WIDTHS, Label, SampleColumns, SpringParams, Trial
 
-TRIAL_SCHEMA_VERSION = 1
+TRIAL_SCHEMA_VERSION = 2
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
@@ -93,75 +99,34 @@ def _vec(v: Vec3) -> list:
     return [v.x, v.y, v.z]
 
 
-# One sample as json.dumps(..., sort_keys=True, indent=2) lays it out inside a
-# trial document; each %r takes float.__repr__, which is how json writes a float.
-_SAMPLE = """\
-    {
-      "pose": {
-        "rotation_wxyz": [
-          %r,
-          %r,
-          %r,
-          %r
-        ],
-        "translation": [
-          %r,
-          %r,
-          %r
-        ]
-      },
-      "t": %r,
-      "wrench": {
-        "force": [
-          %r,
-          %r,
-          %r
-        ],
-        "torque": [
-          %r,
-          %r,
-          %r
-        ]
-      }
-    }"""
+def _encoded(column: np.ndarray) -> str:
+    return base64.b64encode(column.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
-def dump_trial(trial: Trial) -> str:
-    """The trial document exactly as ``dump_json`` would write it.
-
-    The samples are written from the columns through ``_SAMPLE``; only the
-    keys before and after ``"samples"`` go through ``dump_json``. This relies
-    on what ``Trial`` validates: at least 2 samples (so the array is never the
-    empty ``[]``), finite values (so no NaN check is needed) and fixed column
-    widths (so every sample fills the template).
-    """
+def _document(trial: Trial) -> dict:
+    """The v2 document of a trial: each sample column as the base64 text of
+    its row-major little-endian float64 bytes."""
     s = trial.samples
-    values = np.column_stack((s.rotation_wxyz, s.translation, s.t, s.force, s.torque))
-    samples = ",\n".join([_SAMPLE] * len(s)) % tuple(values.ravel().tolist())
-    head = {"grasp_point": _vec(trial.grasp_point), "id": trial.id, "label": trial.label.value}
-    if trial.ground_truth is not None:
-        head["ground_truth"] = _vec(trial.ground_truth)
-    tail = {
+    doc = {
         "schema_version": TRIAL_SCHEMA_VERSION,
+        "id": trial.id,
+        "label": trial.label.value,
         "spring": {"k": trial.spring.k, "l": trial.spring.l},
+        "grasp_point": _vec(trial.grasp_point),
+        "columns": {name: _encoded(getattr(s, name)) for name in COLUMN_WIDTHS},
     }
-    # sort_keys puts "samples" after every head key and before every tail key;
-    # the head's closing "\n}\n" and the tail's opening "{\n" are cut off by
-    # position, so nothing in the id can move the join
-    return (
-        dump_json(head)[:-3]
-        + ',\n  "samples": [\n'
-        + samples
-        + "\n  ],\n"
-        + dump_json(tail)[2:]
-    )
+    if trial.ground_truth is not None:
+        doc["ground_truth"] = _vec(trial.ground_truth)
+    return doc
 
 
 def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
     """Quaternions off unit norm by more than 1e-6 warn, by more than 1e-3
     fail; all are normalized here, once."""
     w, x, y, z = q.T
-    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    # a finite entry beyond ~1e154 squares to inf, which the check below rejects
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(w * w + x * x + y * y + z * z)
     for tol, severe in ((_QUAT_ERROR_TOL, True), (_QUAT_WARN_TOL, False)):
         off = np.abs(norm - 1.0) > tol
         if off.any():
@@ -175,45 +140,13 @@ def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
             warnings.warn(
                 f"{where}: quaternion norm {norm[i]:.9f} off unit by more than "
                 f"{_QUAT_WARN_TOL}; renormalizing",
-                stacklevel=2,
+                stacklevel=3,
             )
     return q / norm[:, None]
 
 
-def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{source}: trial document must be a JSON object")
-    version = doc.get("schema_version")
-    if version != TRIAL_SCHEMA_VERSION:
-        raise ValidationError(
-            f"{source}: unsupported schema_version {version!r} "
-            f"(expected {TRIAL_SCHEMA_VERSION})"
-        )
-    for field in ("id", "label", "spring", "grasp_point", "samples"):
-        if field not in doc:
-            raise ValidationError(f"{source}: missing required field '{field}'")
-    try:
-        label = Label(doc["label"])
-    except ValueError:
-        raise ValidationError(
-            f"{source}: label must be 'success' or 'failure', got {doc['label']!r}"
-        ) from None
-    spring_doc = doc["spring"]
-    if not isinstance(spring_doc, dict) or "k" not in spring_doc or "l" not in spring_doc:
-        raise ValidationError(f"{source}: spring must be an object with 'k' and 'l'")
-    k = _floats(spring_doc["k"], (), f"{source}: spring: k")
-    l = _floats(spring_doc["l"], (), f"{source}: spring: l")
-    try:
-        spring = SpringParams(float(k), float(l))
-    except ValueError as exc:
-        raise ValidationError(f"{source}: spring: {exc}") from exc
-    grasp_point = Vec3.from_array(_floats(doc["grasp_point"], (3,), f"{source}: grasp_point"))
-    ground_truth = None
-    if doc.get("ground_truth") is not None:
-        ground_truth = Vec3.from_array(
-            _floats(doc["ground_truth"], (3,), f"{source}: ground_truth")
-        )
-
+def _v1_columns(doc: dict, source: str) -> dict:
+    """The sample columns of a v1 document, which holds one object per sample."""
     raw_samples = doc["samples"]
     if not isinstance(raw_samples, list):
         raise ValidationError(f"{source}: samples must be an array")
@@ -237,19 +170,99 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
         fields["rotation_wxyz"].append(pose["rotation_wxyz"])
         fields["force"].append(wrench["force"])
         fields["torque"].append(wrench["torque"])
+    return {
+        "t": _column(fields["t"], (), source, "t"),
+        "translation": _column(fields["translation"], (3,), source, "translation"),
+        "rotation_wxyz": _normalized_rotations(
+            _column(fields["rotation_wxyz"], (4,), source, "rotation"), source
+        ),
+        "force": _column(fields["force"], (3,), source, "force"),
+        "torque": _column(fields["torque"], (3,), source, "torque"),
+    }
 
-    try:
-        columns = SampleColumns(
-            t=_column(fields["t"], (), source, "t"),
-            translation=_column(fields["translation"], (3,), source, "translation"),
-            rotation_wxyz=_normalized_rotations(
-                _column(fields["rotation_wxyz"], (4,), source, "rotation"), source
-            ),
-            force=_column(fields["force"], (3,), source, "force"),
-            torque=_column(fields["torque"], (3,), source, "torque"),
+
+def _v2_columns(doc: dict, source: str) -> dict:
+    """The sample columns of a v2 document, which holds each column as the
+    base64 text of its row-major little-endian float64 bytes; ``t`` fixes
+    the sample count n, and each other column must hold exactly n rows."""
+    encoded = doc["columns"]
+    if not isinstance(encoded, dict):
+        raise ValidationError(f"{source}: columns must be an object")
+    columns = {}
+    n = None
+    for name, width in COLUMN_WIDTHS.items():
+        where = f"{source}: columns: {name}"
+        text = encoded.get(name)
+        if not isinstance(text, str):
+            raise ValidationError(f"{where}: expected a base64 string")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise ValidationError(f"{where}: invalid base64: {exc}") from exc
+        if n is None:
+            n, extra = divmod(len(raw), 8)
+            if extra:
+                raise ValidationError(
+                    f"{where}: {len(raw)} bytes is not a whole number of float64 values"
+                )
+        elif len(raw) != 8 * n * width:
+            raise ValidationError(
+                f"{where}: expected {n * width} float64 values for {n} samples, "
+                f"got {len(raw)} bytes"
+            )
+        column = np.frombuffer(raw, "<f8").reshape((n,) if width is None else (n, width))
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            i = int(bad[0]) // (width or 1)
+            raise ValidationError(f"{where}: samples[{i}]: numbers must be finite")
+        if name == "rotation_wxyz":
+            column = _normalized_rotations(column, source)
+        columns[name] = column
+    return columns
+
+
+def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
+    """Build a trial from a parsed v1 or v2 document; any defect is a
+    ValidationError naming ``source`` and the field."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{source}: trial document must be a JSON object")
+    version = doc.get("schema_version")
+    if version == 1:
+        body, read_columns = "samples", _v1_columns
+    elif version == 2:
+        body, read_columns = "columns", _v2_columns
+    else:
+        raise ValidationError(
+            f"{source}: unsupported schema_version {version!r} (expected 1 or 2)"
         )
+    for field in ("id", "label", "spring", "grasp_point", body):
+        if field not in doc:
+            raise ValidationError(f"{source}: missing required field '{field}'")
+    try:
+        label = Label(doc["label"])
+    except ValueError:
+        raise ValidationError(
+            f"{source}: label must be 'success' or 'failure', got {doc['label']!r}"
+        ) from None
+    spring_doc = doc["spring"]
+    if not isinstance(spring_doc, dict) or "k" not in spring_doc or "l" not in spring_doc:
+        raise ValidationError(f"{source}: spring must be an object with 'k' and 'l'")
+    k = _floats(spring_doc["k"], (), f"{source}: spring: k")
+    l = _floats(spring_doc["l"], (), f"{source}: spring: l")
+    try:
+        spring = SpringParams(float(k), float(l))
+    except ValueError as exc:
+        raise ValidationError(f"{source}: spring: {exc}") from exc
+    grasp_point = Vec3.from_array(_floats(doc["grasp_point"], (3,), f"{source}: grasp_point"))
+    ground_truth = None
+    if doc.get("ground_truth") is not None:
+        ground_truth = Vec3.from_array(
+            _floats(doc["ground_truth"], (3,), f"{source}: ground_truth")
+        )
+    columns = read_columns(doc, source)
+    try:
         return Trial(
-            samples=columns,
+            samples=SampleColumns(**columns),
             spring=spring,
             grasp_point=grasp_point,
             label=label,
@@ -261,7 +274,8 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
 
 
 def save_trial(trial: Trial, path):
-    atomic_write_text(path, dump_trial(trial))
+    """Write ``trial`` as a v2 document."""
+    atomic_write_text(path, dump_json(_document(trial)))
 
 
 def load_trial(path) -> Trial:
@@ -269,17 +283,24 @@ def load_trial(path) -> Trial:
 
 
 def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: int | None = None):
-    """Write trials plus a manifest into ``out_dir`` (created if needed)."""
+    """Write trials plus a manifest into ``out_dir`` (created if needed).
+
+    The manifest entries pass ``load_manifest``'s checks before any file is
+    written, so an id that repeats or that would name a file outside
+    ``out_dir`` is a ValidationError and leaves ``out_dir`` untouched."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / MANIFEST_NAME
+    trials = list(trials)
+    entries = [
+        {"id": trial.id, "label": trial.label.value, "file": f"{trial.id}.json"}
+        for trial in trials
+    ]
+    _check_entries(entries, str(manifest_path))
+    out_dir.mkdir(parents=True, exist_ok=True)
     if manifest_path.exists():
         raise FileExistsError(f"{manifest_path}: corpus manifest already exists")
-    entries = []
-    for trial in trials:
-        filename = f"{trial.id}.json"
-        save_trial(trial, out_dir / filename)
-        entries.append({"id": trial.id, "label": trial.label.value, "file": filename})
+    for trial, entry in zip(trials, entries):
+        save_trial(trial, out_dir / entry["file"])
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "seed": seed,
@@ -290,6 +311,30 @@ def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: i
     atomic_write_text(manifest_path, dump_json(manifest))
 
 
+def _check_entries(trials, where: str):
+    """The manifest's trial list: at least one entry, each with a string
+    ``id`` (unique) and a string ``file`` that is a relative path without
+    ``..``, so it names a file inside the corpus directory."""
+    if not isinstance(trials, list) or not trials:
+        raise ValidationError(f"{where}: manifest lists no trials")
+    seen = set()
+    for i, entry in enumerate(trials):
+        at = f"{where}: trials[{i}]"
+        if not isinstance(entry, dict) or not {"id", "label", "file"} <= set(entry):
+            raise ValidationError(f"{at} must carry 'id', 'label', and 'file'")
+        trial_id, file = entry["id"], entry["file"]
+        if not isinstance(trial_id, str) or not isinstance(file, str):
+            raise ValidationError(f"{at}: 'id' and 'file' must be strings")
+        if trial_id in seen:
+            raise ValidationError(f"{at}: duplicate id {trial_id!r}")
+        seen.add(trial_id)
+        parts = Path(file).parts
+        if not parts or Path(file).is_absolute() or ".." in parts:
+            raise ValidationError(
+                f"{at}: 'file' must name a file inside the corpus directory, got {file!r}"
+            )
+
+
 def load_manifest(corpus_dir) -> dict:
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
@@ -298,24 +343,5 @@ def load_manifest(corpus_dir) -> dict:
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ValidationError(f"{manifest_path}: unsupported or missing schema_version")
-    trials = manifest.get("trials")
-    if not isinstance(trials, list) or not trials:
-        raise ValidationError(f"{manifest_path}: manifest lists no trials")
-    seen = set()
-    for i, entry in enumerate(trials):
-        where = f"{manifest_path}: trials[{i}]"
-        if not isinstance(entry, dict) or not {"id", "label", "file"} <= set(entry):
-            raise ValidationError(f"{where} must carry 'id', 'label', and 'file'")
-        trial_id, file = entry["id"], entry["file"]
-        if not isinstance(trial_id, str) or not isinstance(file, str):
-            raise ValidationError(f"{where}: 'id' and 'file' must be strings")
-        if trial_id in seen:
-            raise ValidationError(f"{where}: duplicate id {trial_id!r}")
-        seen.add(trial_id)
-        # a relative path without '..' cannot leave the corpus directory
-        parts = Path(file).parts
-        if not parts or Path(file).is_absolute() or ".." in parts:
-            raise ValidationError(
-                f"{where}: 'file' must name a file inside the corpus directory, got {file!r}"
-            )
+    _check_entries(manifest.get("trials"), str(manifest_path))
     return manifest

@@ -1,8 +1,12 @@
 """Shared builders for synthetic trials and random geometry, plus the
-references that tests hold the package to: the per-sample pose and wrench
-mappings behind its stacked (columnar) computations, the row-wise (n, 3)
-model formulas behind its columnar model kernels, and the trial document
-behind its trial-file writer."""
+references that tests hold the package to: the spring force law, the
+per-sample pose and wrench mappings behind its stacked (columnar)
+computations, the row-wise (n, 3) model formulas behind its columnar model
+kernels, and the v1 and v2 trial documents behind its trial-file reader and
+writer."""
+
+import base64
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from stemfit import spring_model
 from stemfit.errors import SingularityError
 from stemfit.geometry import UnitQuaternion, Vec3
 from stemfit.spring_model import SINGULARITY_DISTANCE, SampleColumns, SpringParams, Trial
-from stemfit.trial_io import TRIAL_SCHEMA_VERSION
+from stemfit.trial_io import dump_json
 
 
 def random_unit_quaternion(rng) -> UnitQuaternion:
@@ -50,6 +54,22 @@ def wrench_to_world_reference(q, translation, force, torque):
     force_w = rot @ np.asarray(force, dtype=float)
     torque_w = rot @ np.asarray(torque, dtype=float) + np.cross(translation, force_w)
     return force_w, torque_w
+
+
+def predict_force(r_o: Vec3, r_a_t: Vec3, spring: SpringParams) -> Vec3:
+    """Spring force on the fruit for attachment ``r_o`` and fruit at ``r_a_t``.
+
+    Evaluated as written even when ``|d| < l`` (a pushing force): the solver's
+    tension constraint excludes that regime at the solution, but keeping the
+    function smooth there keeps line searches well behaved.
+    """
+    d = r_o.as_array() - r_a_t.as_array()
+    dist = float(np.linalg.norm(d))
+    if dist <= SINGULARITY_DISTANCE:
+        raise SingularityError(
+            f"attachment point within {SINGULARITY_DISTANCE} m of the fruit position"
+        )
+    return Vec3.from_array(spring.k * (dist - spring.l) * d / dist)
 
 
 def _row_displacements(r_o, arrays):
@@ -119,9 +139,22 @@ def assert_kernels_match_reference(x, arrays):
     assert distance == distance_ref or (np.isnan(distance) and np.isnan(distance_ref))
 
 
+def _head(trial: Trial, version: int) -> dict:
+    doc = {
+        "schema_version": version,
+        "id": trial.id,
+        "label": trial.label.value,
+        "spring": {"k": trial.spring.k, "l": trial.spring.l},
+        "grasp_point": [trial.grasp_point.x, trial.grasp_point.y, trial.grasp_point.z],
+    }
+    if trial.ground_truth is not None:
+        gt = trial.ground_truth
+        doc["ground_truth"] = [gt.x, gt.y, gt.z]
+    return doc
+
+
 def trial_to_dict(trial: Trial) -> dict:
-    """The v1 trial document, built sample by sample as plain JSON values;
-    a trial file holds exactly its ``json.dumps(..., sort_keys=True, indent=2)``."""
+    """The v1 trial document, built sample by sample as plain JSON values."""
     s = trial.samples
     rows = zip(
         s.t.tolist(),
@@ -130,24 +163,39 @@ def trial_to_dict(trial: Trial) -> dict:
         s.force.tolist(),
         s.torque.tolist(),
     )
-    doc = {
-        "schema_version": TRIAL_SCHEMA_VERSION,
-        "id": trial.id,
-        "label": trial.label.value,
-        "spring": {"k": trial.spring.k, "l": trial.spring.l},
-        "grasp_point": [trial.grasp_point.x, trial.grasp_point.y, trial.grasp_point.z],
-        "samples": [
-            {
-                "t": t,
-                "pose": {"translation": translation, "rotation_wxyz": rotation},
-                "wrench": {"force": force, "torque": torque},
-            }
-            for t, translation, rotation, force, torque in rows
-        ],
+    doc = _head(trial, 1)
+    doc["samples"] = [
+        {
+            "t": t,
+            "pose": {"translation": translation, "rotation_wxyz": rotation},
+            "wrench": {"force": force, "torque": torque},
+        }
+        for t, translation, rotation, force, torque in rows
+    ]
+    return doc
+
+
+def v1_text(trial: Trial) -> str:
+    """A v1 trial file, as stemfit wrote them before schema version 2."""
+    return dump_json(trial_to_dict(trial))
+
+
+def encode_column(values) -> str:
+    """Base64 of ``values`` (a number or nested lists of numbers, row-major)
+    packed one by one as little-endian doubles."""
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return base64.b64encode(b"".join(struct.pack("<d", v) for v in flat)).decode("ascii")
+
+
+def trial_to_v2_dict(trial: Trial) -> dict:
+    """The v2 trial document: the v1 head plus each sample column encoded
+    value by value; a trial file holds exactly its ``dump_json`` text."""
+    s = trial.samples
+    doc = _head(trial, 2)
+    doc["columns"] = {
+        name: encode_column(getattr(s, name).tolist())
+        for name in ("t", "translation", "rotation_wxyz", "force", "torque")
     }
-    if trial.ground_truth is not None:
-        gt = trial.ground_truth
-        doc["ground_truth"] = [gt.x, gt.y, gt.z]
     return doc
 
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -10,32 +11,109 @@ import numpy as np
 import pytest
 
 import stemfit
-from stemfit.batch import _comparison, emit_plot_data, load_report, run_batch, save_report
+from stemfit.batch import (
+    PLOT_KINDS,
+    _comparison,
+    emit_plot_data,
+    load_report,
+    run_batch,
+    save_report,
+)
 from stemfit.cli import main
 from stemfit.errors import UnknownPlotKindError, ValidationError
 from stemfit.evaluation import summarize, welch_t_test
 from stemfit.simulator import SimConfig, generate_corpus
-from stemfit.trial_io import MANIFEST_NAME, save_corpus
+from stemfit.trial_io import MANIFEST_NAME, load_trial, save_corpus
+
+from conftest import encode_column, trial_to_dict
+
+
+def _as_v1(path, edit):
+    """Rewrite the trial file at ``path`` as its v1 document, changed by ``edit``."""
+    doc = trial_to_dict(load_trial(path))
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _in_column(path, name, row, values):
+    """Overwrite one row of one encoded column of the v2 file at ``path``."""
+    doc = json.loads(path.read_text())
+    width = {"t": 1, "rotation_wxyz": 4}.get(name, 3)
+    raw = base64.b64decode(doc["columns"][name])
+    column = np.frombuffer(raw, "<f8").reshape(-1, width).copy()
+    column[row] = values
+    doc["columns"][name] = encode_column(column)
+    path.write_text(json.dumps(doc))
 
 
 def _huge_number(path):
-    doc = json.loads(path.read_text())
-    doc["samples"][1]["wrench"]["force"][0] = 10**400
-    path.write_text(json.dumps(doc))
+    def edit(doc):
+        doc["samples"][1]["wrench"]["force"][0] = 10**400
+
+    _as_v1(path, edit)
 
 
 def _non_utf8(path):
     path.write_bytes(path.read_bytes().replace(b'"label"', b'"lab\xffel"', 1))
 
 
-CORRUPTIONS = {"huge_number": _huge_number, "non_utf8": _non_utf8}
+def _infinite_in_column(path):
+    _in_column(path, "force", 1, [np.inf, 0.0, 0.0])
+
+
+def _nan_in_column(path):
+    _in_column(path, "t", 2, np.nan)
+
+
+CORRUPTIONS = {
+    "huge_number": _huge_number,
+    "non_utf8": _non_utf8,
+    "infinite_in_column": _infinite_in_column,
+    "nan_in_column": _nan_in_column,
+}
 
 
 def _overflowing_translation(path):
     """A finite value that every load check passes but whose square overflows."""
-    doc = json.loads(path.read_text())
-    doc["samples"][1]["pose"]["translation"] = [1.34078079e154, 0.0, 0.0]
-    path.write_text(json.dumps(doc))
+
+    def edit(doc):
+        doc["samples"][1]["pose"]["translation"] = [1.34078079e154, 0.0, 0.0]
+
+    _as_v1(path, edit)
+
+
+def _overflowing_translation_v2(path):
+    _in_column(path, "translation", 1, [1.34078079e154, 0.0, 0.0])
+
+
+def _huge_quaternion(path):
+    """A quaternion whose squared norm overflows; the load must reject it."""
+
+    def edit(doc):
+        doc["samples"][1]["pose"]["rotation_wxyz"] = [1e200, 0.0, 0.0, 0.0]
+
+    _as_v1(path, edit)
+
+
+def _huge_quaternion_v2(path):
+    _in_column(path, "rotation_wxyz", 1, [1e200, 0.0, 0.0, 0.0])
+
+
+HUGE_QUATERNIONS = {"v1": _huge_quaternion, "v2": _huge_quaternion_v2}
+
+
+def _stemfit_cli(*args):
+    """Run the CLI in a fresh interpreter, which prints the warnings a user would see."""
+    src = str(Path(stemfit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "stemfit.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
 
 # config files the CLI must reject with "error: ..." and exit 1
 BAD_SIM_CONFIGS = {
@@ -75,6 +153,35 @@ BAD_MANIFEST_ENTRIES = {
     "duplicate_id": _duplicate_id,
     "file_outside_corpus": lambda trials: trials[0].update(file="../trial_000.json"),
     "absolute_file": lambda trials: trials[0].update(file="/trial_000.json"),
+}
+
+
+_OK_ROW = {
+    "id": "a",
+    "label": "success",
+    "status": "ok",
+    "converged": True,
+    "final_mse": 0.5,
+    "localization_error": 0.01,
+    "orientation_error": None,
+    "ground_truth": [0.0, 0.0, 1.0],
+    "r_o_hat": None,
+}
+# report documents (beside "kind") that load_report must reject
+BAD_REPORTS = {
+    "empty_row": {"per_trial": [{}]},
+    "per_trial_not_a_list": {"per_trial": 5},
+    "no_per_trial": {},
+    "row_not_an_object": {"per_trial": [[]]},
+    "missing_final_mse": {"per_trial": [{k: v for k, v in _OK_ROW.items() if k != "final_mse"}]},
+    "short_ground_truth": {"per_trial": [{**_OK_ROW, "ground_truth": [1]}]},
+    "string_r_o_hat": {"per_trial": [{**_OK_ROW, "r_o_hat": ["1", "2", "3"]}]},
+    "boolean_error": {"per_trial": [{**_OK_ROW, "localization_error": True}]},
+    "id_not_a_string": {"per_trial": [{**_OK_ROW, "id": ["a"]}]},
+    "converged_not_a_bool": {"per_trial": [{**_OK_ROW, "converged": "yes"}]},
+    "timing_not_an_object": {"per_trial": [_OK_ROW], "timing": 5},
+    "timing_per_trial_not_an_object": {"per_trial": [_OK_ROW], "timing": {"per_trial": []}},
+    "timing_not_seconds": {"per_trial": [_OK_ROW], "timing": {"per_trial": {"a": "1"}}},
 }
 
 
@@ -184,9 +291,9 @@ class TestRunBatch:
         assert statuses["trial_000"] == "ok"
 
 
-    def test_overflowing_trial_gives_one_error_row(self, tmp_path):
+    def _one_overflow_error_row(self, tmp_path, corrupt):
         out = _small_corpus(tmp_path / "c", seed=7, n=2)
-        _overflowing_translation(out / "trial_001.json")
+        corrupt(out / "trial_001.json")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = run_batch(out)
@@ -197,6 +304,12 @@ class TestRunBatch:
         save_report(report, tmp_path / "r.json")
         assert load_report(tmp_path / "r.json")["counts"]["failed"] == 1
 
+    def test_overflowing_trial_gives_one_error_row(self, tmp_path):
+        self._one_overflow_error_row(tmp_path, _overflowing_translation)
+
+    def test_overflowing_v2_trial_gives_one_error_row(self, tmp_path):
+        self._one_overflow_error_row(tmp_path, _overflowing_translation_v2)
+
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_unreadable_trial_gives_one_error_row(self, tmp_path, corruption):
         out = _small_corpus(tmp_path / "c", seed=7)
@@ -205,6 +318,27 @@ class TestRunBatch:
         statuses = {r["id"]: r["status"] for r in report["per_trial"]}
         assert [i for i, status in statuses.items() if status != "ok"] == ["trial_001"]
         assert statuses["trial_001"].startswith("error:")
+
+    @pytest.mark.parametrize("version", sorted(HUGE_QUATERNIONS))
+    def test_huge_quaternion_gives_one_error_row(self, tmp_path, version):
+        out = _small_corpus(tmp_path / "c", seed=7, n=2)
+        HUGE_QUATERNIONS[version](out / "trial_001.json")
+        report = run_batch(out)  # a RuntimeWarning fails the suite
+        status = {r["id"]: r["status"] for r in report["per_trial"]}["trial_001"]
+        assert status.startswith("error: ")
+        assert "samples[1]: rotation: quaternion norm inf" in status
+
+    def test_overflowing_bias_compensation_gives_one_error_row(self, tmp_path):
+        out = _small_corpus(tmp_path / "c", seed=7, n=2)
+
+        def edit(doc):
+            doc["samples"][0]["wrench"]["force"][0] = 1.7e308
+            doc["samples"][1]["wrench"]["force"][0] = -1.7e308
+
+        _as_v1(out / "trial_001.json", edit)
+        report = run_batch(out)
+        status = {r["id"]: r["status"] for r in report["per_trial"]}["trial_001"]
+        assert status.startswith("error: ") and "bias compensation overflows" in status
 
 
 class TestReportFiles:
@@ -231,6 +365,26 @@ class TestReportFiles:
         path.write_text("{}")
         with pytest.raises(ValidationError):
             load_report(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+    def test_malformed_report_rejected(self, tmp_path, capsys, case):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"kind": "stemfit-report", **BAD_REPORTS[case]}))
+        with pytest.raises(ValidationError):
+            load_report(path)
+        for kind in PLOT_KINDS:
+            assert main(["report", "--in", str(path), "--plot-data", kind,
+                         "--out", str(tmp_path / "x.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_written_report_with_error_rows_loads(self, tmp_path):
+        out = _small_corpus(tmp_path / "c", seed=7, n=2)
+        (out / "trial_001.json").write_text("{broken")
+        report = run_batch(out, include_timing=True)
+        save_report(report, tmp_path / "r.json")
+        assert load_report(tmp_path / "r.json") == report
 
 
 class TestPlotData:
@@ -354,25 +508,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_fit_overflowing_trial_fails_cleanly(self, tmp_path, capsys):
+    def _fit_fails_cleanly(self, tmp_path, capsys, corrupt):
         out = _small_corpus(tmp_path / "c", seed=7, n=1)
-        _overflowing_translation(out / "trial_000.json")
+        corrupt(out / "trial_000.json")
         assert main(["fit", "--trial", str(out / "trial_000.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("fit failed: ") and "Traceback" not in captured.err
-        # a fresh interpreter prints the warnings a user would see
-        src = str(Path(stemfit.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        run = subprocess.run(
-            [sys.executable, "-m", "stemfit.cli", "fit", "--trial", str(out / "trial_000.json")],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
+        run = _stemfit_cli("fit", "--trial", out / "trial_000.json")
         assert run.returncode == 2
         assert run.stderr.startswith("fit failed: ") and "RuntimeWarning" not in run.stderr
+
+    def test_fit_overflowing_trial_fails_cleanly(self, tmp_path, capsys):
+        self._fit_fails_cleanly(tmp_path, capsys, _overflowing_translation)
+
+    def test_fit_overflowing_v2_trial_fails_cleanly(self, tmp_path, capsys):
+        self._fit_fails_cleanly(tmp_path, capsys, _overflowing_translation_v2)
+
+    @pytest.mark.parametrize("version", sorted(HUGE_QUATERNIONS))
+    def test_fit_huge_quaternion_exits_1_without_a_warning(self, tmp_path, capsys, version):
+        out = _small_corpus(tmp_path / "c", seed=9, n=1)
+        HUGE_QUATERNIONS[version](out / "trial_000.json")
+        assert main(["fit", "--trial", str(out / "trial_000.json")]) == 1
+        capsys.readouterr()
+        run = _stemfit_cli("fit", "--trial", out / "trial_000.json")
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ") and "quaternion norm inf" in run.stderr
+        assert "Warning" not in run.stderr
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):

@@ -1,3 +1,4 @@
+import base64
 import json
 import tempfile
 from dataclasses import replace
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stemfit.batch import run_batch
 from stemfit.errors import ParseError, ValidationError
 from stemfit.simulator import SimConfig, generate_corpus, generate_trial
 from stemfit.geometry import Vec3
@@ -16,6 +18,7 @@ from stemfit.spring_model import Label, SampleColumns, SpringParams, Trial
 from stemfit.trial_io import (
     MANIFEST_NAME,
     atomic_write_text,
+    dump_json,
     load_manifest,
     load_trial,
     save_corpus,
@@ -23,7 +26,14 @@ from stemfit.trial_io import (
     trial_from_dict,
 )
 
-from conftest import columns, pull_trial, trial_to_dict
+from conftest import (
+    columns,
+    encode_column,
+    pull_trial,
+    trial_to_dict,
+    trial_to_v2_dict,
+    v1_text,
+)
 
 
 def sim_trial(seed=1, **overrides):
@@ -69,9 +79,8 @@ class TestTrialRoundTrip:
 
 
 def json_text(trial) -> bytes:
-    """What a trial file must hold: its document as json writes it."""
-    doc = trial_to_dict(trial)
-    return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+    """What a trial file must hold: its v2 document as ``dump_json`` writes it."""
+    return dump_json(trial_to_v2_dict(trial)).encode()
 
 
 def written(trial) -> bytes:
@@ -81,6 +90,35 @@ def written(trial) -> bytes:
         return path.read_bytes()
 
 
+COLUMNS = ("t", "translation", "rotation_wxyz", "force", "torque")
+
+
+def bits(trial) -> dict:
+    """Each sample column of ``trial`` as the raw bits of its values."""
+    return {name: getattr(trial.samples, name).view(np.uint64) for name in COLUMNS}
+
+
+def loaded_from(text: str) -> Trial:
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "t.json"
+        path.write_text(text)
+        return load_trial(path)
+
+
+def assert_loads_bit_exact(trial):
+    """Saved as v2, ``trial`` loads to the bits it holds and to the bits its
+    v1 document loads to; quaternions are compared with v1 only, because
+    both readers normalize them."""
+    from_v2 = loaded_from(written(trial).decode())
+    from_v1 = loaded_from(v1_text(trial))
+    original, v2, v1 = bits(trial), bits(from_v2), bits(from_v1)
+    for name in COLUMNS:
+        np.testing.assert_array_equal(v2[name], v1[name])
+        if name != "rotation_wxyz":
+            np.testing.assert_array_equal(v2[name], original[name])
+    assert trial_to_dict(from_v2) == trial_to_dict(from_v1)
+
+
 # floats whose shortest repr takes each of its forms: signed zero, subnormal,
 # exponent below and above the fixed-point range, the largest double
 SPECIAL_FLOATS = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, 1e22, 1.7976931348623157e308]
@@ -88,9 +126,30 @@ SPECIAL_FLOATS = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, 1e22, 1.7976931348623157e30
 SPECIAL_IDS = ['"', "\\", '"samples": []', "\u00e9\u6837", "\ud800", '",\n  "samples": [\n']
 
 
+def special_trial(trial_id="special", ground_truth=None) -> Trial:
+    """Every special float in every column; quaternions of norm exactly 1."""
+    n = 3
+    values = np.resize(SPECIAL_FLOATS, (n, 3))
+    samples = columns(
+        np.array([-0.0, 1e-05, 1e22]),
+        translation=values,
+        rotation_wxyz=np.tile([-0.0, 5e-324, 1.0, 1e-200], (n, 1)),
+        force=values[::-1],
+        torque=-values,
+    )
+    return Trial(
+        samples=samples,
+        spring=SpringParams(632, 1e-05),
+        grasp_point=Vec3(-0.0, 5e-324, 1e16),
+        label=Label.FAILURE,
+        ground_truth=ground_truth,
+        id=trial_id,
+    )
+
+
 class TestTrialFileBytes:
-    """A trial file is byte for byte ``json.dumps(document, sort_keys=True,
-    indent=2) + "\\n"`` of its trial document."""
+    """A trial file is byte for byte ``dump_json`` of its v2 trial document,
+    whose columns hold each value's little-endian float64 bytes."""
 
     def test_generated_corpus_files(self, tmp_path):
         cfg = replace(SimConfig(), noise_sigma=0.05, seed=31)
@@ -104,24 +163,33 @@ class TestTrialFileBytes:
     @pytest.mark.parametrize("trial_id", SPECIAL_IDS)
     @pytest.mark.parametrize("ground_truth", [None, Vec3(0.3, -0.0, 0.5)])
     def test_special_ids_and_values(self, trial_id, ground_truth):
-        n = 3
-        values = np.resize(SPECIAL_FLOATS, (n, 3))
-        samples = columns(
-            np.array([-0.0, 1e-05, 1e22]),
-            translation=values,
-            rotation_wxyz=np.tile([-0.0, 5e-324, 1.0, 1e-05], (n, 1)),
-            force=values[::-1],
-            torque=-values,
-        )
-        trial = Trial(
-            samples=samples,
-            spring=SpringParams(632, 1e-05),
-            grasp_point=Vec3(-0.0, 5e-324, 1e16),
-            label=Label.FAILURE,
-            ground_truth=ground_truth,
-            id=trial_id,
-        )
+        trial = special_trial(trial_id, ground_truth)
         assert written(trial) == json_text(trial)
+        assert loaded_from(written(trial).decode()).id == trial_id
+
+
+class TestBitExactRoundTrip:
+    def test_special_values_keep_their_bits(self):
+        trial = special_trial()
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "t.json"
+            save_trial(trial, path)
+            loaded = load_trial(path)
+        original, got = bits(trial), bits(loaded)
+        for name in COLUMNS:  # these quaternions have norm exactly 1
+            np.testing.assert_array_equal(got[name], original[name])
+        assert np.signbit(loaded.samples.t[0]) and loaded.samples.rotation_wxyz[0, 1] == 5e-324
+        assert loaded.samples.translation.max() == 1.7976931348623157e308
+        assert_loads_bit_exact(trial)
+
+    def test_generated_trials_load_to_the_same_bits_from_v1_and_v2(self):
+        cfg = replace(SimConfig(), noise_sigma=0.05, seed=33)
+        for record in generate_corpus(cfg, 4, 0.5):
+            assert_loads_bit_exact(record.trial)
+
+    def test_v2_file_is_smaller_than_v1(self):
+        trial = sim_trial()
+        assert len(written(trial)) < len(v1_text(trial).encode()) / 2
 
 
 float_values = st.sampled_from(SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS]) | st.floats(
@@ -172,6 +240,7 @@ def trials(draw):
 @given(trials())
 def test_any_trial_file_is_its_json_document(trial):
     assert written(trial) == json_text(trial)
+    assert_loads_bit_exact(trial)
 
 
 class TestTrialValidationOnLoad:
@@ -267,6 +336,188 @@ class TestTrialValidationOnLoad:
             trial_from_dict(doc)
 
 
+def v2_doc():
+    return trial_to_v2_dict(pull_trial([0.3, 0.0, 0.5], n=3))
+
+
+def with_column(doc, name, values):
+    doc["columns"][name] = encode_column(values)
+    return doc
+
+
+class TestV2ColumnsOnLoad:
+    """Each defect in an encoded column is a ValidationError naming the column."""
+
+    def test_v2_document_loads(self):
+        trial = trial_from_dict(v2_doc())
+        assert len(trial.samples) == 3 and trial.id == "pull"
+
+    @pytest.mark.parametrize("value", [None, 5, ["AAAAAAAAAAA="], {"a": 1}])
+    def test_column_not_a_string(self, value):
+        doc = v2_doc()
+        doc["columns"]["torque"] = value
+        with pytest.raises(ValidationError, match="columns: torque: expected a base64 string"):
+            trial_from_dict(doc)
+
+    def test_missing_column(self):
+        doc = v2_doc()
+        del doc["columns"]["force"]
+        with pytest.raises(ValidationError, match="columns: force"):
+            trial_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [[], "AAAA", 5])
+    def test_columns_not_an_object(self, value):
+        doc = v2_doc()
+        doc["columns"] = value
+        with pytest.raises(ValidationError, match="columns must be an object"):
+            trial_from_dict(doc)
+
+    def test_missing_columns(self):
+        doc = v2_doc()
+        del doc["columns"]
+        with pytest.raises(ValidationError, match="missing required field 'columns'"):
+            trial_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda text: text[:-1],  # padding cut short
+            lambda text: "-" + text[1:],  # outside the standard alphabet
+            lambda text: text + "\n",
+            lambda text: "\u00e9" + text,
+            lambda text: text[:4] + "=" + text[4:],
+        ],
+    )
+    def test_bad_base64(self, mangle):
+        doc = v2_doc()
+        doc["columns"]["translation"] = mangle(doc["columns"]["translation"])
+        with pytest.raises(ValidationError, match="columns: translation: invalid base64"):
+            trial_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("translation", np.zeros((3, 2))),
+            ("rotation_wxyz", np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))),
+            ("force", np.zeros((2, 3))),
+            ("torque", np.zeros(10)),
+        ],
+    )
+    def test_wrong_value_count(self, name, values):
+        doc = with_column(v2_doc(), name, values)
+        with pytest.raises(ValidationError, match=f"columns: {name}: expected .* for 3 samples"):
+            trial_from_dict(doc)
+
+    def test_t_must_hold_whole_float64_values(self):
+        doc = v2_doc()
+        doc["columns"]["t"] = base64.b64encode(b"\0" * 20).decode()
+        with pytest.raises(ValidationError, match="columns: t: 20 bytes"):
+            trial_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name, row", [("force", 2), ("translation", 1), ("t", 0)])
+    def test_non_finite_value_names_the_sample(self, name, row, bad):
+        trial = pull_trial([0.3, 0.0, 0.5], n=3)
+        values = getattr(trial.samples, name).copy()
+        values[row] = bad
+        doc = with_column(trial_to_v2_dict(trial), name, values)
+        named = f"columns: {name}: samples\\[{row}\\]: .*finite"
+        with pytest.raises(ValidationError, match=named):
+            trial_from_dict(doc)
+
+    def test_decreasing_timestamps_name_the_sample(self):
+        doc = with_column(v2_doc(), "t", [0.0, 0.002, 0.001])
+        with pytest.raises(ValidationError, match="samples\\[2\\]: timestamp"):
+            trial_from_dict(doc)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_two_sample_minimum(self, n):
+        trial = pull_trial([0.3, 0.0, 0.5], n=3)
+        doc = trial_to_v2_dict(trial)
+        for name in COLUMNS:
+            doc["columns"][name] = encode_column(getattr(trial.samples, name)[:n])
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            trial_from_dict(doc)
+
+    def test_quaternion_norm_policy(self):
+        q = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        q[0, 0] = 1.0 + 5e-8
+        trial_from_dict(with_column(v2_doc(), "rotation_wxyz", q))
+        q[0, 0] = 1.0 + 5e-5
+        with pytest.warns(UserWarning, match="renormalizing"):
+            trial = trial_from_dict(with_column(v2_doc(), "rotation_wxyz", q))
+        assert abs(trial.samples.rotation_wxyz[0, 0] - 1.0) < 1e-12
+        q[0, 0] = 1.1
+        with pytest.raises(ValidationError, match="quaternion norm"):
+            trial_from_dict(with_column(v2_doc(), "rotation_wxyz", q))
+
+
+class TestHugeQuaternion:
+    """A finite quaternion whose squared norm overflows is rejected with the
+    norm error and no numpy warning (the suite turns RuntimeWarning into an
+    error), from either schema and when built from columns."""
+
+    def test_v1(self):
+        doc = trial_to_dict(pull_trial([0.3, 0.0, 0.5], n=3))
+        doc["samples"][1]["pose"]["rotation_wxyz"] = [1e200, 0.0, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="samples\\[1\\]: rotation: quaternion norm inf"):
+            trial_from_dict(doc)
+
+    def test_v2(self):
+        q = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        q[1] = [1e200, 0.0, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="samples\\[1\\]: rotation: quaternion norm inf"):
+            trial_from_dict(with_column(v2_doc(), "rotation_wxyz", q))
+
+    def test_trial_from_columns(self):
+        q = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        q[2] = [0.0, -1e200, 0.0, 0.0]
+        with pytest.raises(ValueError, match="samples\\[2\\]: rotation_wxyz .* is not a unit"):
+            Trial(columns([0.0, 1.0, 2.0], rotation_wxyz=q), SpringParams(1.0, 1.0), Vec3(0, 0, 0))
+
+    def test_overflowing_fruit_position_with_ground_truth(self):
+        doc = trial_to_dict(pull_trial([0.3, 0.0, 0.5], n=3))
+        doc["grasp_point"] = [1e308, 0.0, 0.0]
+        doc["samples"][0]["pose"]["translation"] = [1e308, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="ground_truth must lie at a positive distance"):
+            trial_from_dict(doc)
+
+
+def _save_as_v1(trials, out, cfg, seed):
+    """The corpus ``save_corpus`` writes, with every trial file in schema v1."""
+    save_corpus(trials, out, sim_config_dict=cfg.to_dict(), seed=seed)
+    for trial in trials:
+        (out / f"{trial.id}.json").write_text(v1_text(trial))
+
+
+class TestFormatParity:
+    """A corpus saved as v2 and the same trials saved as v1 fit to the same
+    report bytes, because every column loads to the same bits."""
+
+    @pytest.mark.parametrize(
+        "cfg, n, failure_fraction",
+        [
+            (replace(SimConfig(), seed=42), 6, 0.5),  # mixed, 12 samples a trial
+            (replace(SimConfig(), seed=7, pull_speed=5.0 / 632.0 / 4.0), 2, 0.0),  # slow pull
+        ],
+        ids=["mixed", "slow_pull"],
+    )
+    def test_reports_and_columns_match(self, tmp_path, cfg, n, failure_fraction):
+        trials = [r.trial for r in generate_corpus(cfg, n, failure_fraction)]
+        save_corpus(trials, tmp_path / "v2", sim_config_dict=cfg.to_dict(), seed=cfg.seed)
+        _save_as_v1(trials, tmp_path / "v1", cfg, cfg.seed)
+        for trial in trials:
+            name = f"{trial.id}.json"
+            assert json.loads((tmp_path / "v2" / name).read_text())["schema_version"] == 2
+            assert json.loads((tmp_path / "v1" / name).read_text())["schema_version"] == 1
+            v2, v1 = (bits(load_trial(tmp_path / d / name)) for d in ("v2", "v1"))
+            for column in COLUMNS:
+                np.testing.assert_array_equal(v2[column], v1[column])
+        reports = [dump_json(run_batch(tmp_path / d, jobs=1)) for d in ("v2", "v1")]
+        assert reports[0] == reports[1]
+        assert '"status": "ok"' in reports[0] and '"status": "error' not in reports[0]
+
+
 class TestCorpus:
     def test_save_and_load(self, tmp_path):
         records = generate_corpus(SimConfig(seed=5), 6, 0.5)
@@ -318,3 +569,35 @@ class TestCorpus:
             )
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "ids, named",
+        [
+            (["same", "same"], "duplicate id 'same'"),
+            (["ok", "../escaped"], "inside the corpus directory, got '../escaped.json'"),
+            (["/abs"], "inside the corpus directory"),
+            (["a/../../b"], "inside the corpus directory"),
+        ],
+    )
+    def test_rejects_ids_load_manifest_would_reject(self, tmp_path, ids, named):
+        records = generate_corpus(SimConfig(seed=5), len(ids), 0.0)
+        trials = [replace(r.trial, id=trial_id) for r, trial_id in zip(records, ids)]
+        out = tmp_path / "work" / "corpus"
+        with pytest.raises(ValidationError, match=named):
+            save_corpus(trials, out)
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_rejects_an_empty_corpus(self, tmp_path):
+        with pytest.raises(ValidationError, match="no trials"):
+            save_corpus([], tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
+
+    def test_saved_corpus_passes_load_manifest(self, tmp_path):
+        records = generate_corpus(SimConfig(seed=5), 3, 0.0)
+        ids = ["x y", ".hidden", "\u00e9"]
+        trials = [replace(r.trial, id=trial_id) for r, trial_id in zip(records, ids)]
+        save_corpus(trials, tmp_path / "corpus")
+        manifest = load_manifest(tmp_path / "corpus")
+        assert [e["id"] for e in manifest["trials"]] == ids
+        for entry in manifest["trials"]:
+            assert load_trial(tmp_path / "corpus" / entry["file"]).id == entry["id"]

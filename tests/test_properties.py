@@ -1,6 +1,8 @@
-"""Property tests of the input boundaries: trial documents, sample columns,
-corpus files, CLI config files, and fits of extreme but finite trials."""
+"""Property tests of the input boundaries: trial documents (schema v1 and
+v2), sample columns, corpus files, report files, CLI config files, and fits
+of extreme but finite trials."""
 
+import base64
 import copy
 import json
 import pickle
@@ -16,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stemfit.batch import run_batch
-from stemfit.cli import _sim_config, _solver_config
+from stemfit.batch import PLOT_KINDS, run_batch
+from stemfit.cli import _sim_config, _solver_config, main
 from stemfit.errors import EvaluationFailureError, StemfitError
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
@@ -25,7 +27,14 @@ from stemfit.solver import SolverConfig, fit
 from stemfit.spring_model import SampleColumns, SpringParams, Trial, TrialArrays
 from stemfit.trial_io import save_corpus, trial_from_dict
 
-from conftest import assert_kernels_match_reference, pull_trial, trial_to_dict
+from conftest import (
+    assert_kernels_match_reference,
+    encode_column,
+    pull_trial,
+    trial_to_dict,
+    trial_to_v2_dict,
+    v1_text,
+)
 
 COLUMN_WIDTHS = {"t": None, "translation": 3, "rotation_wxyz": 4, "force": 3, "torque": 3}
 
@@ -45,7 +54,34 @@ json_values = st.recursive(
 )
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
-BASE_DOC = trial_to_dict(pull_trial([0.3, 0.0, 0.5], n=3))
+BASE_TRIAL = pull_trial([0.3, 0.0, 0.5], n=3)
+BASE_DOCS = {"v1": trial_to_dict(BASE_TRIAL), "v2": trial_to_v2_dict(BASE_TRIAL)}
+BASE64_TEXT = st.text(
+    alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=", max_size=24
+)
+# what a v2 column may hold: any base64-alphabet text, or the exact encoding
+# of 0-12 arbitrary doubles (NaN and infinities included)
+encoded_columns = BASE64_TEXT | arrays(
+    float, st.integers(min_value=0, max_value=12), elements=st.floats()
+).map(encode_column)
+# v2 documents with a valid head and five columns of any encoded length, or
+# with any part replaced by arbitrary JSON
+v2_documents = st.fixed_dictionaries(
+    {
+        "schema_version": st.just(2),
+        "id": st.just("x") | json_leaves,
+        "label": st.just("success") | json_leaves,
+        "spring": st.just({"k": 632.0, "l": 0.1}) | json_values,
+        "grasp_point": st.just([0.0, 0.0, 0.0]) | json_values,
+        "columns": st.fixed_dictionaries({name: encoded_columns for name in COLUMN_WIDTHS})
+        | st.dictionaries(
+            st.sampled_from(sorted(COLUMN_WIDTHS)) | st.text(max_size=3),
+            encoded_columns | json_values,
+            max_size=6,
+        )
+        | json_values,
+    }
+)
 
 
 def _paths(node, prefix=()):
@@ -77,7 +113,7 @@ def _set(doc, path, value):
     return doc
 
 
-@given(json_values)
+@given(json_values | v2_documents)
 def test_arbitrary_json_raises_only_stemfit_errors(value):
     try:
         trial_from_dict(value)
@@ -85,10 +121,11 @@ def test_arbitrary_json_raises_only_stemfit_errors(value):
         pass
 
 
-@given(st.data())
-def test_any_one_value_replaced_raises_only_stemfit_errors(data):
-    path = data.draw(st.sampled_from(list(_paths(BASE_DOC))))
-    doc = _set(copy.deepcopy(BASE_DOC), path, data.draw(json_values))
+@given(st.data(), st.sampled_from(sorted(BASE_DOCS)))
+def test_any_one_value_replaced_raises_only_stemfit_errors(data, version):
+    base = BASE_DOCS[version]
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    doc = _set(copy.deepcopy(base), path, data.draw(json_values | encoded_columns))
     try:
         trial = trial_from_dict(doc)
     except StemfitError:
@@ -120,6 +157,56 @@ def test_arbitrary_config_objects_raise_only_stemfit_errors(doc):
                 load()
             except StemfitError:
                 pass
+
+
+ROW_VALUES = {
+    "id": st.text(max_size=3),
+    "label": st.sampled_from(["success", "failure"]),
+    "status": st.just("ok"),
+    "converged": st.booleans(),
+    "final_mse": st.none() | finite,
+    "localization_error": st.none() | finite,
+    "orientation_error": st.none() | finite,
+    "ground_truth": st.none() | st.lists(finite, min_size=3, max_size=3),
+    "r_o_hat": st.none() | st.lists(finite, min_size=3, max_size=3),
+}
+fitted_rows = st.fixed_dictionaries(ROW_VALUES)
+REMOVED = object()
+# a fitted row as a batch writes it, with up to two of its keys given any
+# JSON value or removed; or any JSON value at all
+report_rows = (
+    fitted_rows
+    | st.tuples(
+        fitted_rows,
+        st.dictionaries(
+            st.sampled_from(sorted(ROW_VALUES)), st.just(REMOVED) | json_values, max_size=2
+        ),
+    ).map(lambda pair: {k: v for k, v in {**pair[0], **pair[1]}.items() if v is not REMOVED})
+    | json_values
+)
+report_documents = st.fixed_dictionaries(
+    {
+        "kind": st.just("stemfit-report"),
+        "per_trial": st.lists(report_rows, max_size=3) | json_values,
+    },
+    optional={
+        "timing": st.fixed_dictionaries(
+            {"per_trial": st.dictionaries(st.text(max_size=3), finite | json_leaves, max_size=3)}
+        )
+        | json_values
+    },
+)
+
+
+@settings(deadline=None)
+@given(report_documents | json_values)
+def test_arbitrary_report_files_give_only_stemfit_errors(doc):
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work) / "report.json", Path(work) / "out.csv"
+        path.write_text(json.dumps(doc))
+        for kind in PLOT_KINDS:
+            argv = ["report", "--in", str(path), "--plot-data", kind, "--out", str(out)]
+            assert main(argv) in (0, 1)  # a traceback would propagate out of main
 
 
 def _column_strategy(n, width, unit_rows=False):
@@ -195,12 +282,16 @@ def test_columns_stay_read_only_through_pickle():
 
 
 @pytest.fixture(scope="module")
-def clean_corpus(tmp_path_factory):
-    out = tmp_path_factory.mktemp("props") / "corpus"
+def clean_corpora(tmp_path_factory):
+    """Three clean trials saved as a v2 corpus and as a v1 corpus."""
+    root = tmp_path_factory.mktemp("props")
     cfg = replace(SimConfig(), noise_sigma=0.0, seed=5)
-    records = generate_corpus(cfg, 3, 0.0)
-    save_corpus([r.trial for r in records], out, sim_config_dict=cfg.to_dict(), seed=5)
-    return out
+    trials = [r.trial for r in generate_corpus(cfg, 3, 0.0)]
+    for version in ("v1", "v2"):
+        save_corpus(trials, root / version, sim_config_dict=cfg.to_dict(), seed=5)
+    for trial in trials:
+        (root / "v1" / f"{trial.id}.json").write_text(v1_text(trial))
+    return root
 
 
 def _truncated(data, text):
@@ -233,22 +324,54 @@ def _not_a_trial(data, text):
     return json.dumps(value).encode()
 
 
+def _bad_column(data, text):
+    """One encoded column of a v2 file made unreadable: cut short, given a
+    character outside the alphabet, given a non-finite value or a wrong
+    value count, or replaced by a value that is not a string."""
+    doc = json.loads(text)
+    name = data.draw(st.sampled_from(sorted(COLUMN_WIDTHS)))
+    encoded = doc["columns"][name]
+    values = np.frombuffer(base64.b64decode(encoded), "<f8").copy()
+    at = data.draw(st.integers(min_value=0, max_value=values.size - 1))
+    non_finite = values.copy()
+    non_finite[at] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    doc["columns"][name] = data.draw(
+        st.sampled_from(
+            [
+                encoded[: -data.draw(st.integers(min_value=1, max_value=3))],
+                encoded[:at] + data.draw(st.sampled_from("-_ .\u00e9")) + encoded[at:],
+                encode_column(non_finite),
+                encode_column(np.delete(values, at)),
+                encode_column(np.append(values, values[at])),
+            ]
+        )
+        | json_leaves.filter(lambda v: not isinstance(v, str))
+    )
+    return json.dumps(doc).encode()
+
+
 CORRUPTIONS = {
     "truncated": _truncated,
     "invalid_utf8": _invalid_utf8,
     "bad_number": _bad_number,
     "not_a_trial": _not_a_trial,
+    "bad_column": _bad_column,
 }
+# a v1 file has no encoded columns
+VERSION_CORRUPTIONS = {"v1": sorted(set(CORRUPTIONS) - {"bad_column"}), "v2": sorted(CORRUPTIONS)}
 
 
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(st.data(), st.sampled_from(sorted(CORRUPTIONS)), st.integers(min_value=0, max_value=2))
-def test_one_corrupted_file_gives_exactly_one_error_row(clean_corpus, data, corruption, index):
+@given(
+    st.data(), st.sampled_from(sorted(VERSION_CORRUPTIONS)), st.integers(min_value=0, max_value=2)
+)
+def test_one_corrupted_file_gives_exactly_one_error_row(clean_corpora, data, version, index):
+    corruption = data.draw(st.sampled_from(VERSION_CORRUPTIONS[version]))
     with tempfile.TemporaryDirectory() as work:
         corpus = Path(work) / "corpus"
-        shutil.copytree(clean_corpus, corpus)
+        shutil.copytree(clean_corpora / version, corpus)
         victim = corpus / f"trial_{index:03d}.json"
         victim.write_bytes(CORRUPTIONS[corruption](data, victim.read_bytes()))
         report = run_batch(corpus)

@@ -17,11 +17,11 @@ from stemfit.spring_model import (
     TrialArrays,
     apple_position_world,
     cost_and_gradient,
-    predict_force,
 )
 
 from conftest import (
     pose_point_reference,
+    predict_force,
     rotation_matrix_reference,
     trial_to_dict,
     wrench_to_world_reference,

@@ -18,13 +18,13 @@ from stemfit.spring_model import (
     cost_hessian,
     constraint_values_jacobian,
     min_sample_distance,
-    predict_force,
 )
 
 from conftest import (
     assert_kernels_match_reference,
     columns,
     pose_point_reference,
+    predict_force,
     pull_trial,
     random_unit_quaternion,
     rotation_matrix_reference,
