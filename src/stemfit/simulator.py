@@ -19,9 +19,14 @@ from .geometry import UnitQuaternion, Vec3, finite_number, rotate_rows
 from .spring_model import Label, SampleColumns, SpringParams, Trial
 
 _ZERO_COMPLIANCE = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-# generate_trial allocates the whole pull window before it finds the force
-# cap, so a config whose window exceeds this many samples is rejected
+# generate_trial evaluates only the prefix of the pull window that the force
+# cap needs, but a config whose cap is never reached costs the whole window
+# before that is known, so a config whose window exceeds this many samples is
+# rejected
 MAX_WINDOW_SAMPLES = 1_000_000
+# rows of the first window prefix generate_trial evaluates; each further
+# prefix doubles it, up to the whole window
+FIRST_PREFIX_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -220,6 +225,46 @@ def _solve_equilibrium(r_o, rigid_pos, comp_world, k, l, x_init):
     raise SimulationConfigError("compliant-grasp equilibrium solve did not converge")
 
 
+def _pull_to_cap(config, r_o, fruit_start, normal, comp_world, step_travel):
+    """Travel, true fruit positions and world-frame spring forces of the pull
+    from rest, through the first sample whose noiseless force reaches
+    ``force_cap``, and that sample's index.
+
+    The rows are evaluated on a prefix of the pull window that starts at
+    ``FIRST_PREFIX_ROWS`` rows and doubles until it holds the cap. Every row
+    comes from per-row arithmetic, so a prefix's rows have the bits of the
+    same rows of the whole window.
+    """
+    window = int(math.floor(config.pull_distance / step_travel)) + 1
+    size = 0
+    fruit_rows, force_rows = [], []
+    x = fruit_start
+    while size < window:
+        size = min(window, max(2 * size, FIRST_PREFIX_ROWS))
+        travel = np.arange(size) * step_travel
+        rigid = fruit_start - travel[:, None] * normal
+        if comp_world is None:
+            fruit_true = rigid
+            forces_world = _spring_forces(r_o, rigid, config.k, config.l)
+            forces_world[0] = 0.0  # the fruit starts at rest
+        else:
+            # each equilibrium solve warm-starts from the previous sample's
+            for rigid_pos in rigid[len(force_rows):]:
+                x, f_world = _solve_equilibrium(r_o, rigid_pos, comp_world, config.k, config.l, x)
+                fruit_rows.append(x)
+                force_rows.append(f_world)
+                if float(np.linalg.norm(f_world)) >= config.force_cap:
+                    break
+            fruit_true, forces_world = np.array(fruit_rows), np.array(force_rows)
+        capped = np.flatnonzero(_row_norms(forces_world) >= config.force_cap)
+        if capped.size:
+            return travel, fruit_true, forces_world, int(capped[0])
+    raise SimulationConfigError(
+        f"force cap {config.force_cap} N not reached within pull_distance "
+        f"{config.pull_distance} m; lengthen the pull or soften the cap"
+    )
+
+
 def generate_trial(
     config: SimConfig, rng: np.random.Generator, trial_id: str = "trial-0"
 ) -> SimTrialRecord:
@@ -229,7 +274,9 @@ def generate_trial(
     orientation from the quarter sphere. The fruit starts at rest-length
     distance from the attachment; the hand then retreats along the palm
     normal, and sampling stops just before the noiseless force magnitude
-    reaches ``force_cap``.
+    reaches ``force_cap``. Only the recorded part of the pull is evaluated,
+    through the sample that reaches the cap (rounded up to a doubling
+    prefix of the window), not the whole ``pull_distance``.
     """
     lo = config.attachment_region[0].as_array()
     hi = config.attachment_region[1].as_array()
@@ -254,33 +301,9 @@ def generate_trial(
     comp_world = rot @ comp_sensor @ rot.T if compliant else None
 
     dt = 1.0 / config.sample_rate
-    step_travel = config.pull_speed * dt
-    n_max = int(math.floor(config.pull_distance / step_travel))
-    travel = np.arange(n_max + 1) * step_travel
-    rigid = fruit_start - travel[:, None] * normal
-
-    if compliant:
-        # each equilibrium solve warm-starts from the previous sample's
-        fruit_true, forces_world = [], []
-        x = fruit_start
-        for rigid_pos in rigid:
-            x, f_world = _solve_equilibrium(r_o, rigid_pos, comp_world, config.k, config.l, x)
-            fruit_true.append(x)
-            forces_world.append(f_world)
-            if float(np.linalg.norm(f_world)) >= config.force_cap:
-                break
-        fruit_true, forces_world = np.array(fruit_true), np.array(forces_world)
-    else:
-        fruit_true = rigid
-        forces_world = _spring_forces(r_o, rigid, config.k, config.l)
-        forces_world[0] = 0.0  # the fruit starts at rest
-    capped = np.flatnonzero(_row_norms(forces_world) >= config.force_cap)
-    if capped.size == 0:
-        raise SimulationConfigError(
-            f"force cap {config.force_cap} N not reached within pull_distance "
-            f"{config.pull_distance} m; lengthen the pull or soften the cap"
-        )
-    n = int(capped[0])
+    travel, fruit_true, forces_world, n = _pull_to_cap(
+        config, r_o, fruit_start, normal, comp_world, config.pull_speed * dt
+    )
     if n < 2:
         raise SimulationConfigError(
             "force cap reached before the second sample; raise sample_rate or "

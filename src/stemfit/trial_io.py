@@ -285,9 +285,11 @@ def load_trial(path) -> Trial:
 def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: int | None = None):
     """Write trials plus a manifest into ``out_dir`` (created if needed).
 
-    The manifest entries pass ``load_manifest``'s checks before any file is
-    written, so an id that repeats or that would name a file outside
-    ``out_dir`` is a ValidationError and leaves ``out_dir`` untouched."""
+    Each trial goes to ``<id>.json``. The manifest entries pass
+    ``load_manifest``'s checks, and each id must be a plain file name (not
+    empty, ``.`` or ``..``, without a path separator or NUL, and not naming
+    the manifest), before any file is written; otherwise a ValidationError
+    leaves ``out_dir`` untouched."""
     out_dir = Path(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
     trials = list(trials)
@@ -296,6 +298,18 @@ def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: i
         for trial in trials
     ]
     _check_entries(entries, str(manifest_path))
+    for i, entry in enumerate(entries):
+        trial_id = entry["id"]
+        if (
+            trial_id in ("", ".", "..")
+            or any(sep in trial_id for sep in ("/", os.sep, "\0"))
+            or entry["file"] == MANIFEST_NAME
+        ):
+            raise ValidationError(
+                f"{manifest_path}: trials[{i}]: id {trial_id!r} is not a plain file "
+                f"name (an id may not be empty, '.' or '..', hold a path separator "
+                f"or NUL, or name {MANIFEST_NAME})"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
     if manifest_path.exists():
         raise FileExistsError(f"{manifest_path}: corpus manifest already exists")

@@ -2,19 +2,35 @@
 references that tests hold the package to: the spring force law, the
 per-sample pose and wrench mappings behind its stacked (columnar)
 computations, the row-wise (n, 3) model formulas behind its columnar model
-kernels, and the v1 and v2 trial documents behind its trial-file reader and
-writer."""
+kernels, the v1 and v2 trial documents behind its trial-file reader and
+writer, and the whole-window pull behind the simulator's prefix evaluation."""
 
 import base64
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from stemfit import spring_model
-from stemfit.errors import SingularityError
-from stemfit.geometry import UnitQuaternion, Vec3
-from stemfit.spring_model import SINGULARITY_DISTANCE, SampleColumns, SpringParams, Trial
+from stemfit.errors import SimulationConfigError, SingularityError
+from stemfit.geometry import UnitQuaternion, Vec3, rotate_rows
+from stemfit.simulator import (
+    SimTrialRecord,
+    _perpendicular_basis,
+    _rotate_about,
+    _row_norms,
+    _solve_equilibrium,
+    _spring_forces,
+    sample_orientation,
+)
+from stemfit.spring_model import (
+    SINGULARITY_DISTANCE,
+    Label,
+    SampleColumns,
+    SpringParams,
+    Trial,
+)
 from stemfit.trial_io import dump_json
 
 
@@ -137,6 +153,93 @@ def assert_kernels_match_reference(x, arrays):
     distance = spring_model.min_sample_distance(x, arrays)
     distance_ref = min_sample_distance_reference(x, arrays)
     assert distance == distance_ref or (np.isnan(distance) and np.isnan(distance_ref))
+
+
+def generate_trial_reference(config, rng, trial_id="trial-0") -> SimTrialRecord:
+    """One pull trial evaluated on the whole ``pull_distance`` window before
+    the force cap is looked for: the package's ``generate_trial`` evaluates
+    only a prefix of that window and must give the same bits, draw the same
+    random numbers and raise the same errors."""
+    lo = config.attachment_region[0].as_array()
+    hi = config.attachment_region[1].as_array()
+    r_o = rng.uniform(lo, hi)
+    orientation = sample_orientation(rng)
+    rot = orientation.rotation_matrix()
+    normal = rot @ np.array([0.0, 0.0, 1.0])
+
+    spring_axis = normal
+    if config.off_axis_angle_deg > 0.0:
+        a, b = _perpendicular_basis(normal)
+        psi = rng.uniform(0.0, 2.0 * math.pi)
+        tilt_axis = math.cos(psi) * a + math.sin(psi) * b
+        spring_axis = _rotate_about(normal, tilt_axis, math.radians(config.off_axis_angle_deg))
+
+    fruit_start = r_o - config.l * spring_axis
+    grasp_sensor = config.grasp_point.as_array()
+    sensor_start = fruit_start - rot @ grasp_sensor
+
+    comp_sensor = config.compliance_matrix
+    compliant = bool(np.any(comp_sensor != 0.0))
+    comp_world = rot @ comp_sensor @ rot.T if compliant else None
+
+    dt = 1.0 / config.sample_rate
+    step_travel = config.pull_speed * dt
+    n_max = int(math.floor(config.pull_distance / step_travel))
+    travel = np.arange(n_max + 1) * step_travel
+    rigid = fruit_start - travel[:, None] * normal
+
+    if compliant:
+        fruit_true, forces_world = [], []
+        x = fruit_start
+        for rigid_pos in rigid:
+            x, f_world = _solve_equilibrium(r_o, rigid_pos, comp_world, config.k, config.l, x)
+            fruit_true.append(x)
+            forces_world.append(f_world)
+            if float(np.linalg.norm(f_world)) >= config.force_cap:
+                break
+        fruit_true, forces_world = np.array(fruit_true), np.array(forces_world)
+    else:
+        fruit_true = rigid
+        forces_world = _spring_forces(r_o, rigid, config.k, config.l)
+        forces_world[0] = 0.0
+    capped = np.flatnonzero(_row_norms(forces_world) >= config.force_cap)
+    if capped.size == 0:
+        raise SimulationConfigError(
+            f"force cap {config.force_cap} N not reached within pull_distance "
+            f"{config.pull_distance} m; lengthen the pull or soften the cap"
+        )
+    n = int(capped[0])
+    if n < 2:
+        raise SimulationConfigError(
+            "force cap reached before the second sample; raise sample_rate or "
+            "slow the pull"
+        )
+
+    sensor_positions = sensor_start - travel[:n, None] * normal
+    forces_sensor = rotate_rows(rot.T, forces_world[:n])
+    forces_sensor = forces_sensor + rng.normal(0.0, config.noise_sigma, size=(n, 3))
+    grasp_true_sensor = rotate_rows(rot.T, fruit_true[:n] - sensor_positions)
+    torques_sensor = np.cross(grasp_true_sensor, forces_sensor)
+
+    samples = SampleColumns(
+        t=np.arange(n) * dt,
+        translation=sensor_positions,
+        rotation_wxyz=np.tile([orientation.w, orientation.x, orientation.y, orientation.z], (n, 1)),
+        force=forces_sensor,
+        torque=torques_sensor,
+    )
+    try:
+        trial = Trial(
+            samples=samples,
+            spring=SpringParams(config.k, config.l),
+            grasp_point=config.grasp_point,
+            label=Label.FAILURE if compliant else Label.SUCCESS,
+            ground_truth=Vec3.from_array(r_o),
+            id=trial_id,
+        )
+    except ValueError as exc:
+        raise SimulationConfigError(f"{trial_id}: {exc}") from exc
+    return SimTrialRecord(trial=trial, compliance_applied=compliant)
 
 
 def _head(trial: Trial, version: int) -> dict:

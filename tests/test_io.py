@@ -587,6 +587,38 @@ class TestCorpus:
             save_corpus(trials, out)
         assert list(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("bad_id", ["", ".", "..", "sub/x", "manifest", "nul\0byte"])
+    def test_rejects_ids_that_are_not_plain_file_names(self, tmp_path, bad_id):
+        # the good trial comes first: nothing may be written before the bad id is seen
+        records = generate_corpus(SimConfig(seed=5), 2, 0.0)
+        trials = [records[0].trial, replace(records[1].trial, id=bad_id)]
+        with pytest.raises(ValidationError, match=r"trials\[1\]: id .* is not a plain file name"):
+            save_corpus(trials, tmp_path / "work" / "corpus")
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("bad_id", ["sub/x", "manifest"])
+    def test_rejected_id_leaves_an_existing_directory_untouched(self, tmp_path, bad_id):
+        out = tmp_path / "corpus"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        records = generate_corpus(SimConfig(seed=5), 2, 0.0)
+        trials = [records[0].trial, replace(records[1].trial, id=bad_id)]
+        with pytest.raises(ValidationError, match="not a plain file name"):
+            save_corpus(trials, out)
+        assert [p.name for p in out.rglob("*")] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_load_manifest_accepts_a_hand_made_subdirectory_entry(self, tmp_path):
+        record = generate_trial(SimConfig(), np.random.default_rng(5), "x")
+        out = tmp_path / "corpus"
+        (out / "sub").mkdir(parents=True)
+        save_trial(replace(record.trial, id="sub/x"), out / "sub" / "x.json")
+        entry = {"id": "sub/x", "label": "success", "file": "sub/x.json"}
+        (out / MANIFEST_NAME).write_text(json.dumps({"schema_version": 1, "trials": [entry]}))
+        assert load_manifest(out)["trials"] == [entry]
+        report = run_batch(out)
+        assert [(r["id"], r["status"]) for r in report["per_trial"]] == [("sub/x", "ok")]
+
     def test_rejects_an_empty_corpus(self, tmp_path):
         with pytest.raises(ValidationError, match="no trials"):
             save_corpus([], tmp_path / "corpus")

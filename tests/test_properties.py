@@ -141,8 +141,9 @@ config_objects = st.dictionaries(
 )
 
 
-# builds configs only: an allowed config can still ask generate_trial for a
-# pull window of up to MAX_WINDOW_SAMPLES samples
+# builds configs only: generate_trial evaluates the pull only up to the force
+# cap, but an allowed config whose cap is never reached still costs a pull
+# window of up to MAX_WINDOW_SAMPLES samples
 @settings(deadline=None)
 @given(config_objects | json_values)
 def test_arbitrary_config_objects_raise_only_stemfit_errors(doc):

@@ -1,18 +1,24 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stemfit.errors import SimulationConfigError
 from stemfit.geometry import Vec3
 from stemfit.simulator import (
+    FIRST_PREFIX_ROWS,
+    MAX_WINDOW_SAMPLES,
     SimConfig,
     generate_corpus,
     generate_trial,
     sample_orientation,
 )
 from stemfit.spring_model import (
+    COLUMN_WIDTHS,
     Label,
     TrialArrays,
     apple_position_world,
@@ -20,6 +26,7 @@ from stemfit.spring_model import (
 )
 
 from conftest import (
+    generate_trial_reference,
     pose_point_reference,
     predict_force,
     rotation_matrix_reference,
@@ -215,6 +222,164 @@ class TestCompliance:
             SimConfig(grasp_compliance=((0, 1e-3, 0), (0, 0, 0), (0, 0, 0)))
         with pytest.raises(ValueError, match="semidefinite"):
             SimConfig(grasp_compliance=((-1e-3, 0, 0), (0, 0, 0), (0, 0, 0)))
+
+
+def isotropic(c):
+    return ((c, 0.0, 0.0), (0.0, c, 0.0), (0.0, 0.0, c))
+
+
+ANISOTROPIC = ((0.006, 0.001, -0.002), (0.001, 0.003, 0.0005), (-0.002, 0.0005, 0.004))
+PULL_SPEEDS = [0.33, 5.0 / 632.0 / 0.45, 5.0 / 632.0 / 4.0]
+
+
+def assert_matches_reference(config, seed):
+    """Run ``generate_trial`` and the whole-window reference on the same seed
+    and require the same column bits, trial fields and generator state, or
+    the same SimulationConfigError message; return ``generate_trial``'s
+    record or message."""
+    outcomes, states = [], []
+    for generate in (generate_trial, generate_trial_reference):
+        rng = np.random.default_rng(seed)
+        try:
+            outcomes.append(generate(config, rng, "p"))
+        except SimulationConfigError as exc:
+            outcomes.append(str(exc))
+        states.append(rng.bit_generator.state)
+    got, want = outcomes
+    assert states[0] == states[1]
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return got
+    for name in COLUMN_WIDTHS:
+        a, b = getattr(got.trial.samples, name), getattr(want.trial.samples, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert got.trial.ground_truth.as_array().tobytes() == want.trial.ground_truth.as_array().tobytes()
+    assert (got.trial.label, got.trial.spring, got.trial.grasp_point, got.trial.id) == (
+        want.trial.label,
+        want.trial.spring,
+        want.trial.grasp_point,
+        want.trial.id,
+    )
+    assert got.compliance_applied == want.compliance_applied
+    return got
+
+
+def boundary_config(cap_index, compliance, pull_speed):
+    """A noiseless straight pull whose first capped sample is ``cap_index``:
+    the cap sits half a sampling step of force below that sample's force.
+    With isotropic compliance c the pull loads at k / (1 + k c)."""
+    cfg = noiseless(pull_speed=pull_speed, grasp_compliance=isotropic(compliance))
+    stiffness = cfg.k / (1.0 + cfg.k * compliance)
+    step = cfg.pull_speed / cfg.sample_rate
+    return replace(cfg, force_cap=stiffness * step * (cap_index - 0.5))
+
+
+# first capped samples on either side of the first two prefix boundaries
+BOUNDARY_CAPS = [
+    edge + offset for edge in (FIRST_PREFIX_ROWS, 2 * FIRST_PREFIX_ROWS) for offset in (-1, 0, 1)
+]
+
+
+class TestPrefixMatchesWholeWindow:
+    """``generate_trial`` evaluates a growing prefix of the pull window; the
+    whole-window reference in conftest must give the same bits."""
+
+    @pytest.mark.parametrize("speed", PULL_SPEEDS)
+    @pytest.mark.parametrize("angle", [0.0, 30.0, 60.0])
+    def test_rigid_bit_exact(self, speed, angle):
+        cfg = replace(SimConfig(), pull_speed=speed, off_axis_angle_deg=angle)
+        for seed in (0, 7, 77):
+            assert not assert_matches_reference(cfg, seed).compliance_applied
+
+    @pytest.mark.parametrize("speed", PULL_SPEEDS)
+    @pytest.mark.parametrize("angle", [0.0, 30.0, 60.0])
+    @pytest.mark.parametrize("compliance", [isotropic(0.004), ANISOTROPIC], ids=["iso", "aniso"])
+    def test_compliant_bit_exact(self, speed, angle, compliance):
+        cfg = replace(
+            SimConfig(), pull_speed=speed, off_axis_angle_deg=angle, grasp_compliance=compliance
+        )
+        for seed in (1, 9090):
+            assert assert_matches_reference(cfg, seed).compliance_applied
+
+    @pytest.mark.parametrize("cap_index", BOUNDARY_CAPS)
+    @pytest.mark.parametrize("compliance", [0.0, 0.004])
+    def test_cap_on_either_side_of_a_prefix_boundary(self, cap_index, compliance):
+        cfg = boundary_config(cap_index, compliance, pull_speed=0.01)
+        record = assert_matches_reference(cfg, 3)
+        assert len(record.trial.samples) == cap_index
+
+    @pytest.mark.parametrize("compliance", [0.0, 0.004])
+    def test_cap_in_the_last_row_of_the_window(self, compliance):
+        cfg = boundary_config(1500, compliance, pull_speed=0.01)
+        step = cfg.pull_speed / cfg.sample_rate
+        cfg = replace(cfg, pull_distance=1500.25 * step)  # rows 0..1500
+        record = assert_matches_reference(cfg, 4)
+        assert len(record.trial.samples) == 1500
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"pull_distance": 0.004}, "not reached within pull_distance"),
+            # a window of several prefixes that never reaches the cap
+            ({"pull_speed": 0.01, "pull_distance": 0.005}, "not reached within pull_distance"),
+            ({"force_cap": 1e-3}, "before the second sample"),
+        ],
+    )
+    @pytest.mark.parametrize("compliance", [0.0, 0.004])
+    def test_config_errors_keep_their_messages(self, overrides, message, compliance):
+        cfg = replace(noiseless(grasp_compliance=isotropic(compliance)), **overrides)
+        got = assert_matches_reference(cfg, 11)
+        assert isinstance(got, str) and message in got
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        speed=st.floats(0.003, 0.5),
+        angle=st.sampled_from([0.0, 30.0, 60.0]),
+        compliance=st.sampled_from([0.0, 0.002]),
+        noise=st.sampled_from([0.0, 0.1]),
+    )
+    def test_any_pull_matches_reference(self, seed, speed, angle, compliance, noise):
+        cfg = replace(
+            SimConfig(),
+            pull_speed=speed,
+            off_axis_angle_deg=angle,
+            grasp_compliance=isotropic(compliance),
+            noise_sigma=noise,
+        )
+        assert_matches_reference(cfg, seed)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        speed=st.floats(0.002, 0.03),
+        cap_index=st.sampled_from(BOUNDARY_CAPS),
+        compliance=st.sampled_from([0.0, 0.002]),
+    )
+    def test_any_boundary_cap_matches_reference(self, seed, speed, cap_index, compliance):
+        record = assert_matches_reference(boundary_config(cap_index, compliance, speed), seed)
+        assert len(record.trial.samples) == cap_index
+
+
+@pytest.mark.parametrize("compliance", [0.0, 0.001], ids=["rigid", "compliant"])
+def test_memory_follows_the_recorded_pull_not_the_window(compliance):
+    # a window of ~990,000 samples whose cap comes within a few thousand
+    cfg = noiseless(
+        pull_speed=0.15 * 500.0 / 990_000, force_cap=0.2, grasp_compliance=isotropic(compliance)
+    )
+    window_rows = math.floor(cfg.pull_distance / (cfg.pull_speed / cfg.sample_rate)) + 1
+    assert 0.9 * MAX_WINDOW_SAMPLES < window_rows <= MAX_WINDOW_SAMPLES + 1
+    tracemalloc.start()
+    try:
+        record = generate_trial(cfg, np.random.default_rng(3), "alloc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(record.trial.samples) < 5000
+    # numpy reports its buffers to tracemalloc; one (window, 3) float64 array
+    assert peak < window_rows * 3 * 8
 
 
 class TestGenerateCorpus:
