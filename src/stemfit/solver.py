@@ -25,10 +25,15 @@ from .geometry import Vec3, finite_number
 from .spring_model import (
     Trial,
     TrialArrays,
-    cost_and_gradient,
-    cost_hessian,
     constraint_values_jacobian,
+    cost_and_gradient,
     min_sample_distance,
+    point_terms,
+    terms_constraint_jacobian,
+    terms_constraint_values,
+    terms_cost,
+    terms_gradient,
+    terms_hessian,
 )
 
 # Converged fits certify a projected-gradient norm below this (N^2/m) and a
@@ -113,39 +118,72 @@ class FitResult:
 
 
 class _Model:
-    """The model kernels at one trial, each evaluated once per point.
+    """The model at one trial, evaluated lazily at its latest point.
 
-    SLSQP asks for the cost and gradient, the constraint values and the
-    constraint Jacobian at the same point in separate calls, and the
-    iterate it returns is evaluated again; the last point's results answer
-    all of them. The key is the point's exact bytes, because SLSQP updates
-    its point in place.
+    SLSQP asks for the cost and the constraint values at every point it
+    tries, but for the gradient and the constraint Jacobian only at the
+    points it accepts, about a third of them. So the model keeps one point's
+    per-sample terms (``point_terms``) and computes each quantity from them
+    the first time it is asked for. A full evaluation at a point the model
+    has not seen (a run's start, a polish trial point) goes to the public
+    kernels. The key is the point's exact bytes, because SLSQP updates its
+    point in place.
     """
 
-    __slots__ = ("arrays", "_key", "_cost", "_constraints")
+    __slots__ = ("arrays", "_key", "_terms", "_cost", "_grad", "_values", "_jac")
 
     def __init__(self, arrays: TrialArrays):
         self.arrays = arrays
         self._key = None
-        self._cost = None
-        self._constraints = None
 
-    def _at(self, x: np.ndarray):
+    def _at(self, x: np.ndarray) -> bool:
+        """Make ``x`` the model's point; True when it was not already."""
         key = x.tobytes()
-        if key != self._key:
-            self._key, self._cost, self._constraints = key, None, None
+        if key == self._key:
+            return False
+        self._key = key
+        self._terms = self._cost = self._grad = self._values = self._jac = None
+        return True
 
-    def cost(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def _point_terms(self, x: np.ndarray):
+        if self._terms is None:
+            self._terms = point_terms(x, self.arrays)
+        return self._terms
+
+    def value(self, x: np.ndarray) -> float:
         self._at(x)
         if self._cost is None:
-            self._cost = cost_and_gradient(x, self.arrays)
+            self._cost = terms_cost(self._point_terms(x))
         return self._cost
 
-    def constraints(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(self, x: np.ndarray) -> np.ndarray:
         self._at(x)
-        if self._constraints is None:
-            self._constraints = constraint_values_jacobian(x, self.arrays)
-        return self._constraints
+        if self._grad is None:
+            self._grad = terms_gradient(self._point_terms(x), self.arrays)
+        return self._grad
+
+    def constraint_values(self, x: np.ndarray) -> np.ndarray:
+        self._at(x)
+        if self._values is None:
+            self._values = terms_constraint_values(self._point_terms(x), self.arrays)
+        return self._values
+
+    def constraint_jacobian(self, x: np.ndarray) -> np.ndarray:
+        self._at(x)
+        if self._jac is None:
+            self._jac = terms_constraint_jacobian(self._point_terms(x))
+        return self._jac
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        self._at(x)
+        return terms_hessian(self._point_terms(x), self.arrays)
+
+    def evaluate(self, x: np.ndarray):
+        """Cost, gradient, constraint values and constraint Jacobian at ``x``."""
+        if self._at(x):
+            self._cost, self._grad = cost_and_gradient(x, self.arrays)
+            self._values, self._jac = constraint_values_jacobian(x, self.arrays)
+        return self.value(x), self.gradient(x), self.constraint_values(x), self.constraint_jacobian(x)
 
 
 class _Iterate:
@@ -155,8 +193,7 @@ class _Iterate:
 
     def __init__(self, x: np.ndarray, model: _Model):
         self.x = x
-        self.cost, self.grad = model.cost(x)
-        self.values, self.jac = model.constraints(x)
+        self.cost, self.grad, self.values, self.jac = model.evaluate(x)
         # Finite but extreme trials (numbers near 1e154 and beyond) overflow
         # here, and no fit may certify or return such a point. A finite cost
         # means every sample distance was finite, so the constraint values
@@ -212,14 +249,15 @@ def _better(a: _Iterate | None, b: _Iterate, ctol: float) -> _Iterate:
     return a if a.kkt <= b.kkt else b
 
 
-def _lagrangian_hessian(it: _Iterate, arrays: TrialArrays) -> np.ndarray:
+def _lagrangian_hessian(it: _Iterate, model: _Model) -> np.ndarray:
     """Cost Hessian plus the curvature of the active sphere constraints.
 
     The constraint term matters whenever the multipliers are large (heavily
     model-violating trials): it is negative along the boundary and omitting
     it makes Newton steps two orders of magnitude too timid.
     """
-    hess = cost_hessian(it.x, arrays)
+    arrays = model.arrays
+    hess = model.hessian(it.x)
     eye = np.eye(3)
     for lam_i, t in zip(it.lam, it.active):
         if lam_i <= 0.0:
@@ -284,12 +322,14 @@ def _polish(start: _Iterate, model: _Model, ctol: float, budget: int):
     if start.kkt > _POLISH_KKT_GATE or start.viol > _POLISH_VIOL_GATE:
         return start, 0
     current = start
+    hess = None  # at current; kept while steps from it are rejected
     mu = 0.0
     iterations = 0
     stalled = 0
     while iterations < budget and current.merit(ctol) > 0.5:
         iterations += 1
-        hess = _lagrangian_hessian(current, arrays)
+        if hess is None:
+            hess = _lagrangian_hessian(current, model)
         h_scale = max(abs(float(np.trace(hess))) / 3.0, 1.0)
         step = _kkt_step(hess + mu * h_scale * np.eye(3), current)
         step_norm = float(np.linalg.norm(step))
@@ -318,6 +358,7 @@ def _polish(start: _Iterate, model: _Model, ctol: float, budget: int):
         mu *= 0.25
         previous_merit = current.merit(ctol)
         current = accepted
+        hess = None
         if current.merit(ctol) > 0.9 * previous_merit:
             stalled += 1
             if stalled >= 2:
@@ -401,10 +442,10 @@ def _minimize_arrays(
         return _RunResult(current, 0, True, tuple(trace) if collect_trace else None)
 
     def cons_fun(x):
-        return -model.constraints(x)[0]  # scipy wants >= 0 when feasible
+        return -model.constraint_values(x)  # scipy wants >= 0 when feasible
 
     def cons_jac(x):
-        return -model.constraints(x)[1]
+        return -model.constraint_jacobian(x)
 
     # cycle the SQP stage while it makes headway: a restart resets its
     # quasi-Newton model, which is what digs it out of curved valleys
@@ -413,9 +454,9 @@ def _minimize_arrays(
         cycle_start = current
         try:
             res = _scipy_minimize(
-                model.cost,
+                model.value,
                 current.x,
-                jac=True,
+                jac=model.gradient,
                 method="SLSQP",
                 constraints=[{"type": "ineq", "fun": cons_fun, "jac": cons_jac}],
                 options={

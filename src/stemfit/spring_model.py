@@ -12,6 +12,7 @@ sample contributes one tension constraint ``l - |d_t| <= 0``.
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,18 +178,42 @@ class TrialArrays:
 # (n, 3) formulas in tests/conftest.py: a sum over one sample's three
 # coordinates is written out left to right, the cost sums its squares laid
 # out as (n, 3) rows (numpy's pairwise sum follows the memory layout), and
-# the gradient adds the samples one at a time with np.add.accumulate, as a
-# sum over the rows did; a pairwise sum along the columns would not.
+# the gradient and the Hessian add the samples one at a time with
+# np.add.accumulate, as a sum over the rows did; a pairwise sum along the
+# columns would not.
+#
+# Each kernel is a ``point_terms`` call plus pieces that read those terms, so
+# a caller that keeps the terms of a point (the solver's model) computes each
+# quantity only when it needs it.
+
+# the Hessian's six unique entries (i, j), i <= j; the identity's value at
+# each; and the (3, 3) matrix as indices into the six
+_HESSIAN_ROWS = np.array([0, 0, 0, 1, 1, 2])
+_HESSIAN_COLS = np.array([0, 1, 2, 1, 2, 2])
+_HESSIAN_EYE = (_HESSIAN_ROWS == _HESSIAN_COLS).astype(float)[:, None]
+_HESSIAN_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+class PointTerms(NamedTuple):
+    """The per-sample terms of the model at one point: the distances
+    ``|r_o - grasp|`` (n,), the unit columns of ``r_o - grasp`` (3, n) and
+    the force residual columns (3, n), predicted minus measured."""
+
+    dist: np.ndarray
+    unit: np.ndarray
+    resid: np.ndarray
 
 
 def _distances(r_o: np.ndarray, arrays: TrialArrays):
     """Displacement columns ``r_o - grasp`` (3, n) and their lengths (n,)."""
     d = r_o[:, None] - arrays.grasp_columns
-    dx, dy, dz = d
-    return d, np.sqrt(dx * dx + dy * dy + dz * dz)
+    xx, yy, zz = d * d
+    return d, np.sqrt(xx + yy + zz)
 
 
-def _displacements(r_o: np.ndarray, arrays: TrialArrays):
+def point_terms(r_o: np.ndarray, arrays: TrialArrays) -> PointTerms:
+    """The model's per-sample terms at ``r_o``; a point within
+    ``SINGULARITY_DISTANCE`` of a sample raises ``SingularityError``."""
     d, dist = _distances(r_o, arrays)
     if dist.min() <= SINGULARITY_DISTANCE:
         idx = int(np.argmin(dist))
@@ -196,61 +221,89 @@ def _displacements(r_o: np.ndarray, arrays: TrialArrays):
             f"candidate attachment point coincides with fruit position at "
             f"sample {idx} (distance {dist[idx]:.3e} m)"
         )
-    return d, dist
+    unit = np.divide(d, dist, out=d)
+    resid = (arrays.k * (dist - arrays.l)) * unit
+    resid -= arrays.force_columns
+    return PointTerms(dist, unit, resid)
+
+
+def terms_cost(terms: PointTerms) -> float:
+    """Mean squared force residual."""
+    resid = terms.resid
+    n = resid.shape[1]
+    squares = np.empty((n, 3))
+    np.multiply(resid, resid, out=squares.T)
+    return float(np.add.reduce(squares, axis=None) / n)
+
+
+def _spring_slopes(dist: np.ndarray, arrays: TrialArrays):
+    """Per-sample ``a = k (1 - l/|d|)`` and ``b = k l / |d|``: the force
+    Jacobian wrt ``r_o`` is ``a I + b u u^T``."""
+    a = arrays.k * (1.0 - arrays.l / dist)
+    b = arrays.k * arrays.l / dist
+    return a, b
+
+
+def _along(unit: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Each sample's residual component along its unit vector."""
+    x, y, z = unit * resid
+    return x + y + z
+
+
+def terms_gradient(terms: PointTerms, arrays: TrialArrays) -> np.ndarray:
+    """Analytic gradient of the cost: the transposed force Jacobian applied
+    to each residual, averaged."""
+    dist, unit, resid = terms
+    a, b = _spring_slopes(dist, arrays)
+    parts = a * resid + (b * _along(unit, resid)) * unit
+    return (2.0 / dist.size) * np.add.accumulate(parts, axis=1, out=parts)[:, -1]
+
+
+def terms_hessian(terms: PointTerms, arrays: TrialArrays) -> np.ndarray:
+    """Exact Hessian of the cost (Gauss-Newton part plus residual
+    curvature), its six unique entries computed as (6, n) rows."""
+    dist, unit, resid = terms
+    a, b = _spring_slopes(dist, arrays)
+    dot = _along(unit, resid)
+    perp = resid - dot * unit
+    u_i, u_j = unit[_HESSIAN_ROWS], unit[_HESSIAN_COLS]
+    uu = u_i * u_j
+    eye = _HESSIAN_EYE
+    jtj = (a * a) * eye + (2.0 * a * b + b * b) * uu
+    pu = perp[_HESSIAN_ROWS] * u_j + perp[_HESSIAN_COLS] * u_i
+    curv = (b / dist) * (pu + dot * (eye - uu))
+    entries = np.add(jtj, curv, out=jtj)
+    entries = (2.0 / dist.size) * np.add.accumulate(entries, axis=1, out=entries)[:, -1]
+    return entries[_HESSIAN_INDEX]
+
+
+def terms_constraint_values(terms: PointTerms, arrays: TrialArrays) -> np.ndarray:
+    """Tension constraints ``l - |d_t|`` (feasible when <= 0)."""
+    return arrays.l - terms.dist
+
+
+def terms_constraint_jacobian(terms: PointTerms) -> np.ndarray:
+    """The tension constraints' gradient rows (n, 3)."""
+    return (-terms.unit).T
 
 
 def cost_and_gradient(r_o: np.ndarray, arrays: TrialArrays) -> tuple[float, np.ndarray]:
     """Mean squared force residual and its analytic gradient at ``r_o``."""
-    d, dist = _displacements(r_o, arrays)
-    unit = d / dist
-    ux, uy, uz = unit
-    resid = (arrays.k * (dist - arrays.l)) * unit - arrays.force_columns
-    rx, ry, rz = resid
-    n = dist.size
-    squares = np.empty((n, 3))
-    np.multiply(resid, resid, out=squares.T)
-    cost = float(np.sum(squares) / n)
-    # Force Jacobian wrt r_o is k[(1 - l/|d|) I + (l/|d|) u u^T]; apply its
-    # transpose to each residual and average.
-    a = arrays.k * (1.0 - arrays.l / dist)
-    b = arrays.k * arrays.l / dist
-    dot = ux * rx + uy * ry + uz * rz
-    terms = a * resid + (b * dot) * unit
-    grad = (2.0 / n) * np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-    return cost, grad
+    terms = point_terms(r_o, arrays)
+    return terms_cost(terms), terms_gradient(terms, arrays)
 
 
 def cost_hessian(r_o: np.ndarray, arrays: TrialArrays) -> np.ndarray:
     """Exact Hessian of the cost (Gauss-Newton part plus residual curvature)."""
-    d, dist = _displacements(r_o, arrays)
-    # only the polish asks for the Hessian, so it stays on (n, 3) rows
-    d = np.ascontiguousarray(d.T)
-    unit = d / dist[:, None]
-    pred = (arrays.k * (dist - arrays.l))[:, None] * unit
-    resid = pred - arrays.force_world
-    n = dist.size
-    a = arrays.k * (1.0 - arrays.l / dist)
-    b = arrays.k * arrays.l / dist
-    eye = np.eye(3)
-    uu = np.einsum("ti,tj->tij", unit, unit)
-    jtj = (a * a)[:, None, None] * eye[None] + (2.0 * a * b + b * b)[:, None, None] * uu
-    dot = np.sum(unit * resid, axis=1)
-    perp = resid - dot[:, None] * unit
-    pu = np.einsum("ti,tj->tij", perp, unit)
-    curv = (b / dist)[:, None, None] * (
-        pu + pu.transpose(0, 2, 1) + dot[:, None, None] * (eye[None] - uu)
-    )
-    return (2.0 / n) * np.sum(jtj + curv, axis=0)
+    return terms_hessian(point_terms(r_o, arrays), arrays)
 
 
 def constraint_values_jacobian(
     r_o: np.ndarray, arrays: TrialArrays
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tension constraints ``l - |d_t|`` (feasible when <= 0) and their rows."""
-    d, dist = _displacements(r_o, arrays)
-    values = arrays.l - dist
-    jac = (-d / dist).T
-    return values, jac
+    terms = point_terms(r_o, arrays)
+    return terms_constraint_values(terms, arrays), terms_constraint_jacobian(terms)
 
 
 def min_sample_distance(r_o: np.ndarray, arrays: TrialArrays) -> float:

@@ -31,8 +31,16 @@ TRIAL_SCHEMA_VERSION = 2
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
+# the longest file name, in bytes, that common file systems take
+NAME_MAX = 255
+
 _QUAT_WARN_TOL = 1e-6
 _QUAT_ERROR_TOL = 1e-3
+
+
+def _temp_name(name: str) -> str:
+    """A unique temp-file name for writing the file ``name``."""
+    return f".{name}.{os.urandom(8).hex()}.tmp"
 
 
 def atomic_write_text(path, text: str):
@@ -40,7 +48,7 @@ def atomic_write_text(path, text: str):
     same directory, renamed over ``path`` once complete; the temp file is
     removed if the write fails. The new file's mode follows the umask."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(_temp_name(path.name))
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
@@ -288,8 +296,11 @@ def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: i
     Each trial goes to ``<id>.json``. The manifest entries pass
     ``load_manifest``'s checks, and each id must be a plain file name (not
     empty, ``.`` or ``..``, without a path separator or NUL, and not naming
-    the manifest), before any file is written; otherwise a ValidationError
-    leaves ``out_dir`` untouched."""
+    the manifest) that the file system can take: ``<id>.json`` must encode
+    to file-system bytes, and the temp name ``atomic_write_text`` writes it
+    through must fit in ``NAME_MAX`` bytes. All of this is checked before
+    any file is written; otherwise a ValidationError leaves ``out_dir``
+    untouched."""
     out_dir = Path(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
     trials = list(trials)
@@ -309,6 +320,16 @@ def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: i
                 f"{manifest_path}: trials[{i}]: id {trial_id!r} is not a plain file "
                 f"name (an id may not be empty, '.' or '..', hold a path separator "
                 f"or NUL, or name {MANIFEST_NAME})"
+            )
+        try:
+            fits = len(os.fsencode(_temp_name(entry["file"]))) <= NAME_MAX
+        except UnicodeEncodeError:
+            fits = False
+        if not fits:
+            raise ValidationError(
+                f"{manifest_path}: trials[{i}]: id {trial_id!r} cannot name a file: "
+                f"{entry['file']!r} must encode to at most "
+                f"{NAME_MAX - len(_temp_name(''))} file-system bytes"
             )
     out_dir.mkdir(parents=True, exist_ok=True)
     if manifest_path.exists():

@@ -116,6 +116,28 @@ def cost_and_gradient_reference(r_o, arrays):
     return cost, grad
 
 
+def cost_hessian_reference(r_o, arrays):
+    """Exact Hessian of the cost (Gauss-Newton part plus residual curvature)
+    as a sum of per-sample (3, 3) matrices, on the (n, 3) rows of ``arrays``."""
+    d, dist = _row_displacements(r_o, arrays)
+    unit = d / dist[:, None]
+    pred = (arrays.k * (dist - arrays.l))[:, None] * unit
+    resid = pred - arrays.force_world
+    n = dist.size
+    a = arrays.k * (1.0 - arrays.l / dist)
+    b = arrays.k * arrays.l / dist
+    eye = np.eye(3)
+    uu = np.einsum("ti,tj->tij", unit, unit)
+    jtj = (a * a)[:, None, None] * eye[None] + (2.0 * a * b + b * b)[:, None, None] * uu
+    dot = np.sum(unit * resid, axis=1)
+    perp = resid - dot[:, None] * unit
+    pu = np.einsum("ti,tj->tij", perp, unit)
+    curv = (b / dist)[:, None, None] * (
+        pu + pu.transpose(0, 2, 1) + dot[:, None, None] * (eye[None] - uu)
+    )
+    return (2.0 / n) * np.sum(jtj + curv, axis=0)
+
+
 def constraint_values_jacobian_reference(r_o, arrays):
     """Tension constraints ``l - |d_t|`` and their Jacobian rows, on the
     (n, 3) rows of ``arrays``."""
@@ -136,20 +158,25 @@ def _result_or_message(fn, x, arrays):
 
 def assert_kernels_match_reference(x, arrays):
     """The package's model kernels at ``x`` give the bits of the references
-    (NaN matching NaN), or the same SingularityError message."""
+    (NaN matching NaN; the Hessian bit for bit, sign of zero and NaN
+    included), or the same SingularityError message."""
     cost = _result_or_message(spring_model.cost_and_gradient, x, arrays)
     cost_ref = _result_or_message(cost_and_gradient_reference, x, arrays)
     constraints = _result_or_message(spring_model.constraint_values_jacobian, x, arrays)
     constraints_ref = _result_or_message(constraint_values_jacobian_reference, x, arrays)
+    hessian = _result_or_message(spring_model.cost_hessian, x, arrays)
+    hessian_ref = _result_or_message(cost_hessian_reference, x, arrays)
     assert type(cost) is type(cost_ref)
     if isinstance(cost, str):
-        assert cost == cost_ref and constraints == constraints_ref
+        assert cost == cost_ref and constraints == constraints_ref and hessian == hessian_ref
     else:
         assert cost[0] == cost_ref[0] or (np.isnan(cost[0]) and np.isnan(cost_ref[0]))
         assert np.array_equal(cost[1], cost_ref[1], equal_nan=True)
         for got, want in zip(constraints, constraints_ref):
             assert got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
+        assert hessian.shape == hessian_ref.shape == (3, 3)
+        assert np.array_equal(hessian.view(np.uint64), hessian_ref.view(np.uint64))
     distance = spring_model.min_sample_distance(x, arrays)
     distance_ref = min_sample_distance_reference(x, arrays)
     assert distance == distance_ref or (np.isnan(distance) and np.isnan(distance_ref))

@@ -596,6 +596,29 @@ class TestCorpus:
             save_corpus(trials, tmp_path / "work" / "corpus")
         assert list(tmp_path.rglob("*")) == []
 
+    # <id>.json plus the 22 bytes of atomic_write_text's temp-name decoration
+    # must fit in NAME_MAX (255) bytes: an id of at most 228 encoded bytes
+    @pytest.mark.parametrize(
+        "bad_id",
+        ["\ud800", "x" * 300, "x" * 229, "\u00e9" * 114 + "x"],
+        ids=["lone-surrogate", "300-chars", "229-bytes", "229-bytes-utf8"],
+    )
+    def test_rejects_ids_the_file_system_cannot_take(self, tmp_path, bad_id):
+        records = generate_corpus(SimConfig(seed=5), 2, 0.0)
+        trials = [records[0].trial, replace(records[1].trial, id=bad_id)]
+        with pytest.raises(ValidationError, match=r"trials\[1\]: id .* cannot name a file"):
+            save_corpus(trials, tmp_path / "work" / "corpus")
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("longest", ["x" * 228, "\u00e9" * 114], ids=["ascii", "utf8"])
+    def test_accepts_the_longest_id_that_fits(self, tmp_path, longest):
+        records = generate_corpus(SimConfig(seed=5), 2, 0.0)
+        trials = [records[0].trial, replace(records[1].trial, id=longest)]
+        save_corpus(trials, tmp_path / "corpus")
+        entry = load_manifest(tmp_path / "corpus")["trials"][1]
+        assert entry["id"] == longest
+        assert load_trial(tmp_path / "corpus" / entry["file"]).id == longest
+
     @pytest.mark.parametrize("bad_id", ["sub/x", "manifest"])
     def test_rejected_id_leaves_an_existing_directory_untouched(self, tmp_path, bad_id):
         out = tmp_path / "corpus"

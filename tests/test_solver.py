@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stemfit import solver
+from stemfit import solver, spring_model
 from stemfit.errors import EvaluationFailureError
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_trial
@@ -270,3 +270,88 @@ class TestEvaluationsPerPoint:
         # no kernel sees a point twice: its call count is its distinct points
         for seen in points.values():
             assert len(seen) == len(set(seen))
+
+    @staticmethod
+    def _record_model_calls(monkeypatch):
+        """Wrap the kernels and the per-point pieces the solver calls; each
+        call is recorded as the bytes of the point it was made at."""
+        calls = {}
+        point_of = {}  # id of a PointTerms -> its point; the terms stay alive in it
+        for name in (
+            "point_terms",
+            "terms_cost",
+            "terms_gradient",
+            "terms_constraint_values",
+            "terms_constraint_jacobian",
+            "cost_and_gradient",
+            "constraint_values_jacobian",
+        ):
+            seen = calls[name] = []
+            piece = name.startswith("terms_")
+
+            def counted(first, *rest, fn=getattr(solver, name), seen=seen, piece=piece):
+                if piece:
+                    seen.append(point_of[id(first)][0])
+                    return fn(first, *rest)
+                result = fn(first, *rest)
+                seen.append(first.tobytes())
+                if fn is spring_model.point_terms:
+                    point_of[id(result)] = (first.tobytes(), result)
+                return result
+
+            monkeypatch.setattr(solver, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
+    def test_each_point_gets_its_terms_at_most_once(self, monkeypatch, make_trial):
+        calls = self._record_model_calls(monkeypatch)
+        fit(make_trial())
+        terms = calls["point_terms"]
+        assert terms and len(terms) == len(set(terms))
+
+    @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
+    def test_derivatives_only_where_asked(self, monkeypatch, make_trial):
+        calls = self._record_model_calls(monkeypatch)
+        fit(make_trial())
+        full = calls["cost_and_gradient"]
+        values = set(calls["terms_cost"] + full)
+        gradients = calls["terms_gradient"] + full
+        jacobians = calls["terms_constraint_jacobian"] + calls["constraint_values_jacobian"]
+        # SLSQP asks for derivatives only at the points it accepts
+        assert len(gradients) < len(values)
+        assert len(jacobians) < len(values)
+        # and nothing is computed twice at a point
+        for seen in (gradients, jacobians, calls["terms_cost"], calls["terms_constraint_values"]):
+            assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
+    def test_slsqp_receives_the_kernel_bits(self, monkeypatch, make_trial):
+        received = []
+
+        def recorded(kind, fn):
+            def call(x):
+                result = fn(x)
+                received.append((kind, x.copy(), np.copy(result)))
+                return result
+
+            return call
+
+        def recording(fun, x0, *, jac, constraints, **kwargs):
+            (cons,) = constraints
+            cons = {**cons, "jac": recorded("jacobian", cons["jac"])}
+            return minimize_slsqp(
+                recorded("cost", fun), x0, jac=recorded("gradient", jac), constraints=[cons], **kwargs
+            )
+
+        minimize_slsqp = solver._scipy_minimize
+        monkeypatch.setattr(solver, "_scipy_minimize", recording)
+        trial = make_trial()
+        fit(trial)
+        arrays = TrialArrays.from_trial(trial)
+        assert {kind for kind, _, _ in received} == {"cost", "gradient", "jacobian"}
+        for kind, x, got in received:
+            if kind == "jacobian":
+                want = -constraint_values_jacobian(x, arrays)[1]
+            else:
+                want = spring_model.cost_and_gradient(x, arrays)[kind == "gradient"]
+            assert np.array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64))

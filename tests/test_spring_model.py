@@ -88,6 +88,7 @@ class TestTrialArrays:
 # pull speed), 226 and 2001 samples; failure trials, whose fruit drifts in
 # the hand, run longer (7 to ~12,000 samples)
 HOLD_TIMES = {"n2": 0.002, "n12": None, "n226": 0.45, "n2000": 4.0}
+SUCCESS_LENGTHS = {"n2": 2, "n12": 12, "n226": 226, "n2000": 2001}
 
 
 class TestColumnarKernels:
@@ -102,6 +103,8 @@ class TestColumnarKernels:
         record = generate_corpus(cfg, 1, 1.0 if label == "failure" else 0.0)[0]
         trial = bias_compensate(record.trial)
         arrays = TrialArrays.from_trial(trial)
+        if label == "success":
+            assert len(arrays) == SUCCESS_LENGTHS[length]
         rng = np.random.default_rng(12)
         truth = trial.ground_truth.as_array()
         points = [truth] + [truth + rng.normal(scale=s, size=3) for s in (1e-4, 1e-2, 1.0)]
