@@ -20,7 +20,7 @@ from .spring_model import (
     apple_position_world,
     bias_compensate,
 )
-from .solver import FitResult, SolverConfig, fit, initial_guess, minimize
+from .solver import FitResult, SolverConfig, fit
 from .simulator import SimConfig, SimTrialRecord, generate_corpus, generate_trial, sample_orientation
 from .evaluation import (
     SummaryStats,
@@ -64,11 +64,9 @@ __all__ = [
     "fit",
     "generate_corpus",
     "generate_trial",
-    "initial_guess",
     "load_report",
     "load_trial",
     "localization_error",
-    "minimize",
     "orientation_error",
     "run_batch",
     "sample_orientation",

@@ -27,12 +27,11 @@ PLOT_KINDS = ("error_vs_mse", "runtime_hist", "joint_locations")
 
 
 def _fit_entry(args):
-    """Load and fit one trial; never raises for per-trial problems."""
-    trial_path, entry, solver_config, bias_compensation = args
+    """Load, bias-compensate and fit one trial; never raises for per-trial
+    problems."""
+    trial_path, entry, solver_config = args
     try:
-        trial = load_trial(trial_path)
-        if bias_compensation:
-            trial = bias_compensate(trial)
+        trial = bias_compensate(load_trial(trial_path))
         result = fit(trial, solver_config)
         row = {
             "id": entry["id"],
@@ -83,23 +82,25 @@ def run_batch(
     solver_config: SolverConfig = SolverConfig(),
     jobs: int = 1,
     *,
-    bias_compensation: bool = True,
     include_timing: bool = False,
 ) -> dict:
-    """Fit every trial in a corpus and assemble the report document.
+    """Fit every bias-compensated trial in a corpus and assemble the report
+    document.
 
     Per-trial failures are recorded in their row and never abort the batch.
     Output is identical for any ``jobs`` value: work is keyed by manifest
-    order, not completion order.
+    order, not completion order. At most one worker process runs per trial.
     """
     corpus_dir = Path(corpus_dir)
     manifest = load_manifest(corpus_dir)
     work = [
-        (str(corpus_dir / entry["file"]), entry, solver_config, bias_compensation)
+        (str(corpus_dir / entry["file"]), entry, solver_config)
         for entry in manifest["trials"]
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at the first submit
+    workers = min(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fit_entry, work))
     else:
         outcomes = [_fit_entry(item) for item in work]
@@ -117,7 +118,7 @@ def run_batch(
             "n_trials": len(rows),
         },
         "solver_config": solver_config.to_dict(),
-        "bias_compensation": bias_compensation,
+        "bias_compensation": True,
         "counts": {
             "total": len(rows),
             "fitted": len(fitted),

@@ -137,12 +137,24 @@ class SimConfig:
         return cls(**kwargs)
 
 
+def _numbers(name: str, values, length: int) -> tuple:
+    """A JSON array of ``length`` finite numbers, as floats; a string, a
+    boolean or any other non-number in it is a ValueError, as it is in a
+    plain number field."""
+    if not (isinstance(values, list) and len(values) == length):
+        raise ValueError(f"{name} must be an array of {length} numbers")
+    return tuple(float(finite_number(name, v)) for v in values)
+
+
 # JSON form -> field value for the fields that are not plain numbers
 _NESTED_FIELDS = {
-    "grasp_compliance": lambda rows: tuple(tuple(float(v) for v in row) for row in rows),
-    "attachment_region": lambda box: (Vec3.from_array(box["min"]), Vec3.from_array(box["max"])),
+    "grasp_compliance": lambda rows: tuple(_numbers("grasp_compliance", row, 3) for row in rows),
+    "attachment_region": lambda box: (
+        Vec3(*_numbers("attachment_region", box["min"], 3)),
+        Vec3(*_numbers("attachment_region", box["max"], 3)),
+    ),
     "failure_compliance_range": tuple,
-    "grasp_point": Vec3.from_array,
+    "grasp_point": lambda point: Vec3(*_numbers("grasp_point", point, 3)),
 }
 
 
@@ -277,7 +289,19 @@ def generate_trial(
     reaches ``force_cap``. Only the recorded part of the pull is evaluated,
     through the sample that reaches the cap (rounded up to a doubling
     prefix of the window), not the whole ``pull_distance``.
+
+    A config that cannot give a valid trial, including an extreme but finite
+    one whose pull overflows, divides by zero or meets a singular matrix, is
+    a SimulationConfigError; numpy warns about none of it.
     """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            return _generate_trial(config, rng, trial_id)
+        except (ArithmeticError, ValueError) as exc:  # LinAlgError is a ValueError
+            raise SimulationConfigError(f"{trial_id}: {exc}") from exc
+
+
+def _generate_trial(config: SimConfig, rng: np.random.Generator, trial_id: str) -> SimTrialRecord:
     lo = config.attachment_region[0].as_array()
     hi = config.attachment_region[1].as_array()
     r_o = rng.uniform(lo, hi)
@@ -323,31 +347,26 @@ def generate_trial(
         force=forces_sensor,
         torque=torques_sensor,
     )
-    try:
-        trial = Trial(
-            samples=samples,
-            spring=SpringParams(config.k, config.l),
-            grasp_point=config.grasp_point,
-            label=Label.FAILURE if compliant else Label.SUCCESS,
-            ground_truth=Vec3.from_array(r_o),
-            id=trial_id,
-        )
-    except ValueError as exc:  # extreme but finite configs overflow the pull
-        raise SimulationConfigError(f"{trial_id}: {exc}") from exc
+    trial = Trial(
+        samples=samples,
+        spring=SpringParams(config.k, config.l),
+        grasp_point=config.grasp_point,
+        label=Label.FAILURE if compliant else Label.SUCCESS,
+        ground_truth=Vec3.from_array(r_o),
+        id=trial_id,
+    )
     return SimTrialRecord(trial=trial, compliance_applied=compliant)
 
 
 def generate_corpus(
-    config: SimConfig,
-    n_trials: int,
-    failure_fraction: float,
-    seed: int | None = None,
+    config: SimConfig, n_trials: int, failure_fraction: float
 ) -> list[SimTrialRecord]:
     """Generate a labeled corpus: rigid-grasp Success trials first, then
     Failure trials with randomly drawn anisotropic grasp compliance.
 
-    Each trial derives its own generator from the seed and its index, so the
-    corpus is reproducible and trials could be generated in any order.
+    Each trial derives its own generator from the config's seed and its
+    index, so the corpus is reproducible and trials could be generated in any
+    order.
     """
     if not 0.0 <= failure_fraction <= 1.0:
         raise ValueError("failure_fraction must lie in [0, 1]")
@@ -355,22 +374,29 @@ def generate_corpus(
         raise ValueError("n_trials must be >= 0")
     n_fail = round(n_trials * failure_fraction)
     n_success = n_trials - n_fail
-    root = np.random.SeedSequence(config.seed if seed is None else seed)
+    root = np.random.SeedSequence(config.seed)
     children = root.spawn(n_trials)
     width = max(3, len(str(max(n_trials - 1, 1))))
     records = []
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
+        trial_id = f"trial_{i:0{width}d}"
         cfg = config
         if i >= n_success:
             lo, hi = config.failure_compliance_range
             eigenvalues = rng.uniform(lo, hi, size=3)
             q = rng.normal(size=4)
             basis = UnitQuaternion(q[0], q[1], q[2], q[3]).rotation_matrix()
-            comp = basis @ np.diag(eigenvalues) @ basis.T
-            cfg = replace(
-                config,
-                grasp_compliance=tuple(tuple(float(v) for v in row) for row in comp),
-            )
-        records.append(generate_trial(cfg, rng, trial_id=f"trial_{i:0{width}d}"))
+            with np.errstate(over="ignore", invalid="ignore"):
+                comp = basis @ np.diag(eigenvalues) @ basis.T
+            try:
+                cfg = replace(
+                    config,
+                    grasp_compliance=tuple(tuple(float(v) for v in row) for row in comp),
+                )
+            except ValueError as exc:  # large equal eigenvalues fail the symmetry check
+                raise SimulationConfigError(
+                    f"{trial_id}: drawn failure-class compliance: {exc}"
+                ) from exc
+        records.append(generate_trial(cfg, rng, trial_id=trial_id))
     return records

@@ -27,7 +27,6 @@ from .spring_model import (
     TrialArrays,
     constraint_values_jacobian,
     cost_and_gradient,
-    min_sample_distance,
     point_terms,
     terms_constraint_jacobian,
     terms_constraint_values,
@@ -104,7 +103,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one run or one full reseeding schedule."""
+    """Outcome of a full reseeding schedule."""
 
     r_o_hat: Vec3
     final_mse: float
@@ -207,11 +206,8 @@ class _Iterate:
             raise EvaluationFailureError("model evaluation overflowed at an iterate")
         self.viol = max(0.0, float(self.values.max()))
 
-    def meets(self, constraint_tolerance: float, margin: float = 1.0) -> bool:
-        return (
-            self.kkt <= KKT_GRADIENT_TOL * margin
-            and self.viol <= constraint_tolerance * margin
-        )
+    def meets(self, constraint_tolerance: float) -> bool:
+        return self.kkt <= KKT_GRADIENT_TOL and self.viol <= constraint_tolerance
 
     def merit(self, constraint_tolerance: float) -> float:
         return max(self.kkt / KKT_GRADIENT_TOL, self.viol / constraint_tolerance)
@@ -369,7 +365,7 @@ def _polish(start: _Iterate, model: _Model, ctol: float, budget: int):
     return current, iterations
 
 
-def initial_guess(trial: Trial) -> Vec3:
+def _initial_guess_array(arrays: TrialArrays) -> np.ndarray:
     """Initial fruit position plus one resting length along the mean measured
     force.
 
@@ -377,29 +373,10 @@ def initial_guess(trial: Trial) -> Vec3:
     boundary and away from the model singularity. Falls back to the world z
     axis when the forces average out to nearly zero.
     """
-    return Vec3.from_array(_initial_guess_array(TrialArrays.from_trial(trial)))
-
-
-def _initial_guess_array(arrays: TrialArrays) -> np.ndarray:
     mean_force = arrays.force_world.mean(axis=0)
     norm = float(np.linalg.norm(mean_force))
     direction = mean_force / norm if norm >= 1e-9 else np.array([0.0, 0.0, 1.0])
     return arrays.grasp_world[0] + arrays.l * direction
-
-
-def minimize(
-    trial: Trial,
-    x0: Vec3,
-    config: SolverConfig = SolverConfig(),
-    *,
-    collect_trace: bool = False,
-) -> FitResult:
-    """One constrained minimization run from ``x0``."""
-    model = _Model(TrialArrays.from_trial(trial))
-    start = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = _minimize_arrays(model, x0.as_array(), config, collect_trace, 0)
-    return _to_fit_result(result, restarts_used=0, runtime=time.perf_counter() - start)
 
 
 class _RunResult:
@@ -420,12 +397,8 @@ def _minimize_arrays(
     trace_base: int,
 ) -> _RunResult:
     """One run from ``x0``; the caller has set numpy to ignore overflow,
-    which ``_Iterate`` turns into an ``EvaluationFailureError``."""
-    arrays = model.arrays
-    if min_sample_distance(x0, arrays) <= 1e-12:
-        raise EvaluationFailureError(
-            "starting point coincides with a fruit position sample"
-        )
+    which ``_Iterate`` turns into an ``EvaluationFailureError``, as it does a
+    singular start."""
     ctol = config.constraint_tolerance
     budget = config.max_iterations_per_run
     used = 0
@@ -435,7 +408,12 @@ def _minimize_arrays(
         if collect_trace:
             trace.append((trace_base + used, Vec3.from_array(it.x.copy()), it.cost))
 
-    current = _Iterate(np.asarray(x0, dtype=float), model)
+    try:
+        current = _Iterate(np.asarray(x0, dtype=float), model)
+    except SingularityError as exc:
+        raise EvaluationFailureError(
+            "starting point coincides with a fruit position sample"
+        ) from exc
     best = current
     note(current)
     if current.meets(ctol):
@@ -467,10 +445,14 @@ def _minimize_arrays(
         except SingularityError:
             break  # keep the best evaluated iterate
         used += max(int(res.nit), 1)
-        if np.all(np.isfinite(res.x)) and min_sample_distance(res.x, arrays) > 1e-12:
-            current = _Iterate(res.x, model)
-            best = _better(best, current, ctol)
-            note(current)
+        if np.all(np.isfinite(res.x)):
+            try:
+                current = _Iterate(res.x, model)
+            except SingularityError:
+                pass  # keep the cycle's start
+            else:
+                best = _better(best, current, ctol)
+                note(current)
         if current.meets(ctol):
             break
         if used < budget:
@@ -495,21 +477,6 @@ def _minimize_arrays(
     final = _better(best, current, ctol)
     converged = final.meets(ctol)
     return _RunResult(final, used, converged, tuple(trace) if collect_trace else None)
-
-
-def _to_fit_result(run: _RunResult, restarts_used: int, runtime: float) -> FitResult:
-    it = run.iterate
-    return FitResult(
-        r_o_hat=Vec3.from_array(it.x),
-        final_mse=it.cost,
-        iterations_total=run.iterations,
-        restarts_used=restarts_used,
-        runtime=runtime,
-        converged=run.converged,
-        max_constraint_violation=it.viol,
-        projected_gradient=it.kkt,
-        trace=run.trace,
-    )
 
 
 def fit(

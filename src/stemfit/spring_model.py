@@ -204,17 +204,12 @@ class PointTerms(NamedTuple):
     resid: np.ndarray
 
 
-def _distances(r_o: np.ndarray, arrays: TrialArrays):
-    """Displacement columns ``r_o - grasp`` (3, n) and their lengths (n,)."""
-    d = r_o[:, None] - arrays.grasp_columns
-    xx, yy, zz = d * d
-    return d, np.sqrt(xx + yy + zz)
-
-
 def point_terms(r_o: np.ndarray, arrays: TrialArrays) -> PointTerms:
     """The model's per-sample terms at ``r_o``; a point within
     ``SINGULARITY_DISTANCE`` of a sample raises ``SingularityError``."""
-    d, dist = _distances(r_o, arrays)
+    d = r_o[:, None] - arrays.grasp_columns
+    xx, yy, zz = d * d
+    dist = np.sqrt(xx + yy + zz)
     if dist.min() <= SINGULARITY_DISTANCE:
         idx = int(np.argmin(dist))
         raise SingularityError(
@@ -293,21 +288,12 @@ def cost_and_gradient(r_o: np.ndarray, arrays: TrialArrays) -> tuple[float, np.n
     return terms_cost(terms), terms_gradient(terms, arrays)
 
 
-def cost_hessian(r_o: np.ndarray, arrays: TrialArrays) -> np.ndarray:
-    """Exact Hessian of the cost (Gauss-Newton part plus residual curvature)."""
-    return terms_hessian(point_terms(r_o, arrays), arrays)
-
-
 def constraint_values_jacobian(
     r_o: np.ndarray, arrays: TrialArrays
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tension constraints ``l - |d_t|`` (feasible when <= 0) and their rows."""
     terms = point_terms(r_o, arrays)
     return terms_constraint_values(terms, arrays), terms_constraint_jacobian(terms)
-
-
-def min_sample_distance(r_o: np.ndarray, arrays: TrialArrays) -> float:
-    return float(_distances(r_o, arrays)[1].min())
 
 
 def apple_position_world(trial: Trial) -> Vec3:

@@ -76,9 +76,21 @@ def config_digest(config_dict: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _all_numbers(values) -> bool:
+    """Whether ``values`` is a JSON number or nested arrays of them: no
+    string, boolean, null or object anywhere."""
+    if isinstance(values, list):
+        return all(map(_all_numbers, values))
+    return type(values) in (int, float)
+
+
 def _floats(values, shape: tuple, where: str) -> np.ndarray:
-    """The one conversion every number in a trial file goes through: an array
-    of ``shape`` holding finite floats, else a ValidationError naming ``where``."""
+    """The one conversion every decimal number in a trial file goes through:
+    an array of ``shape`` holding finite floats, else a ValidationError naming
+    ``where``. Only JSON numbers count; numpy would read ``"632"`` or
+    ``true`` as one."""
+    if not _all_numbers(values):
+        raise ValidationError(f"{where}: expected JSON numbers only")
     try:
         array = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -235,7 +247,7 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
     if not isinstance(doc, dict):
         raise ValidationError(f"{source}: trial document must be a JSON object")
     version = doc.get("schema_version")
-    if version == 1:
+    if version == 1 and version is not True:  # JSON true equals 1 in Python
         body, read_columns = "samples", _v1_columns
     elif version == 2:
         body, read_columns = "columns", _v2_columns

@@ -145,8 +145,10 @@ def constraint_values_jacobian_reference(r_o, arrays):
     return arrays.l - dist, -d / dist[:, None]
 
 
-def min_sample_distance_reference(r_o, arrays):
-    return float(np.linalg.norm(r_o[None, :] - arrays.grasp_world, axis=1).min())
+def point_hessian(r_o, arrays):
+    """The cost Hessian at ``r_o`` as the solver computes it, from the
+    point's terms."""
+    return spring_model.terms_hessian(spring_model.point_terms(r_o, arrays), arrays)
 
 
 def _result_or_message(fn, x, arrays):
@@ -164,7 +166,7 @@ def assert_kernels_match_reference(x, arrays):
     cost_ref = _result_or_message(cost_and_gradient_reference, x, arrays)
     constraints = _result_or_message(spring_model.constraint_values_jacobian, x, arrays)
     constraints_ref = _result_or_message(constraint_values_jacobian_reference, x, arrays)
-    hessian = _result_or_message(spring_model.cost_hessian, x, arrays)
+    hessian = _result_or_message(point_hessian, x, arrays)
     hessian_ref = _result_or_message(cost_hessian_reference, x, arrays)
     assert type(cost) is type(cost_ref)
     if isinstance(cost, str):
@@ -177,9 +179,6 @@ def assert_kernels_match_reference(x, arrays):
             assert np.array_equal(got, want, equal_nan=True)
         assert hessian.shape == hessian_ref.shape == (3, 3)
         assert np.array_equal(hessian.view(np.uint64), hessian_ref.view(np.uint64))
-    distance = spring_model.min_sample_distance(x, arrays)
-    distance_ref = min_sample_distance_reference(x, arrays)
-    assert distance == distance_ref or (np.isnan(distance) and np.isnan(distance_ref))
 
 
 def generate_trial_reference(config, rng, trial_id="trial-0") -> SimTrialRecord:
@@ -187,6 +186,14 @@ def generate_trial_reference(config, rng, trial_id="trial-0") -> SimTrialRecord:
     the force cap is looked for: the package's ``generate_trial`` evaluates
     only a prefix of that window and must give the same bits, draw the same
     random numbers and raise the same errors."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            return _whole_window_trial(config, rng, trial_id)
+        except (ArithmeticError, ValueError) as exc:
+            raise SimulationConfigError(f"{trial_id}: {exc}") from exc
+
+
+def _whole_window_trial(config, rng, trial_id):
     lo = config.attachment_region[0].as_array()
     hi = config.attachment_region[1].as_array()
     r_o = rng.uniform(lo, hi)
@@ -255,17 +262,14 @@ def generate_trial_reference(config, rng, trial_id="trial-0") -> SimTrialRecord:
         force=forces_sensor,
         torque=torques_sensor,
     )
-    try:
-        trial = Trial(
-            samples=samples,
-            spring=SpringParams(config.k, config.l),
-            grasp_point=config.grasp_point,
-            label=Label.FAILURE if compliant else Label.SUCCESS,
-            ground_truth=Vec3.from_array(r_o),
-            id=trial_id,
-        )
-    except ValueError as exc:
-        raise SimulationConfigError(f"{trial_id}: {exc}") from exc
+    trial = Trial(
+        samples=samples,
+        spring=SpringParams(config.k, config.l),
+        grasp_point=config.grasp_point,
+        label=Label.FAILURE if compliant else Label.SUCCESS,
+        ground_truth=Vec3.from_array(r_o),
+        id=trial_id,
+    )
     return SimTrialRecord(trial=trial, compliance_applied=compliant)
 
 

@@ -115,14 +115,34 @@ def _stemfit_cli(*args):
     )
 
 
-# config files the CLI must reject with "error: ..." and exit 1
+# config files the CLI must reject with "error: ..." and exit 1, each with
+# the --failure-fraction it is simulated at
 BAD_SIM_CONFIGS = {
-    "empty_attachment_region": '{"attachment_region": {}}',
-    "400_digit_k": '{"k": 1' + "0" * 399 + "}",
-    "nan_noise_sigma": '{"noise_sigma": NaN}',
-    "fractional_seed": '{"seed": 1.5}',
-    "huge_pull_distance": '{"pull_distance": 1e300}',
+    "empty_attachment_region": ('{"attachment_region": {}}', "0"),
+    "400_digit_k": ('{"k": 1' + "0" * 399 + "}", "0"),
+    "nan_noise_sigma": ('{"noise_sigma": NaN}', "0"),
+    "fractional_seed": ('{"seed": 1.5}', "0"),
+    "huge_pull_distance": ('{"pull_distance": 1e300}', "0"),
+    "string_grasp_point": ('{"grasp_point": ["0", "0", "0.05"]}', "0"),
+    "boolean_grasp_point": ('{"grasp_point": [0, 0, true]}', "0"),
+    "string_attachment_region": (
+        '{"attachment_region": {"min": ["0.4", -0.3, 0.2], "max": [0.8, 0.3, 0.6]}}',
+        "0",
+    ),
+    "boolean_grasp_compliance": ('{"grasp_compliance": [[true, 0, 0], [0, 0, 0], [0, 0, 0]]}', "0"),
 }
+# valid configs too extreme to simulate: their pulls overflow, divide by
+# zero or meet a singular matrix (numpy must not warn), or their drawn
+# failure-class compliance is not symmetric within SimConfig's tolerance
+EXTREME_SIM_CONFIGS = {
+    "huge_k": ('{"k": 1e300}', "0"),
+    "huge_k_compliant": ('{"k": 1e300}', "1"),
+    "tiny_l": ('{"l": 1e-300}', "0"),
+    "tiny_l_compliant": ('{"l": 1e-300}', "1"),
+    "huge_grasp_compliance": ('{"grasp_compliance": [[1e300, 0, 0], [0, 0, 0], [0, 0, 0]]}', "0"),
+    "equal_large_failure_compliance": ('{"failure_compliance_range": [1e5, 1e5]}', "1"),
+}
+BAD_SIM_CONFIGS.update(EXTREME_SIM_CONFIGS)
 BAD_SOLVER_CONFIGS = {
     "overflowing_max_restarts": '{"max_restarts": 1e400}',
     "infinite_constraint_tolerance": '{"constraint_tolerance": Infinity}',
@@ -234,6 +254,31 @@ class TestRunBatch:
         serial = run_batch(corpus_dir, jobs=1)
         parallel = run_batch(corpus_dir, jobs=4)
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs, n, started", [(2, 3, [2]), (64, 3, [3]), (4, 1, [])])
+    def test_no_more_workers_than_trials(self, tmp_path, monkeypatch, jobs, n, started):
+        # a stand-in pool that records its size and fits in this process; the
+        # real one would start every worker at its first submit
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        out = _small_corpus(tmp_path / "c", seed=7, n=n)
+        serial = run_batch(out)
+        monkeypatch.setattr(stemfit.batch, "ProcessPoolExecutor", RecordingPool)
+        assert run_batch(out, jobs=jobs) == serial
+        assert sizes == started
 
     def test_timing_section_optional(self, corpus_dir):
         report = run_batch(corpus_dir, include_timing=True)
@@ -557,13 +602,28 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(BAD_SIM_CONFIGS))
     def test_bad_sim_config_exits_1(self, tmp_path, capsys, case):
+        text, fraction = BAD_SIM_CONFIGS[case]
         config = tmp_path / "sim.json"
-        config.write_text(BAD_SIM_CONFIGS[case])
+        config.write_text(text)
         out = tmp_path / "c"
-        assert main(["simulate", "--config", str(config), "--n", "2", "--out", str(out)]) == 1
+        args = ["simulate", "--config", config, "--n", "2", "--failure-fraction", fraction]
+        assert main([*map(str, args), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(EXTREME_SIM_CONFIGS))
+    def test_extreme_sim_config_prints_only_the_error(self, tmp_path, case):
+        text, fraction = EXTREME_SIM_CONFIGS[case]
+        config = tmp_path / "sim.json"
+        config.write_text(text)
+        run = _stemfit_cli(
+            "simulate", "--config", config, "--n", "2", "--failure-fraction", fraction,
+            "--out", tmp_path / "c",
+        )
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        assert "Traceback" not in run.stderr and "Warning" not in run.stderr
 
     @pytest.mark.parametrize("case", sorted(BAD_SOLVER_CONFIGS))
     def test_bad_solver_config_exits_1(self, tmp_path, capsys, case):

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from stemfit.batch import PLOT_KINDS, run_batch
 from stemfit.cli import _sim_config, _solver_config, main
-from stemfit.errors import EvaluationFailureError, StemfitError
+from stemfit.errors import EvaluationFailureError, StemfitError, ValidationError
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
 from stemfit.solver import SolverConfig, fit
@@ -131,6 +131,26 @@ def test_any_one_value_replaced_raises_only_stemfit_errors(data, version):
     except StemfitError:
         return
     assert len(trial.samples) >= 2
+
+
+@given(st.data(), st.sampled_from(sorted(BASE_DOCS)))
+def test_numbers_written_as_strings_or_booleans_are_rejected(data, version):
+    base = BASE_DOCS[version]
+    path = data.draw(st.sampled_from(_leaf_paths(base)))
+    value = data.draw(st.sampled_from([repr(_get(base, path)), True, False]))
+    with pytest.raises(ValidationError):
+        trial_from_dict(_set(copy.deepcopy(base), path, value))
+
+
+SIM_CONFIG_DOC = SimConfig().to_dict()
+
+
+@given(st.data())
+def test_config_numbers_written_as_strings_or_booleans_are_rejected(data):
+    path = data.draw(st.sampled_from(_leaf_paths(SIM_CONFIG_DOC)))
+    value = data.draw(st.sampled_from([repr(_get(SIM_CONFIG_DOC, path)), True, False]))
+    with pytest.raises(ValueError):
+        SimConfig.from_dict(_set(copy.deepcopy(SIM_CONFIG_DOC), path, value))
 
 
 CONFIG_FIELDS = sorted({*SimConfig().to_dict(), *SolverConfig().to_dict()})

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from stemfit.solver import (
     MAX_RESTARTS,
     SolverConfig,
     fit,
-    initial_guess,
-    minimize,
 )
 from stemfit.spring_model import (
     SpringParams,
@@ -60,16 +59,27 @@ class TestSolverConfig:
             SolverConfig.from_dict({"bogus": 1})
 
 
+def initial_guess(trial: Trial) -> np.ndarray:
+    return solver._initial_guess_array(TrialArrays.from_trial(trial))
+
+
+def one_run(trial: Trial, x0: np.ndarray):
+    """One run of the solver from ``x0``, as ``fit`` starts each run."""
+    model = solver._Model(TrialArrays.from_trial(trial))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solver._minimize_arrays(model, np.asarray(x0, dtype=float), SolverConfig(), False, 0)
+
+
 class TestInitialGuess:
     def test_forces_along_z(self):
         trial = static_trial([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
         guess = initial_guess(trial)
-        np.testing.assert_allclose(guess.as_array(), [0.0, 0.0, 0.1], atol=1e-12)
+        np.testing.assert_allclose(guess, [0.0, 0.0, 0.1], atol=1e-12)
 
     def test_zero_force_fallback_is_z(self):
         trial = static_trial([[0.0, 0.0, 0.0]] * 3)
         guess = initial_guess(trial)
-        np.testing.assert_allclose(guess.as_array(), [0.0, 0.0, 0.1], atol=1e-15)
+        np.testing.assert_allclose(guess, [0.0, 0.0, 0.1], atol=1e-15)
 
     def test_diagonal_forces_and_offset(self):
         trial = static_trial(
@@ -79,7 +89,7 @@ class TestInitialGuess:
         )
         guess = initial_guess(trial)
         expected = np.array([1.0, 0.0, 0.0]) + 0.2 * np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-        np.testing.assert_allclose(guess.as_array(), expected, atol=1e-12)
+        np.testing.assert_allclose(guess, expected, atol=1e-12)
 
     def test_guess_sits_on_first_constraint_boundary(self):
         record = generate_trial(noiseless_config(), np.random.default_rng(3), "g")
@@ -88,32 +98,43 @@ class TestInitialGuess:
         s = trial.samples
         grasp = trial.grasp_point.as_array()
         r_a0 = pose_point_reference(s.rotation_wxyz[0], s.translation[0], grasp)
-        assert abs(np.linalg.norm(guess.as_array() - r_a0) - trial.spring.l) < 1e-12
+        assert abs(np.linalg.norm(guess - r_a0) - trial.spring.l) < 1e-12
 
 
 class TestMinimize:
     def test_start_at_optimum_converges_immediately(self):
         trial = pull_trial([0.4, 0.0, 0.6], n=12)
-        result = minimize(trial, trial.ground_truth)
+        result = one_run(trial, trial.ground_truth.as_array())
         assert result.converged
-        assert result.iterations_total <= 2
-        assert (result.r_o_hat - trial.ground_truth).norm() < 1e-9
+        assert result.iterations <= 2
+        assert np.linalg.norm(result.iterate.x - trial.ground_truth.as_array()) < 1e-9
 
     def test_infeasible_start_recovers(self):
         trial = pull_trial([0.4, 0.0, 0.6], n=12)
-        inside = Vec3(0.4, 0.0, 0.55)  # within resting length of the fruit path
-        result = minimize(trial, inside)
+        inside = np.array([0.4, 0.0, 0.55])  # within resting length of the fruit path
+        result = one_run(trial, inside)
         assert result.converged
-        assert result.max_constraint_violation <= 1e-8
-        assert (result.r_o_hat - trial.ground_truth).norm() < 1e-6
+        assert result.iterate.viol <= 1e-8
+        assert np.linalg.norm(result.iterate.x - trial.ground_truth.as_array()) < 1e-6
 
     def test_singular_start_raises(self):
         trial = pull_trial([0.4, 0.0, 0.6], n=12)
         s = trial.samples
         grasp = trial.grasp_point.as_array()
         fruit0 = pose_point_reference(s.rotation_wxyz[0], s.translation[0], grasp)
-        with pytest.raises(EvaluationFailureError):
-            minimize(trial, Vec3.from_array(fruit0))
+        with pytest.raises(EvaluationFailureError, match="starting point coincides"):
+            one_run(trial, fruit0)
+
+    def test_singular_sqp_point_is_skipped(self, monkeypatch):
+        trial = pull_trial([0.4, 0.0, 0.6], n=12)
+        fruit0 = TrialArrays.from_trial(trial).grasp_world[0].copy()
+        start = np.array([0.4, 0.0, 0.55])
+        monkeypatch.setattr(
+            solver, "_scipy_minimize", lambda *args, **kwargs: SimpleNamespace(x=fruit0, nit=1)
+        )
+        result = one_run(trial, start)
+        assert np.array_equal(result.iterate.x, start)
+        assert not result.converged
 
 
 class TestFitRecovery:

@@ -15,14 +15,14 @@ from stemfit.spring_model import (
     apple_position_world,
     bias_compensate,
     cost_and_gradient,
-    cost_hessian,
     constraint_values_jacobian,
-    min_sample_distance,
+    point_terms,
 )
 
 from conftest import (
     assert_kernels_match_reference,
     columns,
+    point_hessian,
     pose_point_reference,
     predict_force,
     pull_trial,
@@ -123,11 +123,10 @@ class TestColumnarKernels:
         trial = Trial(samples, SpringParams(632.0, 0.1), Vec3(0, 0, 0))
         arrays = TrialArrays.from_trial(trial)
         x = translation[2].copy()
-        for kernel in (cost_and_gradient, constraint_values_jacobian, cost_hessian):
+        for kernel in (point_terms, cost_and_gradient, constraint_values_jacobian, point_hessian):
             with pytest.raises(SingularityError, match="at sample 2 "):
                 kernel(x, arrays)
         assert_kernels_match_reference(x, arrays)
-        assert min_sample_distance(x, arrays) == 0.0
 
 
 class TestPredictForce:
@@ -286,7 +285,7 @@ class TestDerivatives:
             x = trial.ground_truth.as_array() + rng.normal(scale=0.08, size=3)
             if np.linalg.norm(x[None, :] - arrays.grasp_world, axis=1).min() < 1e-3:
                 continue
-            analytic = cost_hessian(x, arrays)
+            analytic = point_hessian(x, arrays)
             numeric = np.zeros((3, 3))
             for j in range(3):
                 plus, minus = x.copy(), x.copy()
