@@ -388,7 +388,8 @@ def load_manifest(corpus_dir) -> dict:
     if not manifest_path.exists():
         raise ValidationError(f"{corpus_dir}: no {MANIFEST_NAME} found")
     manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict) or manifest.get("schema_version") != MANIFEST_SCHEMA_VERSION:
+    version = manifest.get("schema_version") if isinstance(manifest, dict) else None
+    if version != MANIFEST_SCHEMA_VERSION or version is True:  # JSON true equals 1 in Python
         raise ValidationError(f"{manifest_path}: unsupported or missing schema_version")
     _check_entries(manifest.get("trials"), str(manifest_path))
     return manifest

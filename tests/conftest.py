@@ -3,7 +3,8 @@ references that tests hold the package to: the spring force law, the
 per-sample pose and wrench mappings behind its stacked (columnar)
 computations, the row-wise (n, 3) model formulas behind its columnar model
 kernels, the v1 and v2 trial documents behind its trial-file reader and
-writer, and the whole-window pull behind the simulator's prefix evaluation."""
+writer, and the whole-window, row-by-row pull and the trial-by-trial corpus
+behind the simulator's prefix evaluation and lockstep equilibrium solve."""
 
 import base64
 import math
@@ -19,8 +20,8 @@ from stemfit.simulator import (
     SimTrialRecord,
     _perpendicular_basis,
     _rotate_about,
+    _failure_config,
     _row_norms,
-    _solve_equilibrium,
     _spring_forces,
     sample_orientation,
 )
@@ -181,6 +182,29 @@ def assert_kernels_match_reference(x, arrays):
         assert np.array_equal(hessian.view(np.uint64), hessian_ref.view(np.uint64))
 
 
+def solve_equilibrium_reference(r_o, rigid_pos, comp_world, k, l, x_init):
+    """Fruit position where the spring force and the compliant grasp agree,
+    for one row of a pull.
+
+    Solves x = rigid_pos + C_w f(x) by Newton from ``x_init``, to a position
+    residual below 1e-13 m, in at most 80 steps; the simulator solves every
+    row of every compliant pull this way, stacked.
+    """
+    eye = np.eye(3)
+    x = x_init.copy()
+    for _ in range(80):
+        d = r_o - x
+        dist = float(np.linalg.norm(d))
+        unit = d / dist
+        f = k * (dist - l) * unit
+        h = x - rigid_pos - comp_world @ f
+        if float(np.linalg.norm(h)) < 1e-13:
+            return x, f
+        jd = k * ((1.0 - l / dist) * eye + (l / dist) * np.outer(unit, unit))
+        x = x - np.linalg.solve(eye + comp_world @ jd, h)
+    raise SimulationConfigError("compliant-grasp equilibrium solve did not converge")
+
+
 def generate_trial_reference(config, rng, trial_id="trial-0") -> SimTrialRecord:
     """One pull trial evaluated on the whole ``pull_distance`` window before
     the force cap is looked for: the package's ``generate_trial`` evaluates
@@ -226,7 +250,7 @@ def _whole_window_trial(config, rng, trial_id):
         fruit_true, forces_world = [], []
         x = fruit_start
         for rigid_pos in rigid:
-            x, f_world = _solve_equilibrium(r_o, rigid_pos, comp_world, config.k, config.l, x)
+            x, f_world = solve_equilibrium_reference(r_o, rigid_pos, comp_world, config.k, config.l, x)
             fruit_true.append(x)
             forces_world.append(f_world)
             if float(np.linalg.norm(f_world)) >= config.force_cap:
@@ -271,6 +295,31 @@ def _whole_window_trial(config, rng, trial_id):
         id=trial_id,
     )
     return SimTrialRecord(trial=trial, compliance_applied=compliant)
+
+
+def corpus_trials(config, n_trials, failure_fraction):
+    """The (config, generator, id) of each corpus trial, in order, as
+    ``generate_corpus`` derives them: a child stream of the config's seed per
+    trial, and a drawn compliance for each failure-class trial (a draw that
+    fails raises when its trial is reached)."""
+    n_success = n_trials - round(n_trials * failure_fraction)
+    width = max(3, len(str(max(n_trials - 1, 1))))
+    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(n_trials)):
+        rng = np.random.default_rng(child)
+        trial_id = f"trial_{i:0{width}d}"
+        cfg = config if i < n_success else _failure_config(config, rng, trial_id)
+        yield cfg, rng, trial_id
+
+
+def generate_corpus_reference(config, n_trials, failure_fraction) -> list:
+    """The corpus generated trial by trial, each by
+    ``generate_trial_reference``; the first trial that fails raises. The
+    package's ``generate_corpus`` solves the compliant pulls of all trials
+    in lockstep and must give the same bits and raise the same error."""
+    return [
+        generate_trial_reference(cfg, rng, trial_id)
+        for cfg, rng, trial_id in corpus_trials(config, n_trials, failure_fraction)
+    ]
 
 
 def _head(trial: Trial, version: int) -> dict:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stemfit.batch import run_batch
+from stemfit.cli import main
 from stemfit.errors import ParseError, ValidationError
 from stemfit.simulator import SimConfig, generate_corpus, generate_trial
 from stemfit.geometry import Vec3
@@ -550,6 +551,24 @@ class TestCorpus:
         )
         with pytest.raises(ValidationError, match="no trials"):
             load_manifest(out)
+
+    def test_boolean_schema_version_rejected(self, tmp_path, capsys):
+        # JSON true equals 1 in Python; a manifest must say 1, as a trial file must
+        records = generate_corpus(SimConfig(seed=5), 2, 0.0)
+        out = tmp_path / "corpus"
+        save_corpus([r.trial for r in records], out)
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        manifest["schema_version"] = True
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="schema_version"):
+            load_manifest(out)
+        with pytest.raises(ValidationError, match="schema_version"):
+            run_batch(out)
+        report = tmp_path / "r.json"
+        assert main(["batch", "--corpus", str(out), "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "schema_version" in err and "Traceback" not in err
+        assert not report.exists()
 
     def test_existing_manifest_not_overwritten(self, tmp_path):
         records = generate_corpus(SimConfig(seed=5), 2, 0.0)

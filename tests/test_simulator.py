@@ -13,6 +13,9 @@ from stemfit.simulator import (
     FIRST_PREFIX_ROWS,
     MAX_WINDOW_SAMPLES,
     SimConfig,
+    _compliant_pulls,
+    _draw_pull,
+    _generate,
     generate_corpus,
     generate_trial,
     sample_orientation,
@@ -26,6 +29,8 @@ from stemfit.spring_model import (
 )
 
 from conftest import (
+    corpus_trials,
+    generate_corpus_reference,
     generate_trial_reference,
     pose_point_reference,
     predict_force,
@@ -251,6 +256,12 @@ def assert_matches_reference(config, seed):
     if isinstance(want, str):
         assert got == want
         return got
+    assert_same_record(got, want)
+    return got
+
+
+def assert_same_record(got, want):
+    """Two records hold the same column bits and trial fields."""
     for name in COLUMN_WIDTHS:
         a, b = getattr(got.trial.samples, name), getattr(want.trial.samples, name)
         assert a.shape == b.shape, name
@@ -263,7 +274,6 @@ def assert_matches_reference(config, seed):
         want.trial.id,
     )
     assert got.compliance_applied == want.compliance_applied
-    return got
 
 
 def boundary_config(cap_index, compliance, pull_speed):
@@ -275,6 +285,16 @@ def boundary_config(cap_index, compliance, pull_speed):
     step = cfg.pull_speed / cfg.sample_rate
     return replace(cfg, force_cap=stiffness * step * (cap_index - 0.5))
 
+
+# extreme but finite configs whose pull overflows, divides by zero or meets a
+# singular matrix; a numpy warning fails the suite
+EXTREME_CONFIGS = [
+    {"k": 1e300},
+    {"k": 1e300, "grasp_compliance": isotropic(0.004)},
+    {"l": 1e-300},
+    {"l": 1e-300, "grasp_compliance": isotropic(0.004)},
+    {"grasp_compliance": ((1e300, 0, 0), (0, 0, 0), (0, 0, 0))},
+]
 
 # first capped samples on either side of the first two prefix boundaries
 BOUNDARY_CAPS = [
@@ -333,18 +353,7 @@ class TestPrefixMatchesWholeWindow:
         got = assert_matches_reference(cfg, 11)
         assert isinstance(got, str) and message in got
 
-    # extreme but finite configs whose pull overflows, divides by zero or
-    # meets a singular matrix; a numpy warning fails the suite
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"k": 1e300},
-            {"k": 1e300, "grasp_compliance": isotropic(0.004)},
-            {"l": 1e-300},
-            {"l": 1e-300, "grasp_compliance": isotropic(0.004)},
-            {"grasp_compliance": ((1e300, 0, 0), (0, 0, 0), (0, 0, 0))},
-        ],
-    )
+    @pytest.mark.parametrize("overrides", EXTREME_CONFIGS)
     def test_extreme_configs_are_config_errors(self, overrides):
         assert isinstance(assert_matches_reference(replace(noiseless(), **overrides), 11), str)
 
@@ -395,6 +404,140 @@ def test_memory_follows_the_recorded_pull_not_the_window(compliance):
     assert len(record.trial.samples) < 5000
     # numpy reports its buffers to tracemalloc; one (window, 3) float64 array
     assert peak < window_rows * 3 * 8
+
+
+def test_corpus_memory_follows_the_recorded_pulls_not_the_window():
+    # several compliant pulls on a window of ~990,000 samples, each capped
+    # within a few thousand
+    cfg = noiseless(
+        pull_speed=0.15 * 500.0 / 990_000, force_cap=0.2, failure_compliance_range=(0.0005, 0.001)
+    )
+    window_rows = math.floor(cfg.pull_distance / (cfg.pull_speed / cfg.sample_rate)) + 1
+    assert 0.9 * MAX_WINDOW_SAMPLES < window_rows <= MAX_WINDOW_SAMPLES + 1
+    tracemalloc.start()
+    try:
+        records = generate_corpus(cfg, 4, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.compliance_applied and len(r.trial.samples) < 5000 for r in records)
+    assert peak < window_rows * 3 * 8
+
+
+def corpus_outcome(generate, config, n_trials, failure_fraction):
+    try:
+        return generate(config, n_trials, failure_fraction)
+    except SimulationConfigError as exc:
+        return str(exc)
+
+
+def assert_corpus_matches_reference(config, n_trials, failure_fraction):
+    """``generate_corpus`` gives the records of the trial-by-trial reference
+    bit for bit, or raises its SimulationConfigError; return its records or
+    message."""
+    got = corpus_outcome(generate_corpus, config, n_trials, failure_fraction)
+    want = corpus_outcome(generate_corpus_reference, config, n_trials, failure_fraction)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return got
+    assert len(got) == len(want) == n_trials
+    for a, b in zip(got, want):
+        assert_same_record(a, b)
+    return got
+
+
+def drawn_pulls(*configs):
+    """One pull per config, all with the geometry that seed 0 draws."""
+    return [_draw_pull(cfg, np.random.default_rng(0), f"p{i}") for i, cfg in enumerate(configs)]
+
+
+def pull_outcome(pull):
+    """The rows of a pull solved alone, or the message of its exception."""
+    (outcome,) = _compliant_pulls([pull])
+    return str(outcome) if isinstance(outcome, Exception) else outcome
+
+
+class TestLockstepMatchesReference:
+    """``generate_corpus`` solves the compliant pulls of all its trials in
+    lockstep; the trial-by-trial reference in conftest must give the same
+    bits and raise the same error."""
+
+    @pytest.mark.parametrize("speed", PULL_SPEEDS)
+    @pytest.mark.parametrize("angle", [0.0, 30.0, 60.0])
+    @pytest.mark.parametrize("failure_fraction", [0.5, 1.0])
+    def test_corpus_bit_exact(self, speed, angle, failure_fraction):
+        # a low cap keeps the slowest compliant pulls to a few thousand rows
+        cfg = replace(SimConfig(seed=5), pull_speed=speed, off_axis_angle_deg=angle, force_cap=2.0)
+        records = assert_corpus_matches_reference(cfg, 4, failure_fraction)
+        assert sum(r.compliance_applied for r in records) == 4 * failure_fraction
+
+    @settings(deadline=None, max_examples=15)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trials=st.integers(1, 8),
+        failure_fraction=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_any_seed_matches_reference(self, seed, n_trials, failure_fraction):
+        assert_corpus_matches_reference(SimConfig(seed=seed), n_trials, failure_fraction)
+
+    def test_only_some_failure_trials_miss_the_cap(self):
+        # a wide compliance range: trials 4 and 7 miss the cap, the pulls
+        # between and after them do not
+        cfg = SimConfig(seed=1, failure_compliance_range=(0.002, 0.05))
+        missed = []
+        for trial_cfg, rng, trial_id in corpus_trials(cfg, 8, 0.75):
+            try:
+                generate_trial_reference(trial_cfg, rng, trial_id)
+                missed.append(False)
+            except SimulationConfigError:
+                missed.append(True)
+        assert missed == [False, False, False, False, True, False, False, True]
+        got = assert_corpus_matches_reference(cfg, 8, 0.75)
+        assert "not reached within pull_distance" in got
+
+    @pytest.mark.parametrize(
+        "overrides",
+        EXTREME_CONFIGS + [{"k": 1e300, "failure_compliance_range": (1e-3, 1e-2)}],
+    )
+    def test_extreme_compliant_corpus_raises_the_first_trials_error(self, overrides):
+        got = assert_corpus_matches_reference(replace(noiseless(), **overrides), 4, 1.0)
+        # the drawn compliance replaces an extreme grasp_compliance
+        if "k" in overrides or "l" in overrides:
+            assert got in (
+                "trial_000: Singular matrix",
+                "trial_000: float division by zero",
+                "compliant-grasp equilibrium solve did not converge",
+            )
+
+    def test_singular_matrix_ends_only_its_own_pull(self):
+        good, singular, late = drawn_pulls(
+            noiseless(grasp_compliance=ANISOTROPIC),
+            noiseless(k=1e300, grasp_compliance=isotropic(0.004)),
+            noiseless(grasp_compliance=isotropic(0.004)),
+        )
+        assert pull_outcome(singular) == "Singular matrix"
+        outcomes = _compliant_pulls([good, singular, late])
+        alone = pull_outcome(good)
+        assert len(alone[1]) > 2
+        for got, want in zip(outcomes[0], alone):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert isinstance(outcomes[1], np.linalg.LinAlgError)
+        # its outcome is not needed: the singular pull's error comes first
+        assert outcomes[2] is None
+
+    def test_first_trial_in_order_fails_even_when_it_fails_last(self):
+        # the first pull runs to the end of its window before it misses the
+        # cap; the second meets a singular matrix at its first step
+        slow, singular = drawn_pulls(
+            noiseless(grasp_compliance=isotropic(0.05)),
+            noiseless(k=1e300, grasp_compliance=isotropic(0.004)),
+        )
+        assert "not reached within pull_distance" in pull_outcome(slow)
+        with pytest.raises(SimulationConfigError, match="^force cap .* not reached"):
+            _generate(iter([slow, singular]))
+        with pytest.raises(SimulationConfigError, match="^p1: Singular matrix$"):
+            _generate(iter([singular, slow]))
 
 
 class TestGenerateCorpus:
