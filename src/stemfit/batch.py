@@ -7,6 +7,7 @@ requested, in a clearly separated ``timing`` section.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .errors import (
@@ -90,6 +91,8 @@ def run_batch(
     Per-trial failures are recorded in their row and never abort the batch.
     Output is identical for any ``jobs`` value: work is keyed by manifest
     order, not completion order. At most one worker process runs per trial.
+    A worker process that dies (killed by a signal or by the system's
+    out-of-memory killer, say) ends the batch with a StemfitError.
     """
     corpus_dir = Path(corpus_dir)
     manifest = load_manifest(corpus_dir)
@@ -100,8 +103,11 @@ def run_batch(
     # the pool starts all its workers at the first submit
     workers = min(jobs, len(work))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_fit_entry, work))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(_fit_entry, work))
+        except BrokenProcessPool as exc:
+            raise StemfitError(f"a batch worker process died: {exc}") from exc
     else:
         outcomes = [_fit_entry(item) for item in work]
     rows = [row for row, _ in outcomes]

@@ -4,7 +4,8 @@ per-sample pose and wrench mappings behind its stacked (columnar)
 computations, the row-wise (n, 3) model formulas behind its columnar model
 kernels, the v1 and v2 trial documents behind its trial-file reader and
 writer, and the whole-window, row-by-row pull and the trial-by-trial corpus
-behind the simulator's prefix evaluation and lockstep equilibrium solve."""
+behind the simulator's prefix evaluation and row-parallel equilibrium
+solve."""
 
 import base64
 import math
@@ -182,42 +183,32 @@ def assert_kernels_match_reference(x, arrays):
         assert np.array_equal(hessian.view(np.uint64), hessian_ref.view(np.uint64))
 
 
-def solve_equilibrium_reference(r_o, rigid_pos, comp_world, k, l, x_init):
+def solve_equilibrium_reference(r_o, rigid_pos, comp_world, k, l, x_init=None):
     """Fruit position where the spring force and the compliant grasp agree,
-    for one row of a pull.
+    for one row of a pull, or a NaN row if the solve does not converge.
 
-    Solves x = rigid_pos + C_w f(x) by Newton from ``x_init``, to a position
-    residual below 1e-13 m, in at most 80 steps; the simulator solves every
-    row of every compliant pull this way, stacked.
+    Solves x = rigid_pos + C_w f(x) by Newton from ``x_init`` (by default the
+    row's rigid position, as the simulator does for every row) to a position
+    residual below 1e-13 m, testing the residual at most 80 times.
     """
     eye = np.eye(3)
-    x = x_init.copy()
+    x = rigid_pos.copy() if x_init is None else x_init.copy()
     for _ in range(80):
         d = r_o - x
-        dist = float(np.linalg.norm(d))
-        unit = d / dist
-        f = k * (dist - l) * unit
+        dist = np.linalg.norm(d)  # a numpy float: dividing by zero gives inf, as in the package
+        f = k * (dist - l) * d / dist
         h = x - rigid_pos - comp_world @ f
         if float(np.linalg.norm(h)) < 1e-13:
-            return x, f
+            return x
+        unit = d / dist
         jd = k * ((1.0 - l / dist) * eye + (l / dist) * np.outer(unit, unit))
         x = x - np.linalg.solve(eye + comp_world @ jd, h)
-    raise SimulationConfigError("compliant-grasp equilibrium solve did not converge")
+    return np.full(3, np.nan)
 
 
-def generate_trial_reference(config, rng, trial_id="trial-0") -> SimTrialRecord:
-    """One pull trial evaluated on the whole ``pull_distance`` window before
-    the force cap is looked for: the package's ``generate_trial`` evaluates
-    only a prefix of that window and must give the same bits, draw the same
-    random numbers and raise the same errors."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        try:
-            return _whole_window_trial(config, rng, trial_id)
-        except (ArithmeticError, ValueError) as exc:
-            raise SimulationConfigError(f"{trial_id}: {exc}") from exc
-
-
-def _whole_window_trial(config, rng, trial_id):
+def draw_pull_reference(config, rng) -> dict:
+    """The geometry of one pull, drawn from ``rng`` in the simulator's order:
+    attachment point, hand orientation, then the off-axis tilt if any."""
     lo = config.attachment_region[0].as_array()
     hi = config.attachment_region[1].as_array()
     r_o = rng.uniform(lo, hi)
@@ -232,66 +223,107 @@ def _whole_window_trial(config, rng, trial_id):
         tilt_axis = math.cos(psi) * a + math.sin(psi) * b
         spring_axis = _rotate_about(normal, tilt_axis, math.radians(config.off_axis_angle_deg))
 
-    fruit_start = r_o - config.l * spring_axis
-    grasp_sensor = config.grasp_point.as_array()
-    sensor_start = fruit_start - rot @ grasp_sensor
-
     comp_sensor = config.compliance_matrix
     compliant = bool(np.any(comp_sensor != 0.0))
-    comp_world = rot @ comp_sensor @ rot.T if compliant else None
-
-    dt = 1.0 / config.sample_rate
-    step_travel = config.pull_speed * dt
+    step_travel = config.pull_speed * (1.0 / config.sample_rate)
     n_max = int(math.floor(config.pull_distance / step_travel))
-    travel = np.arange(n_max + 1) * step_travel
-    rigid = fruit_start - travel[:, None] * normal
+    fruit_start = r_o - config.l * spring_axis
+    return {
+        "r_o": r_o,
+        "orientation": orientation,
+        "rot": rot,
+        "normal": normal,
+        "fruit_start": fruit_start,
+        "comp_world": rot @ comp_sensor @ rot.T if compliant else None,
+        "step_travel": step_travel,
+        "rigid": fruit_start - (np.arange(n_max + 1) * step_travel)[:, None] * normal,
+    }
 
-    if compliant:
-        fruit_true, forces_world = [], []
-        x = fruit_start
-        for rigid_pos in rigid:
-            x, f_world = solve_equilibrium_reference(r_o, rigid_pos, comp_world, config.k, config.l, x)
-            fruit_true.append(x)
-            forces_world.append(f_world)
-            if float(np.linalg.norm(f_world)) >= config.force_cap:
-                break
-        fruit_true, forces_world = np.array(fruit_true), np.array(forces_world)
+
+def pull_rows_reference(config, pull, trial_id, warm_start=False):
+    """True fruit positions and world-frame spring forces of a pull through
+    the sample before the first whose noiseless force reaches ``force_cap``,
+    evaluated on the whole window: a rigid grasp's rows at once, a compliant
+    grasp's row by row with ``solve_equilibrium_reference`` until a row
+    reaches the cap or is left unsolved. ``warm_start`` starts each row's
+    solve from the previous row's position, as the simulator once did; its
+    rows agree with the default ones only to rounding."""
+    rigid = pull["rigid"]
+    if pull["comp_world"] is None:
+        fruit = rigid
     else:
-        fruit_true = rigid
-        forces_world = _spring_forces(r_o, rigid, config.k, config.l)
-        forces_world[0] = 0.0
-    capped = np.flatnonzero(_row_norms(forces_world) >= config.force_cap)
-    if capped.size == 0:
+        rows = []
+        for i, rigid_pos in enumerate(rigid):
+            x_init = rows[-1] if warm_start and rows else None
+            x = solve_equilibrium_reference(
+                pull["r_o"], rigid_pos, pull["comp_world"], config.k, config.l, x_init
+            )
+            rows.append(x)
+            force = _spring_forces(pull["r_o"], x[None, :], config.k, config.l)[0]
+            if i and not float(np.linalg.norm(force)) < config.force_cap:
+                break
+        fruit = np.array(rows)
+    forces = _spring_forces(pull["r_o"], fruit, config.k, config.l)
+    forces[0] = 0.0
+    unsolved = np.isnan(fruit[:, 0])
+    ends = np.flatnonzero((_row_norms(forces) >= config.force_cap) | unsolved)
+    if ends.size == 0:
         raise SimulationConfigError(
-            f"force cap {config.force_cap} N not reached within pull_distance "
+            f"{trial_id}: force cap {config.force_cap} N not reached within pull_distance "
             f"{config.pull_distance} m; lengthen the pull or soften the cap"
         )
-    n = int(capped[0])
+    n = int(ends[0])
+    if unsolved[n]:
+        raise SimulationConfigError(
+            f"{trial_id}: compliant-grasp equilibrium solve did not converge"
+        )
+    return fruit[:n], forces[:n]
+
+
+def generate_trial_reference(config, rng, trial_id="trial-0", warm_start=False) -> SimTrialRecord:
+    """One pull trial evaluated on the whole ``pull_distance`` window before
+    the force cap is looked for: the package's ``generate_trial`` evaluates
+    only a prefix of that window and must give the same bits, draw the same
+    random numbers and raise the same errors."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            return _whole_window_trial(config, rng, trial_id, warm_start)
+        except (ArithmeticError, ValueError) as exc:
+            raise SimulationConfigError(f"{trial_id}: {exc}") from exc
+
+
+def _whole_window_trial(config, rng, trial_id, warm_start):
+    pull = draw_pull_reference(config, rng)
+    fruit_true, forces_world = pull_rows_reference(config, pull, trial_id, warm_start)
+    n = len(forces_world)
     if n < 2:
         raise SimulationConfigError(
-            "force cap reached before the second sample; raise sample_rate or "
-            "slow the pull"
+            f"{trial_id}: force cap reached before the second sample; raise "
+            "sample_rate or slow the pull"
         )
 
-    sensor_positions = sensor_start - travel[:n, None] * normal
-    forces_sensor = rotate_rows(rot.T, forces_world[:n])
+    rot, normal, orientation = pull["rot"], pull["normal"], pull["orientation"]
+    sensor_start = pull["fruit_start"] - rot @ config.grasp_point.as_array()
+    sensor_positions = sensor_start - (np.arange(n) * pull["step_travel"])[:, None] * normal
+    forces_sensor = rotate_rows(rot.T, forces_world)
     forces_sensor = forces_sensor + rng.normal(0.0, config.noise_sigma, size=(n, 3))
-    grasp_true_sensor = rotate_rows(rot.T, fruit_true[:n] - sensor_positions)
+    grasp_true_sensor = rotate_rows(rot.T, fruit_true - sensor_positions)
     torques_sensor = np.cross(grasp_true_sensor, forces_sensor)
 
     samples = SampleColumns(
-        t=np.arange(n) * dt,
+        t=np.arange(n) * (1.0 / config.sample_rate),
         translation=sensor_positions,
         rotation_wxyz=np.tile([orientation.w, orientation.x, orientation.y, orientation.z], (n, 1)),
         force=forces_sensor,
         torque=torques_sensor,
     )
+    compliant = pull["comp_world"] is not None
     trial = Trial(
         samples=samples,
         spring=SpringParams(config.k, config.l),
         grasp_point=config.grasp_point,
         label=Label.FAILURE if compliant else Label.SUCCESS,
-        ground_truth=Vec3.from_array(r_o),
+        ground_truth=Vec3.from_array(pull["r_o"]),
         id=trial_id,
     )
     return SimTrialRecord(trial=trial, compliance_applied=compliant)
@@ -314,8 +346,8 @@ def corpus_trials(config, n_trials, failure_fraction):
 def generate_corpus_reference(config, n_trials, failure_fraction) -> list:
     """The corpus generated trial by trial, each by
     ``generate_trial_reference``; the first trial that fails raises. The
-    package's ``generate_corpus`` solves the compliant pulls of all trials
-    in lockstep and must give the same bits and raise the same error."""
+    package's ``generate_corpus`` must give the same bits and raise the same
+    error."""
     return [
         generate_trial_reference(cfg, rng, trial_id)
         for cfg, rng, trial_id in corpus_trials(config, n_trials, failure_fraction)
