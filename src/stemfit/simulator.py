@@ -195,27 +195,19 @@ def sample_orientation(rng: np.random.Generator) -> UnitQuaternion:
     return UnitQuaternion.from_rotation_matrix(np.column_stack([col0, col1, normal]))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of two 3-vectors, with its bits and without its per-call
-    overhead, which was about 8% of the time to generate a default corpus."""
-    return np.array(
-        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-    )
-
-
 def _perpendicular_basis(unit: np.ndarray):
     ref = np.array([0.0, 0.0, 1.0])
-    a = _cross(ref, unit)
+    a = np.cross(ref, unit)
     if np.linalg.norm(a) < 1e-9:
         ref = np.array([1.0, 0.0, 0.0])
-        a = _cross(ref, unit)
+        a = np.cross(ref, unit)
     a = a / np.linalg.norm(a)
-    return a, _cross(unit, a)
+    return a, np.cross(unit, a)
 
 
 def _rotate_about(vec: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
-    return vec * c + _cross(axis, vec) * s + axis * np.dot(axis, vec) * (1.0 - c)
+    return vec * c + np.cross(axis, vec) * s + axis * np.dot(axis, vec) * (1.0 - c)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -246,20 +238,41 @@ def _config_errors(trial_id: str):
             raise SimulationConfigError(f"{trial_id}: {exc}") from exc
 
 
+def _newton_steps(jacobian: np.ndarray, h: np.ndarray):
+    """Steps (n, 3) solving ``jacobian`` (n, 3, 3) @ step = ``h`` (n, 3) row
+    by row, and which rows' matrices are singular (n,); their steps are 0.
+    Each step has the bits of np.linalg.solve of its row alone."""
+    try:
+        return np.linalg.solve(jacobian, h[:, :, None])[:, :, 0], np.zeros(len(h), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass  # one singular matrix fails the stacked solve: find it row by row
+    steps = np.zeros_like(h)
+    singular = np.zeros(len(h), dtype=bool)
+    for i in range(len(h)):
+        try:
+            steps[i] = np.linalg.solve(jacobian[i : i + 1], h[i : i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return steps, singular
+
+
 def _equilibrium(config: SimConfig, r_o: np.ndarray, comp_world: np.ndarray, rigid: np.ndarray):
     """Fruit positions (n, 3) of a compliant grasp whose rigid positions are
-    ``rigid``: each row solves x = rigid + C f(x) by Newton from its own rigid
-    position. Plain fixed-point iteration diverges whenever k times the
-    compliance exceeds one.
+    ``rigid``, and which rows met a singular Newton matrix (n,): each row
+    solves x = rigid + C f(x) by Newton from its own rigid position. Plain
+    fixed-point iteration diverges whenever k times the compliance exceeds
+    one.
 
     A row is solved when its position residual is finite and below 1e-13 m
     (force consistency well under 1e-9 N); it is not stepped again. A row
-    still unsolved after ``_MAX_NEWTON_STEPS`` steps is NaN. The rows are
-    stepped together by stacked per-row arithmetic, so each row has the bits
+    whose Newton matrix is singular stops there; it and a row still unsolved
+    after ``_MAX_NEWTON_STEPS`` steps are NaN. The rows are stepped together
+    by stacked per-row arithmetic, so each row has the bits and the outcome
     of its own scalar Newton solve, whatever rows are solved with it.
     """
     eye = np.eye(3)
     fruit = np.full_like(rigid, np.nan)
+    singular = np.zeros(len(rigid), dtype=bool)
     rows = np.arange(len(rigid))
     x = rigid
     for _ in range(_MAX_NEWTON_STEPS):
@@ -283,8 +296,15 @@ def _equilibrium(config: SimConfig, r_o: np.ndarray, comp_world: np.ndarray, rig
         jacobian *= config.k
         jacobian = comp_world @ jacobian
         jacobian += eye
-        x = x - np.linalg.solve(jacobian, h[:, :, None])[:, :, 0]
-    return fruit
+        steps, stuck = _newton_steps(jacobian, h)
+        x = x - steps
+        if np.count_nonzero(stuck):
+            singular[rows[stuck]] = True
+            keep = ~stuck
+            rows, rigid, x = rows[keep], rigid[keep], x[keep]
+            if not rows.size:
+                break
+    return fruit, singular
 
 
 def _pull_rows(config: SimConfig, trial_id: str, r_o, fruit_start, normal, comp_world, step_travel):
@@ -296,7 +316,8 @@ def _pull_rows(config: SimConfig, trial_id: str, r_o, fruit_start, normal, comp_
     rows, then blocks that each double the rows evaluated, until a block
     holds the cap. A rigid grasp's fruit rows are its rigid positions; a
     compliant grasp's are solved by ``_equilibrium``, and one left unsolved
-    before the cap fails the trial. Every row comes from per-row arithmetic,
+    before the cap fails the trial with its singular matrix or its
+    non-convergence. Every row comes from per-row arithmetic,
     so it has the bits of the same row of the whole window.
     """
     window = int(math.floor(config.pull_distance / step_travel)) + 1
@@ -305,7 +326,10 @@ def _pull_rows(config: SimConfig, trial_id: str, r_o, fruit_start, normal, comp_
     while done < window:
         size = min(window, max(2 * done, FIRST_PREFIX_ROWS))
         rigid = fruit_start - (np.arange(done, size) * step_travel)[:, None] * normal
-        block = rigid if comp_world is None else _equilibrium(config, r_o, comp_world, rigid)
+        if comp_world is None:
+            block, singular = rigid, np.zeros(len(rigid), dtype=bool)
+        else:
+            block, singular = _equilibrium(config, r_o, comp_world, rigid)
         block_forces = _spring_forces(r_o, block, config.k, config.l)
         if not done:
             block_forces[0] = 0.0  # the fruit starts at rest
@@ -314,11 +338,15 @@ def _pull_rows(config: SimConfig, trial_id: str, r_o, fruit_start, normal, comp_
         unsolved = np.isnan(block[:, 0])
         ends = np.flatnonzero((_row_norms(block_forces) >= config.force_cap) | unsolved)
         if ends.size:
-            if unsolved[ends[0]]:
-                raise SimulationConfigError(
-                    f"{trial_id}: compliant-grasp equilibrium solve did not converge"
+            end = int(ends[0])
+            if unsolved[end]:
+                reason = (
+                    "Singular matrix"
+                    if singular[end]
+                    else "compliant-grasp equilibrium solve did not converge"
                 )
-            n = done + int(ends[0])
+                raise SimulationConfigError(f"{trial_id}: {reason}")
+            n = done + end
             return np.concatenate(fruit)[:n], np.concatenate(forces)[:n]
         done = size
     raise SimulationConfigError(

@@ -12,11 +12,14 @@ error stays above ``mse_target``, the next run is seeded at the previous
 run's output, up to ``max_restarts`` times.
 """
 
+import ctypes
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.cython_blas
 from scipy.optimize import minimize as _scipy_minimize
 from scipy.optimize import nnls
 
@@ -53,6 +56,45 @@ _MAX_HALVINGS = 30
 # integer (2**63 fails inside scipy), and unbounded restarts can run forever.
 MAX_ITERATIONS_PER_RUN = 1_000_000
 MAX_RESTARTS = 1_000
+
+
+def _blas_thread_count_functions():
+    """The thread-count getter and setter of the OpenBLAS that scipy (and so
+    SLSQP) links, or None when scipy links another BLAS."""
+    try:
+        blas = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(blas, prefix + "_get_num_threads", None)
+        put = getattr(blas, prefix + "_set_num_threads", None)
+        if get is not None and put is not None:
+            return get, put
+    return None
+
+
+_BLAS_THREADS = _blas_thread_count_functions()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run with scipy's OpenBLAS on one thread, then restore its count.
+
+    OpenBLAS splits some of SLSQP's calls by its thread count, so the count
+    changes a fit's bits and can flip its certificate; on one thread a fit
+    has the same bits on every machine, and batch workers do not contend
+    for cores. Does nothing where scipy links another BLAS.
+    """
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
 
 
 @dataclass(frozen=True)
@@ -491,7 +533,8 @@ def fit(
     preferred, then lowest cost); iteration counts and runtime aggregate over
     all runs. Runs that die on a model-evaluation failure are recorded and
     the schedule stops early; if no run produced an iterate the failure
-    propagates.
+    propagates. The fit runs scipy's BLAS on one thread, so its bits do not
+    depend on the machine (``_one_blas_thread``).
     """
     start = time.perf_counter()
     model = _Model(TrialArrays.from_trial(trial))
@@ -510,7 +553,7 @@ def fit(
         if best_run is None or _better(best_run.iterate, run.iterate, ctol) is run.iterate:
             best_run = run
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         x0 = _initial_guess_array(model.arrays)
         run = _minimize_arrays(model, x0, config, collect_trace, 0)
         absorb(run)

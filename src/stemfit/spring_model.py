@@ -109,7 +109,7 @@ class Trial:
             if not finite.all():
                 i = int(np.argmin(finite))
                 raise ValueError(f"samples[{i}]: {name} must be finite")
-        steps = np.flatnonzero(~(np.diff(s.t) > 0.0))
+        steps = np.flatnonzero(~(s.t[1:] > s.t[:-1]))  # np.diff can overflow
         if steps.size:
             i = int(steps[0]) + 1
             raise ValueError(

@@ -225,13 +225,14 @@ def corpus_dir(tmp_path_factory):
 class TestRunBatch:
     def test_report_structure_and_metrics(self, corpus_dir):
         report = run_batch(corpus_dir)
-        counts = dict(report["counts"])
-        # whether every failure-class fit certifies hangs on last bits: one
-        # of the four here does under one BLAS thread but not under two
-        converged = counts.pop("converged")
-        assert counts == {"total": 10, "fitted": 10, "failed": 0, "success": 6, "failure": 4}
-        assert converged == sum(r["converged"] for r in report["per_trial"])
-        assert all(r["converged"] for r in report["per_trial"] if r["label"] == "success")
+        assert report["counts"] == {
+            "total": 10,
+            "fitted": 10,
+            "failed": 0,
+            "converged": 10,
+            "success": 6,
+            "failure": 4,
+        }
         assert len(report["per_trial"]) == 10
         ids = [r["id"] for r in report["per_trial"]]
         assert ids == sorted(ids)

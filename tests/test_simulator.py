@@ -13,6 +13,7 @@ from stemfit.simulator import (
     FIRST_PREFIX_ROWS,
     MAX_WINDOW_SAMPLES,
     SimConfig,
+    _newton_steps,
     generate_corpus,
     generate_trial,
     sample_orientation,
@@ -239,8 +240,8 @@ PULL_SPEEDS = [0.33, 5.0 / 632.0 / 0.45, 5.0 / 632.0 / 4.0]
 def assert_matches_reference(config, seed):
     """Run ``generate_trial`` and the whole-window reference on the same seed
     and require the same column bits, trial fields and generator state, or
-    the same SimulationConfigError (``assert_same_error``); return
-    ``generate_trial``'s record or message."""
+    the same SimulationConfigError message; return ``generate_trial``'s
+    record or message."""
     outcomes, states = [], []
     for generate in (generate_trial, generate_trial_reference):
         rng = np.random.default_rng(seed)
@@ -253,21 +254,10 @@ def assert_matches_reference(config, seed):
     assert states[0] == states[1]
     assert type(got) is type(want)
     if isinstance(want, str):
-        assert_same_error(got, want)
+        assert got == want
         return got
     assert_same_record(got, want)
     return got
-
-
-def assert_same_error(got, want):
-    """The package's SimulationConfigError message is the reference's, with
-    one known exception: the package Newton-steps a block of rows together,
-    so a singular Newton matrix in any row of the block fails the trial
-    before an earlier row of it has used up its steps, where the row-by-row
-    reference meets that earlier row's failure first."""
-    if got.endswith(": Singular matrix"):
-        want = want.replace("compliant-grasp equilibrium solve did not converge", "Singular matrix")
-    assert got == want
 
 
 def assert_same_record(got, want):
@@ -305,6 +295,8 @@ EXTREME_CONFIGS = [
     {"l": 1e-300, "grasp_compliance": isotropic(0.004)},
     {"grasp_compliance": ((1e300, 0, 0), (0, 0, 0), (0, 0, 0))},
 ]
+
+NOT_CONVERGED = "compliant-grasp equilibrium solve did not converge"
 
 # first capped samples on either side of the first two prefix boundaries
 BOUNDARY_CAPS = [
@@ -368,7 +360,7 @@ class TestPrefixMatchesWholeWindow:
         [
             ({"pull_distance": 0.004}, "force cap 5.0 N not reached within pull_distance"),
             ({"force_cap": 1e-3}, "force cap reached before the second sample"),
-            ({"l": 1e-300}, "compliant-grasp equilibrium solve did not converge"),
+            ({"l": 1e-300}, NOT_CONVERGED),
         ],
     )
     def test_compliant_errors_name_their_trial(self, overrides, message):
@@ -462,7 +454,7 @@ def assert_corpus_matches_reference(config, n_trials, failure_fraction):
     want = corpus_outcome(generate_corpus_reference, config, n_trials, failure_fraction)
     assert type(got) is type(want)
     if isinstance(want, str):
-        assert_same_error(got, want)
+        assert got == want
         return got
     assert len(got) == len(want) == n_trials
     for a, b in zip(got, want):
@@ -509,17 +501,27 @@ class TestCorpusMatchesReference:
         assert got.startswith("trial_004: force cap 5.0 N not reached within pull_distance")
 
     @pytest.mark.parametrize(
-        "overrides",
-        EXTREME_CONFIGS + [{"k": 1e300, "failure_compliance_range": (1e-3, 1e-2)}],
+        "overrides, message",
+        zip(
+            EXTREME_CONFIGS + [{"k": 1e300, "failure_compliance_range": (1e-3, 1e-2)}],
+            # the drawn compliance replaces an extreme grasp_compliance
+            ["Singular matrix"] * 2 + [NOT_CONVERGED] * 2 + [None, NOT_CONVERGED],
+        ),
     )
-    def test_extreme_compliant_corpus_raises_the_first_trials_error(self, overrides):
+    def test_extreme_compliant_corpus_raises_the_first_trials_error(self, overrides, message):
         got = assert_corpus_matches_reference(replace(noiseless(), **overrides), 4, 1.0)
-        # the drawn compliance replaces an extreme grasp_compliance
-        if "k" in overrides or "l" in overrides:
-            assert got in (
-                "trial_000: Singular matrix",
-                "trial_000: compliant-grasp equilibrium solve did not converge",
-            )
+        if message is not None:
+            assert got == f"trial_000: {message}"
+
+    def test_a_singular_newton_matrix_stops_only_its_own_row(self):
+        rng = np.random.default_rng(0)
+        jacobian = rng.normal(size=(5, 3, 3))
+        h = rng.normal(size=(5, 3))
+        want = np.linalg.solve(jacobian, h[:, :, None])[:, :, 0]
+        jacobian[2] = 0.0
+        steps, singular = _newton_steps(jacobian, h)
+        assert singular.tolist() == [False, False, True, False, False]
+        assert np.array_equal(steps[~singular].view(np.uint64), want[~singular].view(np.uint64))
 
 
 # mixed-12 seeds 42 and 4242 and mixed-226 seed 9090

@@ -8,7 +8,7 @@ import pytest
 from stemfit import solver, spring_model
 from stemfit.errors import EvaluationFailureError
 from stemfit.geometry import Vec3
-from stemfit.simulator import SimConfig, generate_trial
+from stemfit.simulator import SimConfig, generate_corpus, generate_trial
 from stemfit.solver import (
     KKT_GRADIENT_TOL,
     MAX_ITERATIONS_PER_RUN,
@@ -20,6 +20,7 @@ from stemfit.spring_model import (
     SpringParams,
     Trial,
     TrialArrays,
+    bias_compensate,
     constraint_values_jacobian,
 )
 
@@ -184,6 +185,26 @@ class TestFitContracts:
         )
         assert a.final_mse == b.final_mse
         assert a.iterations_total == b.iterations_total
+
+    @pytest.mark.skipif(solver._BLAS_THREADS is None, reason="scipy links no OpenBLAS")
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # SLSQP takes another path on this failure-class trial with two
+        # OpenBLAS threads than with one; a fit runs on one whatever is set
+        cfg = replace(SimConfig(), noise_sigma=0.05, seed=101)
+        trial = bias_compensate(generate_corpus(cfg, 10, 0.4)[6].trial)
+        get, put = solver._BLAS_THREADS
+        before = get()
+        results = []
+        try:
+            for threads in (1, 2):
+                put(threads)
+                results.append(fit(trial))
+                assert get() == threads
+        finally:
+            put(before)
+        one, two = results
+        assert one.r_o_hat == two.r_o_hat
+        assert (one.final_mse, one.iterations_total) == (two.final_mse, two.iterations_total)
 
     def test_translation_equivariance(self):
         shift = np.array([0.7, -0.4, 0.25])
