@@ -250,7 +250,10 @@ def _csv_cell(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):  # quoted as RFC 4180 has it
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def emit_plot_data(report: dict, kind: str, out_path):

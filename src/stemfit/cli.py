@@ -13,7 +13,7 @@ from .batch import emit_plot_data, load_report, run_batch, save_report
 from .errors import EvaluationFailureError, StemfitError, ValidationError
 from .simulator import SimConfig, generate_corpus
 from .solver import SolverConfig, fit
-from .spring_model import bias_compensate
+from .spring_model import Label, bias_compensate
 from .trial_io import dump_json, load_trial, read_json, save_corpus
 
 EXIT_OK = 0
@@ -83,7 +83,7 @@ def _cmd_simulate(args) -> int:
         sim_config_dict=config.to_dict(),
         seed=config.seed,
     )
-    n_fail = sum(1 for r in records if r.compliance_applied)
+    n_fail = sum(1 for r in records if r.trial.label is Label.FAILURE)
     print(
         f"wrote {len(records)} trials ({len(records) - n_fail} success, "
         f"{n_fail} failure) to {args.out}"

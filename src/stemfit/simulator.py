@@ -29,7 +29,8 @@ MAX_WINDOW_SAMPLES = 1_000_000
 # each further block doubles the rows evaluated, up to the whole window. 128
 # rows hold a default pull in one block: 12 samples rigid, 39-60 compliant
 FIRST_PREFIX_ROWS = 128
-# Newton steps a compliant row may take before its equilibrium solve fails
+# Newton steps a compliant row may take before it is left unsolved (NaN);
+# failure-class rows of the default config take at most 5
 _MAX_NEWTON_STEPS = 80
 # numpy floating-point warnings the simulator turns off: a config that
 # overflows or divides by zero is a SimulationConfigError instead
@@ -167,10 +168,9 @@ _NESTED_FIELDS = {
 
 @dataclass(frozen=True)
 class SimTrialRecord:
-    """A generated trial plus the generation facts a consumer may want."""
+    """A generated trial; its label says whether the grasp was compliant."""
 
     trial: Trial
-    compliance_applied: bool
 
 
 def sample_orientation(rng: np.random.Generator) -> UnitQuaternion:
@@ -210,14 +210,15 @@ def _rotate_about(vec: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray
     return vec * c + np.cross(axis, vec) * s + axis * np.dot(axis, vec) * (1.0 - c)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Lengths (n,) of the rows of ``v`` (n, 3).
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products (n,) of the rows of ``a`` and ``b`` (n, 3), each with the
+    bits of np.dot of its rows alone; a sum along axis 1 (as in
+    np.linalg.norm(v, axis=1)) can differ in the last bit."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    A stacked dot product gives each row the bits of np.linalg.norm of it
-    alone; np.linalg.norm(v, axis=1) sums differently and can differ in the
-    last bit.
-    """
-    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dots(v, v))
 
 
 def _spring_forces(r_o: np.ndarray, fruit: np.ndarray, k: float, l: float) -> np.ndarray:
@@ -238,41 +239,27 @@ def _config_errors(trial_id: str):
             raise SimulationConfigError(f"{trial_id}: {exc}") from exc
 
 
-def _newton_steps(jacobian: np.ndarray, h: np.ndarray):
-    """Steps (n, 3) solving ``jacobian`` (n, 3, 3) @ step = ``h`` (n, 3) row
-    by row, and which rows' matrices are singular (n,); their steps are 0.
-    Each step has the bits of np.linalg.solve of its row alone."""
-    try:
-        return np.linalg.solve(jacobian, h[:, :, None])[:, :, 0], np.zeros(len(h), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass  # one singular matrix fails the stacked solve: find it row by row
-    steps = np.zeros_like(h)
-    singular = np.zeros(len(h), dtype=bool)
-    for i in range(len(h)):
-        try:
-            steps[i] = np.linalg.solve(jacobian[i : i + 1], h[i : i + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return steps, singular
-
-
-def _equilibrium(config: SimConfig, r_o: np.ndarray, comp_world: np.ndarray, rigid: np.ndarray):
+def _equilibrium(config: SimConfig, r_o: np.ndarray, comp_world, eigen, rigid: np.ndarray):
     """Fruit positions (n, 3) of a compliant grasp whose rigid positions are
-    ``rigid``, and which rows met a singular Newton matrix (n,): each row
-    solves x = rigid + C f(x) by Newton from its own rigid position. Plain
-    fixed-point iteration diverges whenever k times the compliance exceeds
-    one.
+    ``rigid``: each row solves x = rigid + C f(x) by Newton from its own rigid
+    position (plain fixed-point iteration diverges once k C exceeds one). A
+    row is solved, and not stepped again, when its residual, computed with
+    C = ``comp_world``, is finite and below 1e-13 m; one still unsolved after
+    ``_MAX_NEWTON_STEPS`` steps is NaN.
 
-    A row is solved when its position residual is finite and below 1e-13 m
-    (force consistency well under 1e-9 N); it is not stepped again. A row
-    whose Newton matrix is singular stops there; it and a row still unsolved
-    after ``_MAX_NEWTON_STEPS`` steps are NaN. The rows are stepped together
-    by stacked per-row arithmetic, so each row has the bits and the outcome
-    of its own scalar Newton solve, whatever rows are solved with it.
+    The Newton matrix I + C k((1 - b) I + b u u^T), with b = l / |r_o - x|
+    and u the unit vector from x to ``r_o``, is A + k b (C u) u^T with
+    A = I + k (1 - b) C. In C's eigenbasis ``eigen`` (lam, Q) applying A^-1
+    divides by 1 + k (1 - b) lam_i, and Sherman-Morrison adds the rank-one
+    term with divisor 1 + k b u^T A^-1 C u. The step relies on a stretched
+    spring (|r_o - x| >= l, so b <= 1) and a PSD C: then every divisor is
+    >= 1. A step that is not finite leaves its row NaN. Only the step uses
+    the eigenpairs, so their rounding can cost a step but never give a wrong
+    row. Every operation is per row, so a row has the bits of its own scalar
+    solve, whatever rows are solved with it.
     """
-    eye = np.eye(3)
+    lam, basis = eigen
     fruit = np.full_like(rigid, np.nan)
-    singular = np.zeros(len(rigid), dtype=bool)
     rows = np.arange(len(rigid))
     x = rigid
     for _ in range(_MAX_NEWTON_STEPS):
@@ -285,26 +272,15 @@ def _equilibrium(config: SimConfig, r_o: np.ndarray, comp_world: np.ndarray, rig
             if not rows.size:
                 break
         d = r_o - x
-        dist = _row_norms(d)[:, None, None]
-        unit = d[:, :, None] / dist
+        dist = _row_norms(d)[:, None]
         b = config.l / dist
-        # the Newton matrix I + C k ((1 - b) I + b u u^T), built in place: a
-        # block can hold half a million rows, at 72 bytes a row per matrix stack
-        jacobian = unit * unit.transpose(0, 2, 1)
-        jacobian *= b
-        jacobian += (1.0 - b) * eye
-        jacobian *= config.k
-        jacobian = comp_world @ jacobian
-        jacobian += eye
-        steps, stuck = _newton_steps(jacobian, h)
-        x = x - steps
-        if np.count_nonzero(stuck):
-            singular[rows[stuck]] = True
-            keep = ~stuck
-            rows, rigid, x = rows[keep], rigid[keep], x[keep]
-            if not rows.size:
-                break
-    return fruit, singular
+        u = rotate_rows(basis.T, d / dist)  # in C's eigenbasis, as are the steps
+        divisors = 1.0 + config.k * (1.0 - b) * lam
+        a_h = rotate_rows(basis.T, h) / divisors
+        a_cu = (config.k * b) * lam * u / divisors
+        step = a_h - a_cu * (_row_dots(u, a_h) / (1.0 + _row_dots(u, a_cu)))[:, None]
+        x = x - rotate_rows(basis, step)
+    return fruit
 
 
 def _pull_rows(config: SimConfig, trial_id: str, r_o, fruit_start, normal, comp_world, step_travel):
@@ -315,21 +291,18 @@ def _pull_rows(config: SimConfig, trial_id: str, r_o, fruit_start, normal, comp_
     The pull window is evaluated in blocks: its first ``FIRST_PREFIX_ROWS``
     rows, then blocks that each double the rows evaluated, until a block
     holds the cap. A rigid grasp's fruit rows are its rigid positions; a
-    compliant grasp's are solved by ``_equilibrium``, and one left unsolved
-    before the cap fails the trial with its singular matrix or its
-    non-convergence. Every row comes from per-row arithmetic,
-    so it has the bits of the same row of the whole window.
+    compliant grasp's are solved by ``_equilibrium`` in the eigenbasis of
+    ``comp_world``, and a row left unsolved before the cap fails the trial.
+    Every row has the bits of the same row of the whole window.
     """
     window = int(math.floor(config.pull_distance / step_travel)) + 1
+    eigen = None if comp_world is None else np.linalg.eigh(comp_world)
     fruit, forces = [], []
     done = 0
     while done < window:
         size = min(window, max(2 * done, FIRST_PREFIX_ROWS))
         rigid = fruit_start - (np.arange(done, size) * step_travel)[:, None] * normal
-        if comp_world is None:
-            block, singular = rigid, np.zeros(len(rigid), dtype=bool)
-        else:
-            block, singular = _equilibrium(config, r_o, comp_world, rigid)
+        block = rigid if comp_world is None else _equilibrium(config, r_o, comp_world, eigen, rigid)
         block_forces = _spring_forces(r_o, block, config.k, config.l)
         if not done:
             block_forces[0] = 0.0  # the fruit starts at rest
@@ -340,12 +313,9 @@ def _pull_rows(config: SimConfig, trial_id: str, r_o, fruit_start, normal, comp_
         if ends.size:
             end = int(ends[0])
             if unsolved[end]:
-                reason = (
-                    "Singular matrix"
-                    if singular[end]
-                    else "compliant-grasp equilibrium solve did not converge"
+                raise SimulationConfigError(
+                    f"{trial_id}: compliant-grasp equilibrium solve did not converge"
                 )
-                raise SimulationConfigError(f"{trial_id}: {reason}")
             n = done + end
             return np.concatenate(fruit)[:n], np.concatenate(forces)[:n]
         done = size
@@ -371,9 +341,8 @@ def generate_trial(
     every row depends on its own hand position alone.
 
     A config that cannot give a valid trial, including an extreme but finite
-    one whose pull overflows, divides by zero or meets a singular matrix, is
-    a SimulationConfigError naming ``trial_id``; numpy warns about none of
-    it.
+    one whose pull overflows or divides by zero, is a SimulationConfigError
+    naming ``trial_id``; numpy warns about none of it.
     """
     with _config_errors(trial_id):
         lo = config.attachment_region[0].as_array()
@@ -428,7 +397,7 @@ def generate_trial(
             ground_truth=Vec3.from_array(r_o),
             id=trial_id,
         )
-        return SimTrialRecord(trial=trial, compliance_applied=compliant)
+        return SimTrialRecord(trial=trial)
 
 
 def _failure_config(config: SimConfig, rng: np.random.Generator, trial_id: str) -> SimConfig:

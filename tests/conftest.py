@@ -189,13 +189,37 @@ def solve_equilibrium_reference(r_o, rigid_pos, comp_world, k, l, x_init=None):
 
     Solves x = rigid_pos + C_w f(x) by Newton from ``x_init`` (by default the
     row's rigid position, as the simulator does for every row) to a position
-    residual below 1e-13 m, testing the residual at most 80 times.
+    residual below 1e-13 m, testing the residual at most 80 times. Each step
+    solves the Newton matrix A + k b (C_w u) u^T, A = I + k (1 - b) C_w, in
+    closed form: A^-1 in C_w's eigenbasis, then Sherman-Morrison.
     """
-    eye = np.eye(3)
+    lam, basis = np.linalg.eigh(comp_world)
     x = rigid_pos.copy() if x_init is None else x_init.copy()
     for _ in range(80):
         d = r_o - x
         dist = np.linalg.norm(d)  # a numpy float: dividing by zero gives inf, as in the package
+        f = k * (dist - l) * d / dist
+        h = x - rigid_pos - comp_world @ f
+        if float(np.linalg.norm(h)) < 1e-13:
+            return x
+        b = l / dist
+        u = basis.T @ (d / dist)
+        divisors = 1.0 + k * (1.0 - b) * lam
+        a_h = (basis.T @ h) / divisors  # A^-1 h
+        a_cu = (k * b) * lam * u / divisors  # A^-1 k b C_w u
+        x = x - basis @ (a_h - a_cu * (np.dot(u, a_h) / (1.0 + np.dot(u, a_cu))))
+    return np.full(3, np.nan)
+
+
+def solve_equilibrium_by_lapack(r_o, rigid_pos, comp_world, k, l, x_init=None):
+    """``solve_equilibrium_reference`` with each Newton step solved by
+    np.linalg.solve on the (3, 3) Newton matrix instead of in closed form;
+    it agrees with the closed form only to rounding."""
+    eye = np.eye(3)
+    x = rigid_pos.copy() if x_init is None else x_init.copy()
+    for _ in range(80):
+        d = r_o - x
+        dist = np.linalg.norm(d)
         f = k * (dist - l) * d / dist
         h = x - rigid_pos - comp_world @ f
         if float(np.linalg.norm(h)) < 1e-13:
@@ -240,14 +264,17 @@ def draw_pull_reference(config, rng) -> dict:
     }
 
 
-def pull_rows_reference(config, pull, trial_id, warm_start=False):
+def pull_rows_reference(
+    config, pull, trial_id, solve=solve_equilibrium_reference, warm_start=False
+):
     """True fruit positions and world-frame spring forces of a pull through
     the sample before the first whose noiseless force reaches ``force_cap``,
     evaluated on the whole window: a rigid grasp's rows at once, a compliant
-    grasp's row by row with ``solve_equilibrium_reference`` until a row
-    reaches the cap or is left unsolved. ``warm_start`` starts each row's
-    solve from the previous row's position, as the simulator once did; its
-    rows agree with the default ones only to rounding."""
+    grasp's row by row with ``solve`` (by default
+    ``solve_equilibrium_reference``) until a row reaches the cap or is left
+    unsolved. ``warm_start`` starts each row's solve from the previous row's
+    position, as the simulator once did; its rows agree with the default
+    ones only to rounding."""
     rigid = pull["rigid"]
     if pull["comp_world"] is None:
         fruit = rigid
@@ -255,9 +282,7 @@ def pull_rows_reference(config, pull, trial_id, warm_start=False):
         rows = []
         for i, rigid_pos in enumerate(rigid):
             x_init = rows[-1] if warm_start and rows else None
-            x = solve_equilibrium_reference(
-                pull["r_o"], rigid_pos, pull["comp_world"], config.k, config.l, x_init
-            )
+            x = solve(pull["r_o"], rigid_pos, pull["comp_world"], config.k, config.l, x_init)
             rows.append(x)
             force = _spring_forces(pull["r_o"], x[None, :], config.k, config.l)[0]
             if i and not float(np.linalg.norm(force)) < config.force_cap:
@@ -280,21 +305,21 @@ def pull_rows_reference(config, pull, trial_id, warm_start=False):
     return fruit[:n], forces[:n]
 
 
-def generate_trial_reference(config, rng, trial_id="trial-0", warm_start=False) -> SimTrialRecord:
+def generate_trial_reference(config, rng, trial_id="trial-0") -> SimTrialRecord:
     """One pull trial evaluated on the whole ``pull_distance`` window before
     the force cap is looked for: the package's ``generate_trial`` evaluates
     only a prefix of that window and must give the same bits, draw the same
     random numbers and raise the same errors."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         try:
-            return _whole_window_trial(config, rng, trial_id, warm_start)
+            return _whole_window_trial(config, rng, trial_id)
         except (ArithmeticError, ValueError) as exc:
             raise SimulationConfigError(f"{trial_id}: {exc}") from exc
 
 
-def _whole_window_trial(config, rng, trial_id, warm_start):
+def _whole_window_trial(config, rng, trial_id):
     pull = draw_pull_reference(config, rng)
-    fruit_true, forces_world = pull_rows_reference(config, pull, trial_id, warm_start)
+    fruit_true, forces_world = pull_rows_reference(config, pull, trial_id)
     n = len(forces_world)
     if n < 2:
         raise SimulationConfigError(
@@ -317,16 +342,15 @@ def _whole_window_trial(config, rng, trial_id, warm_start):
         force=forces_sensor,
         torque=torques_sensor,
     )
-    compliant = pull["comp_world"] is not None
     trial = Trial(
         samples=samples,
         spring=SpringParams(config.k, config.l),
         grasp_point=config.grasp_point,
-        label=Label.FAILURE if compliant else Label.SUCCESS,
+        label=Label.SUCCESS if pull["comp_world"] is None else Label.FAILURE,
         ground_truth=Vec3.from_array(pull["r_o"]),
         id=trial_id,
     )
-    return SimTrialRecord(trial=trial, compliance_applied=compliant)
+    return SimTrialRecord(trial=trial)
 
 
 def corpus_trials(config, n_trials, failure_fraction):

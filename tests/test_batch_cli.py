@@ -1,4 +1,5 @@
 import base64
+import csv
 import json
 import multiprocessing
 import os
@@ -486,6 +487,25 @@ class TestPlotData:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "trial_id,runtime,converged"
         assert len(lines) == 11
+
+    def test_ids_that_need_quoting_round_trip(self, tmp_path):
+        # a trial id may hold a comma, a double quote, CR or LF; each plot
+        # kind quotes it, so every row reads back at the header's width
+        ids = ['a,b "x"', "line\nbreak", "cr\ronly", "plain"]
+        cfg = replace(SimConfig(), noise_sigma=0.0, seed=3)
+        trials = [replace(r.trial, id=i) for r, i in zip(generate_corpus(cfg, len(ids), 0.0), ids)]
+        save_corpus(trials, tmp_path / "c", sim_config_dict=cfg.to_dict(), seed=3)
+        report = run_batch(tmp_path / "c", include_timing=True)
+        for kind in PLOT_KINDS:
+            out = tmp_path / f"{kind}.csv"
+            emit_plot_data(report, kind, out)
+            with open(out, newline="") as f:
+                header, *rows = csv.reader(f)
+            assert len(rows) == len(ids)
+            assert all(len(row) == len(header) for row in rows)
+            if header[0] == "trial_id":
+                assert [row[0] for row in rows] == [r["id"] for r in report["per_trial"]]
+                assert sorted(row[0] for row in rows) == sorted(ids)
 
     def test_unknown_kind(self, corpus_dir, tmp_path):
         report = run_batch(corpus_dir)

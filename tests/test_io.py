@@ -155,7 +155,7 @@ class TestTrialFileBytes:
     def test_generated_corpus_files(self, tmp_path):
         cfg = replace(SimConfig(), noise_sigma=0.05, seed=31)
         records = generate_corpus(cfg, 6, 0.5)
-        assert {r.compliance_applied for r in records} == {False, True}
+        assert {r.trial.label for r in records} == {Label.SUCCESS, Label.FAILURE}
         save_corpus([r.trial for r in records], tmp_path, sim_config_dict=cfg.to_dict(), seed=31)
         for record in records:
             path = tmp_path / f"{record.trial.id}.json"

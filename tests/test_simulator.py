@@ -13,7 +13,7 @@ from stemfit.simulator import (
     FIRST_PREFIX_ROWS,
     MAX_WINDOW_SAMPLES,
     SimConfig,
-    _newton_steps,
+    _equilibrium,
     generate_corpus,
     generate_trial,
     sample_orientation,
@@ -21,6 +21,7 @@ from stemfit.simulator import (
 from stemfit.spring_model import (
     COLUMN_WIDTHS,
     Label,
+    SpringParams,
     TrialArrays,
     apple_position_world,
     cost_and_gradient,
@@ -34,7 +35,9 @@ from conftest import (
     pull_rows_reference,
     pose_point_reference,
     predict_force,
+    random_unit_quaternion,
     rotation_matrix_reference,
+    solve_equilibrium_by_lapack,
     trial_to_dict,
     wrench_to_world_reference,
 )
@@ -189,7 +192,6 @@ class TestCompliance:
     def test_model_cost_positive_at_ground_truth(self):
         cfg = self.compliant_config()
         record = generate_trial(cfg, np.random.default_rng(13), "c")
-        assert record.compliance_applied
         assert record.trial.label is Label.FAILURE
         truth = record.trial.ground_truth.as_array()
         cost, _ = cost_and_gradient(truth, TrialArrays.from_trial(record.trial))
@@ -197,7 +199,7 @@ class TestCompliance:
 
     def test_rigid_trial_cost_zero_at_ground_truth(self):
         record = generate_trial(noiseless(), np.random.default_rng(13), "r")
-        assert not record.compliance_applied
+        assert record.trial.label is Label.SUCCESS
         truth = record.trial.ground_truth.as_array()
         cost, _ = cost_and_gradient(truth, TrialArrays.from_trial(record.trial))
         assert cost < 1e-12
@@ -273,7 +275,6 @@ def assert_same_record(got, want):
         want.trial.grasp_point,
         want.trial.id,
     )
-    assert got.compliance_applied == want.compliance_applied
 
 
 def boundary_config(cap_index, compliance, pull_speed):
@@ -286,8 +287,8 @@ def boundary_config(cap_index, compliance, pull_speed):
     return replace(cfg, force_cap=stiffness * step * (cap_index - 0.5))
 
 
-# extreme but finite configs whose pull overflows, divides by zero or meets a
-# singular matrix; a numpy warning fails the suite
+# extreme but finite configs whose pull overflows or divides by zero; a numpy
+# warning fails the suite
 EXTREME_CONFIGS = [
     {"k": 1e300},
     {"k": 1e300, "grasp_compliance": isotropic(0.004)},
@@ -313,7 +314,7 @@ class TestPrefixMatchesWholeWindow:
     def test_rigid_bit_exact(self, speed, angle):
         cfg = replace(SimConfig(), pull_speed=speed, off_axis_angle_deg=angle)
         for seed in (0, 7, 77):
-            assert not assert_matches_reference(cfg, seed).compliance_applied
+            assert assert_matches_reference(cfg, seed).trial.label is Label.SUCCESS
 
     @pytest.mark.parametrize("speed", PULL_SPEEDS)
     @pytest.mark.parametrize("angle", [0.0, 30.0, 60.0])
@@ -323,7 +324,7 @@ class TestPrefixMatchesWholeWindow:
             SimConfig(), pull_speed=speed, off_axis_angle_deg=angle, grasp_compliance=compliance
         )
         for seed in (1, 9090):
-            assert assert_matches_reference(cfg, seed).compliance_applied
+            assert assert_matches_reference(cfg, seed).trial.label is Label.FAILURE
 
     @pytest.mark.parametrize("cap_index", BOUNDARY_CAPS)
     @pytest.mark.parametrize("compliance", [0.0, 0.004])
@@ -435,7 +436,7 @@ def test_corpus_memory_follows_the_recorded_pulls_not_the_window():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(r.compliance_applied and len(r.trial.samples) < 5000 for r in records)
+    assert all(r.trial.label is Label.FAILURE and len(r.trial.samples) < 5000 for r in records)
     assert peak < window_rows * 3 * 8
 
 
@@ -474,7 +475,7 @@ class TestCorpusMatchesReference:
         # a low cap keeps the slowest compliant pulls to a few thousand rows
         cfg = replace(SimConfig(seed=5), pull_speed=speed, off_axis_angle_deg=angle, force_cap=2.0)
         records = assert_corpus_matches_reference(cfg, 4, failure_fraction)
-        assert sum(r.compliance_applied for r in records) == 4 * failure_fraction
+        assert sum(r.trial.label is Label.FAILURE for r in records) == 4 * failure_fraction
 
     @settings(deadline=None, max_examples=15)
     @given(
@@ -505,23 +506,13 @@ class TestCorpusMatchesReference:
         zip(
             EXTREME_CONFIGS + [{"k": 1e300, "failure_compliance_range": (1e-3, 1e-2)}],
             # the drawn compliance replaces an extreme grasp_compliance
-            ["Singular matrix"] * 2 + [NOT_CONVERGED] * 2 + [None, NOT_CONVERGED],
+            [NOT_CONVERGED] * 4 + [None, NOT_CONVERGED],
         ),
     )
     def test_extreme_compliant_corpus_raises_the_first_trials_error(self, overrides, message):
         got = assert_corpus_matches_reference(replace(noiseless(), **overrides), 4, 1.0)
         if message is not None:
             assert got == f"trial_000: {message}"
-
-    def test_a_singular_newton_matrix_stops_only_its_own_row(self):
-        rng = np.random.default_rng(0)
-        jacobian = rng.normal(size=(5, 3, 3))
-        h = rng.normal(size=(5, 3))
-        want = np.linalg.solve(jacobian, h[:, :, None])[:, :, 0]
-        jacobian[2] = 0.0
-        steps, singular = _newton_steps(jacobian, h)
-        assert singular.tolist() == [False, False, True, False, False]
-        assert np.array_equal(steps[~singular].view(np.uint64), want[~singular].view(np.uint64))
 
 
 # mixed-12 seeds 42 and 4242 and mixed-226 seed 9090
@@ -534,9 +525,11 @@ CROSS_CHECKED_CORPORA = {
 
 @pytest.mark.parametrize("corpus", CROSS_CHECKED_CORPORA)
 def test_cold_and_warm_started_solves_agree(corpus):
-    # each row's Newton solve starts at its rigid position; warm-starting it
-    # from the previous row's solution, as the simulator once did, reaches
-    # the same rows within rounding and ends the pull at the same sample
+    # each row's Newton solve starts at its rigid position and takes its
+    # steps in closed form; stepping by np.linalg.solve instead, from the
+    # rigid position or from the previous row's solution (as the simulator
+    # once did), reaches the same rows within rounding and ends the pull at
+    # the same sample
     config, n_trials, failure_fraction = CROSS_CHECKED_CORPORA[corpus]
     compliant = 0
     for cfg, rng, trial_id in corpus_trials(config, n_trials, failure_fraction):
@@ -544,12 +537,69 @@ def test_cold_and_warm_started_solves_agree(corpus):
             continue
         pull = draw_pull_reference(cfg, rng)
         fruit, forces = pull_rows_reference(cfg, pull, trial_id)
-        warm_fruit, warm_forces = pull_rows_reference(cfg, pull, trial_id, warm_start=True)
-        assert len(fruit) == len(warm_fruit)
-        assert np.max(np.abs(fruit - warm_fruit)) < 1e-12
-        assert np.max(np.abs(forces - warm_forces)) < 1e-9
+        for warm_start in (False, True):
+            other_fruit, other_forces = pull_rows_reference(
+                cfg, pull, trial_id, solve_equilibrium_by_lapack, warm_start
+            )
+            assert len(fruit) == len(other_fruit)
+            assert np.max(np.abs(fruit - other_fruit)) < 1e-12
+            assert np.max(np.abs(forces - other_forces)) < 1e-9
         compliant += 1
     assert compliant == round(n_trials * failure_fraction)
+
+
+def stretched_rows(r_o, l, units, stretches):
+    """Rigid positions at ``l + stretch`` from ``r_o`` along ``-units``."""
+    units = units / np.linalg.norm(units, axis=1)[:, None]
+    return r_o - (l + stretches)[:, None] * units
+
+
+class TestEquilibrium:
+    """``_equilibrium`` on blocks of rows, against the per-row residual."""
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eigenvalues=st.lists(
+            st.sampled_from([0.0, 1e-6, 1e-3]) | st.floats(0.0, 1.0), min_size=3, max_size=3
+        ),
+        max_stretch=st.sampled_from([0.0, 1e-9, 1e-3, 0.3]),
+    )
+    def test_a_stretched_pull_solves_every_row(self, seed, eigenvalues, max_stretch):
+        # a PSD compliance with eigenvalues in [0, 1] m/N and rigid
+        # positions no nearer r_o than the rest length: every divisor of the
+        # closed-form step is >= 1, and every row passes the residual test
+        rng = np.random.default_rng(seed)
+        basis = random_unit_quaternion(rng).rotation_matrix()
+        comp = basis @ np.diag(eigenvalues) @ basis.T
+        cfg = SimConfig()
+        r_o = rng.uniform(-1.0, 1.0, size=3)
+        rigid = stretched_rows(
+            r_o, cfg.l, rng.normal(size=(64, 3)), rng.uniform(0.0, max_stretch, size=64)
+        )
+        fruit = _equilibrium(cfg, r_o, comp, np.linalg.eigh(comp), rigid)
+        for x, rigid_pos in zip(fruit, rigid):
+            spring = SpringParams(cfg.k, cfg.l)
+            force = predict_force(Vec3.from_array(r_o), Vec3.from_array(x), spring)
+            assert float(np.linalg.norm(x - rigid_pos - comp @ force.as_array())) < 1e-13
+
+    def test_an_unsolved_row_leaves_the_others_their_bits(self):
+        # a row that cannot be solved is NaN, and every other row has the
+        # bits it has when solved alone, wherever it sits in the block
+        cfg = SimConfig()
+        comp = np.array(ANISOTROPIC)
+        eigen = np.linalg.eigh(comp)
+        rng = np.random.default_rng(5)
+        r_o = rng.uniform(-1.0, 1.0, size=3)
+        rigid = stretched_rows(r_o, cfg.l, rng.normal(size=(9, 3)), rng.uniform(0.0, 0.02, size=9))
+        rigid[4] = np.nan
+        block = _equilibrium(cfg, r_o, comp, eigen, rigid)
+        alone = [_equilibrium(cfg, r_o, comp, eigen, row[None, :])[0] for row in rigid]
+        assert np.isnan(block[4]).all()
+        assert not np.isnan(np.delete(block, 4, axis=0)).any()
+        assert np.array_equal(block.view(np.uint64), np.array(alone).view(np.uint64))
+        reversed_block = _equilibrium(cfg, r_o, comp, eigen, rigid[::-1].copy())
+        assert np.array_equal(reversed_block[::-1].view(np.uint64), block.view(np.uint64))
 
 
 class TestGenerateCorpus:
