@@ -41,20 +41,30 @@ def orientation_error(r_hat: Vec3, r_true: Vec3, r_a0: Vec3) -> float:
     return angle_between(r_true - r_a0, r_hat - r_a0)
 
 
+def _exponent(*samples) -> int:
+    """Binary exponent of the largest magnitude in the samples.
+
+    The statistics are computed on the samples divided by ``2**exponent``,
+    which puts every value below 1 in magnitude, so squares and sums of
+    squares cannot overflow (nor, for Welch, underflow). Scaling by a power
+    of two is exact, so a statistic keeps its bits wherever the unscaled
+    arithmetic stays finite and normal.
+    """
+    return math.frexp(max(float(np.abs(s).max()) for s in samples))[1]
+
+
 def summarize(values) -> SummaryStats:
     """Summary statistics: interpolated quartiles for the IQR, sample (n-1)
     standard deviation. A single value yields zero spread."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("summarize requires at least one value")
+    exponent = _exponent(arr)
+    arr = np.ldexp(arr, -exponent)
     q1, q3 = np.quantile(arr, [0.25, 0.75])
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return SummaryStats(
-        median=float(np.median(arr)),
-        iqr=float(q3 - q1),
-        mean=float(arr.mean()),
-        std=std,
-    )
+    std = arr.std(ddof=1) if arr.size > 1 else 0.0
+    median, iqr, mean, std = np.ldexp([np.median(arr), q3 - q1, arr.mean(), std], exponent)
+    return SummaryStats(median=float(median), iqr=float(iqr), mean=float(mean), std=float(std))
 
 
 def welch_t_test(sample_a, sample_b) -> WelchResult:
@@ -62,7 +72,8 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
 
     Degrees of freedom follow Welch-Satterthwaite; the p-value comes from the
     Student t CDF. Zero pooled variance degenerates to t=0, p=1 for equal
-    means and an infinite statistic otherwise.
+    means and an infinite statistic otherwise. Both samples are scaled by
+    one power of two (``_exponent``), which leaves every result unchanged.
     """
     a = np.asarray(list(sample_a), dtype=float)
     b = np.asarray(list(sample_b), dtype=float)
@@ -70,6 +81,8 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
         raise InsufficientSamplesError(
             f"welch_t_test needs >= 2 values per sample, got {a.size} and {b.size}"
         )
+    exponent = _exponent(a, b)
+    a, b = np.ldexp(a, -exponent), np.ldexp(b, -exponent)
     mean_diff = float(a.mean() - b.mean())
     va = float(a.var(ddof=1)) / a.size
     vb = float(b.var(ddof=1)) / b.size

@@ -47,9 +47,6 @@ _SLSQP_FTOL = 1e-12
 # an SQP cycle that lowers the cost by less than this, relative to
 # 1 + |cost|, and barely moves the KKT residual or violation, is stagnant
 _CYCLE_COST_TOL = 1e-10
-# polish gives up once a step this small (relative to the point's scale)
-# finds no acceptable point
-_POLISH_STEP_TOL = 1e-8
 _POLISH_MAX_ITER = 60
 _MAX_HALVINGS = 30
 # Upper limits of the two SolverConfig counts. SLSQP's iteration count is a C
@@ -265,7 +262,7 @@ def _projected_gradient(grad, values, jac):
     return float(rnorm), lam, active
 
 
-def _better(a: _Iterate | None, b: _Iterate, ctol: float) -> _Iterate:
+def _better(a: _Iterate, b: _Iterate, ctol: float) -> _Iterate:
     """Prefer feasible iterates, then lower cost, then lower KKT residual.
 
     Costs are compared with a tie band: two points whose constraint
@@ -274,8 +271,6 @@ def _better(a: _Iterate | None, b: _Iterate, ctol: float) -> _Iterate:
     better, and inside that band the KKT residual decides. Without the band
     a barely-infeasible stall point beats the true boundary optimum forever.
     """
-    if a is None:
-        return b
     a_feas = a.viol <= ctol
     b_feas = b.viol <= ctol
     if a_feas != b_feas:
@@ -320,7 +315,7 @@ def _kkt_step(hess, it: _Iterate):
         if it.lam[i] > 1e-14:
             work.add(int(idx))
     work = sorted(work)
-    for _ in range(len(work) + 1):
+    while True:
         m = len(work)
         kkt_mat = np.zeros((3 + m, 3 + m))
         kkt_mat[:3, :3] = hess
@@ -339,7 +334,6 @@ def _kkt_step(hess, it: _Iterate):
         if m == 0 or lam.min() >= -1e-12:
             return step
         work.pop(int(np.argmin(lam)))
-    return step
 
 
 # polish only refines near-stationary, near-feasible points; far-out iterates
@@ -349,27 +343,21 @@ _POLISH_VIOL_GATE = 1e-6
 
 
 def _polish(start: _Iterate, model: _Model, ctol: float, budget: int):
-    """Active-set Newton refinement; returns (best iterate, iterations used).
+    """Damped active-set Newton refinement; returns (best iterate, iterations used).
 
-    Steps this close to the optimum are legitimately tiny, so stagnation is
-    judged on the merit's decay rate, not on step size. A step is never
-    accepted into new constraint violation beyond tolerance.
+    Each Newton step is halved until it lowers the merit without new
+    constraint violation beyond tolerance; the polish ends when no halving
+    is accepted. Steps this close to the optimum are legitimately tiny, so
+    stagnation is judged on the merit's decay rate, not on step size.
     """
-    arrays = model.arrays
-    x_scale = max(arrays.l, float(np.linalg.norm(start.x)))
     if start.kkt > _POLISH_KKT_GATE or start.viol > _POLISH_VIOL_GATE:
         return start, 0
     current = start
-    hess = None  # at current; kept while steps from it are rejected
-    mu = 0.0
     iterations = 0
     stalled = 0
     while iterations < budget and current.merit(ctol) > 0.5:
         iterations += 1
-        if hess is None:
-            hess = _lagrangian_hessian(current, model)
-        h_scale = max(abs(float(np.trace(hess))) / 3.0, 1.0)
-        step = _kkt_step(hess + mu * h_scale * np.eye(3), current)
+        step = _kkt_step(_lagrangian_hessian(current, model), current)
         step_norm = float(np.linalg.norm(step))
         if not math.isfinite(step_norm) or step_norm == 0.0:
             break
@@ -387,16 +375,9 @@ def _polish(start: _Iterate, model: _Model, ctol: float, budget: int):
                 break
             alpha *= 0.5
         if accepted is None:
-            if step_norm <= _POLISH_STEP_TOL * x_scale:
-                break  # no acceptable step and nothing left to move
-            mu = 10.0 * mu if mu > 0.0 else 1e-8
-            if mu > 1e6:
-                break
-            continue
-        mu *= 0.25
+            break
         previous_merit = current.merit(ctol)
         current = accepted
-        hess = None
         if current.merit(ctol) > 0.9 * previous_merit:
             stalled += 1
             if stalled >= 2:
@@ -516,9 +497,8 @@ def _minimize_arrays(
         )
         stagnant = 0 if made_progress else stagnant + 1
 
-    final = _better(best, current, ctol)
-    converged = final.meets(ctol)
-    return _RunResult(final, used, converged, tuple(trace) if collect_trace else None)
+    # every new ``current`` went through ``_better``, so ``best`` is final
+    return _RunResult(best, used, best.meets(ctol), tuple(trace) if collect_trace else None)
 
 
 def fit(
@@ -531,10 +511,11 @@ def fit(
 
     The returned point is the best iterate seen across runs (feasible ones
     preferred, then lowest cost); iteration counts and runtime aggregate over
-    all runs. Runs that die on a model-evaluation failure are recorded and
-    the schedule stops early; if no run produced an iterate the failure
-    propagates. The fit runs scipy's BLAS on one thread, so its bits do not
-    depend on the machine (``_one_blas_thread``).
+    all runs. A model-evaluation failure (an overflow, or a run that starts
+    on a fruit position sample) in the first run propagates as
+    ``EvaluationFailureError``; in a restart it ends the schedule, and the
+    best earlier run is returned. The fit runs scipy's BLAS on one thread,
+    so its bits do not depend on the machine (``_one_blas_thread``).
     """
     start = time.perf_counter()
     model = _Model(TrialArrays.from_trial(trial))

@@ -258,6 +258,8 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
     for field in ("id", "label", "spring", "grasp_point", body):
         if field not in doc:
             raise ValidationError(f"{source}: missing required field '{field}'")
+    if not isinstance(doc["id"], str):
+        raise ValidationError(f"{source}: id must be a string, got {doc['id']!r}")
     try:
         label = Label(doc["label"])
     except ValueError:
@@ -287,7 +289,7 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
             grasp_point=grasp_point,
             label=label,
             ground_truth=ground_truth,
-            id=str(doc["id"]),
+            id=doc["id"],
         )
     except ValueError as exc:
         raise ValidationError(f"{source}: {exc}") from exc

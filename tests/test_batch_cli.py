@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -537,6 +538,23 @@ class TestCli:
                      "error_vs_mse", "--out", str(plot)]) == 0
         assert plot.read_text().startswith("final_mse,")
         capsys.readouterr()
+
+    def test_huge_ground_truths_give_a_loadable_report(self, tmp_path):
+        # localization errors near 1e80 m once overflowed the Welch test's
+        # squared variances to a NaN p-value, which a report cannot hold
+        out = tmp_path / "c"
+        save_corpus([r.trial for r in generate_corpus(SimConfig(seed=5), 4, 0.5)], out)
+        for i, path in enumerate(sorted(out.glob("trial_*.json"))):
+            doc = json.loads(path.read_text())
+            doc["ground_truth"] = [1e80 * (i + 1), 0.0, 0.0]
+            path.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        assert main(["batch", "--corpus", str(out), "--report", str(report)]) == 0
+        loaded = load_report(report)
+        assert loaded["counts"]["success"] == loaded["counts"]["failure"] == 2
+        welch = loaded["class_comparison"]["localization_error"]
+        assert all(math.isfinite(welch[key]) for key in ("p_value", "degrees_of_freedom"))
+        assert loaded["summary"]["localization_error"]["overall"]["std"] > 1e79
 
     def test_fit_single_trial(self, tmp_path, capsys):
         corpus = tmp_path / "c"

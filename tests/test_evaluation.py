@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from stemfit.errors import DegenerateInputError, InsufficientSamplesError
@@ -148,3 +151,37 @@ class TestWelch:
         r = welch_t_test([0.0, 0.0], [1.0, 1.0])
         assert math.isinf(r.t_statistic) and r.p_value == 0.0
 
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+samples = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=12)
+
+
+class TestPowerOfTwoScaling:
+    """Scaling the samples by 2**k moves no statistic's bits, however far it
+    takes them from 1: neither the variances nor their squares overflow or
+    underflow."""
+
+    @given(samples, samples, st.integers(-900, 900))
+    def test_welch_keeps_its_bits(self, a, b, k):
+        scaled = welch_t_test([math.ldexp(v, k) for v in a], [math.ldexp(v, k) for v in b])
+        base = welch_t_test(a, b)
+        for field in ("t_statistic", "p_value", "degrees_of_freedom"):
+            assert bits(getattr(scaled, field)) == bits(getattr(base, field)), field
+
+    @given(samples, st.integers(-900, 900))
+    def test_summary_scales_exactly(self, values, k):
+        scaled = summarize([math.ldexp(v, k) for v in values])
+        base = summarize(values)
+        for field in ("median", "iqr", "mean", "std"):
+            assert bits(getattr(scaled, field)) == bits(math.ldexp(getattr(base, field), k)), field
+
+    def test_huge_values(self):
+        assert summarize([1e200, 2e200]).std == pytest.approx(math.sqrt(0.5) * 1e200, rel=1e-15)
+        huge = welch_t_test([1e78, 2e78], [3e78, 5e78])
+        small = welch_t_test([1.0, 2.0], [3.0, 5.0])
+        for field in ("t_statistic", "p_value", "degrees_of_freedom"):
+            assert getattr(huge, field) == pytest.approx(getattr(small, field), rel=1e-14)

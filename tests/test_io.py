@@ -309,6 +309,18 @@ class TestTrialValidationOnLoad:
         with pytest.raises(ValidationError, match=named):
             trial_from_dict(doc)
 
+    @pytest.mark.parametrize("bad_id", [None, 5, 1.5, True, [], {}])
+    def test_id_must_be_a_string(self, tmp_path, capsys, bad_id):
+        doc = self.doc()
+        doc["id"] = bad_id
+        with pytest.raises(ValidationError, match="^t.json: id must be a string"):
+            trial_from_dict(doc, source="t.json")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fit", "--trial", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: id must be a string") and "Traceback" not in err
+
     def test_non_utf8_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b'{"id": "\xff"}')

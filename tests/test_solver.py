@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stemfit import solver, spring_model
-from stemfit.errors import EvaluationFailureError
+from stemfit.errors import EvaluationFailureError, SingularityError
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus, generate_trial
 from stemfit.solver import (
@@ -397,3 +397,256 @@ class TestEvaluationsPerPoint:
             else:
                 want = spring_model.cost_and_gradient(x, arrays)[kind == "gradient"]
             assert np.array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def polishing_failure_trial():
+    """A failure-class trial whose fit takes polish steps and restarts five times."""
+    return bias_compensate(generate_corpus(SimConfig(seed=2), 4, 1.0)[3].trial)
+
+
+def finite_fields(result) -> bool:
+    return all(
+        math.isfinite(v)
+        for v in (
+            *result.r_o_hat.as_array(),
+            result.final_mse,
+            result.max_constraint_violation,
+            result.projected_gradient,
+        )
+    )
+
+
+class _PointTermsCalls:
+    """Record a fit's ``point_terms`` calls, each as its stage and point, and
+    make the point of call ``singular_at`` (counting from 1) singular: that
+    call and every later one there raise ``SingularityError``.
+
+    Singularity is a property of the point, so only a call at a point not
+    evaluated before can make it singular. Both names are patched: the
+    public kernels call ``spring_model``'s, the model's lazy terms the
+    solver's.
+    """
+
+    def __init__(self, monkeypatch, singular_at=None):
+        self.calls = []
+        self.stage = None
+        singular = set()
+        terms = spring_model.point_terms
+
+        def counted(x, arrays):
+            key = x.tobytes()
+            self.calls.append((self.stage, key))
+            if len(self.calls) == singular_at:
+                singular.add(key)
+            if key in singular:
+                raise SingularityError("injected singular point")
+            return terms(x, arrays)
+
+        monkeypatch.setattr(spring_model, "point_terms", counted)
+        monkeypatch.setattr(solver, "point_terms", counted)
+        for name, stage in (
+            ("_minimize_arrays", "run start"),
+            ("_scipy_minimize", "sqp"),
+            ("_polish", "polish"),
+        ):
+            monkeypatch.setattr(solver, name, self._staged(getattr(solver, name), stage))
+
+    def _staged(self, fn, stage):
+        def call(*args, **kwargs):
+            self.stage = stage
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.stage = "between stages"
+
+        return call
+
+
+def _new_point_calls(monkeypatch, trial):
+    """(k, stage) of each ``point_terms`` call of a clean fit at a point not
+    evaluated before, and how many calls the first run's start makes."""
+    clean = _PointTermsCalls(monkeypatch)
+    fit(trial)
+    monkeypatch.undo()
+    seen = set()
+    new = []
+    for k, (stage, key) in enumerate(clean.calls, 1):
+        if key not in seen:
+            seen.add(key)
+            new.append((k, stage))
+    first_start = [stage for stage, _ in clean.calls].index("sqp")
+    return new, first_start
+
+
+class TestSingularPointAnywhere:
+    """A singular point met anywhere in a fit is skipped, except at the first
+    run's start, which has nothing to fall back on."""
+
+    @staticmethod
+    def _check(monkeypatch, trial, calls, first_start):
+        for k, stage in calls:
+            injected = _PointTermsCalls(monkeypatch, singular_at=k)
+            try:
+                result = fit(trial)
+            except EvaluationFailureError:
+                result = None
+            finally:
+                monkeypatch.undo()
+            assert injected.calls[k - 1][0] == stage
+            if k <= first_start:
+                assert stage == "run start" and result is None, k
+            else:
+                assert result is not None and finite_fields(result), k
+
+    def test_every_point_of_a_success_trial(self, monkeypatch):
+        trial = default_trial()
+        calls, first_start = _new_point_calls(monkeypatch, trial)
+        assert {stage for _, stage in calls} == {"run start", "sqp", "polish"}
+        self._check(monkeypatch, trial, calls, first_start)
+
+    def test_a_spread_of_points_on_a_failure_trial(self, monkeypatch):
+        trial = polishing_failure_trial()
+        calls, first_start = _new_point_calls(monkeypatch, trial)
+        # every point outside the SQP stage, and every 20th call inside it
+        calls = [(k, stage) for k, stage in calls if stage != "sqp" or k % 20 == 0]
+        assert {stage for _, stage in calls} == {"run start", "sqp", "polish"}
+        self._check(monkeypatch, trial, calls, first_start)
+
+
+def _record_polishes(monkeypatch):
+    """Wrap ``_polish``; each call is recorded as (start, returned iterate,
+    iterations used)."""
+    polishes = []
+    polish = solver._polish
+
+    def recorded(start, *args):
+        polished, used = polish(start, *args)
+        polishes.append((start, polished, used))
+        return polished, used
+
+    monkeypatch.setattr(solver, "_polish", recorded)
+    return polishes
+
+
+class TestFailedPolishSteps:
+    """Only ``_kkt_step`` calls ``numpy.linalg.solve`` and ``lstsq`` in a fit;
+    scipy's ``nnls`` is compiled."""
+
+    @staticmethod
+    def _nan_solution(a, b, *args, **kwargs):
+        return np.full(np.shape(b), np.nan)
+
+    @staticmethod
+    def _singular_matrix(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    @pytest.mark.parametrize("broken_solve", ["_singular_matrix", "_nan_solution"])
+    def test_a_failed_kkt_solve_falls_back_to_least_squares(self, monkeypatch, broken_solve):
+        trial = default_trial()
+        clean = fit(trial)
+        fallbacks = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", getattr(self, broken_solve))
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        result = fit(trial)
+        assert fallbacks  # the polish ran
+        assert result.converged
+        assert (result.r_o_hat - clean.r_o_hat).norm() < 1e-6
+
+    def test_a_non_finite_step_ends_the_polish(self, monkeypatch):
+        trial = default_trial()
+        polishes = _record_polishes(monkeypatch)
+        monkeypatch.setattr(np.linalg, "solve", self._nan_solution)
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda a, b, rcond: (self._nan_solution(a, b), None, 0, None)
+        )
+        result = fit(trial)
+        assert finite_fields(result)
+        assert polishes
+        for start, polished, used in polishes:
+            assert polished is start and used == 1
+
+    def test_a_step_that_cannot_move_the_point_ends_the_polish(self, monkeypatch):
+        # a quarter of the point's resolution rounds away, at every halving
+        trial = default_trial()
+        polishes = _record_polishes(monkeypatch)
+        halvings = []
+        iterate = solver._Iterate
+
+        def counted(x, model):
+            halvings.append(x.tobytes())
+            return iterate(x, model)
+
+        monkeypatch.setattr(solver, "_kkt_step", lambda hess, it: np.spacing(it.x) / 4)
+        monkeypatch.setattr(solver, "_Iterate", counted)
+        result = fit(trial)
+        assert finite_fields(result)
+        assert polishes
+        for start, polished, used in polishes:
+            assert polished is start and used == 1
+            assert halvings.count(start.x.tobytes()) == 1 + solver._MAX_HALVINGS
+
+
+class TestNonFiniteCost:
+    """A model evaluation whose cost is not finite fails its run."""
+
+    @staticmethod
+    def _evaluations(monkeypatch, inf_at=None):
+        """Wrap ``_Model.evaluate``; each call is recorded as the number of
+        the run it is made in (0 for the first), and call ``inf_at``
+        (counting from 1) returns an infinite cost."""
+        runs = []
+        evaluations = []
+        minimize_arrays = solver._minimize_arrays
+        evaluate = solver._Model.evaluate
+
+        def counted_run(*args):
+            runs.append(len(runs))
+            return minimize_arrays(*args)
+
+        def counted(model, x):
+            evaluations.append(runs[-1])
+            cost, *rest = evaluate(model, x)
+            return (math.inf if len(evaluations) == inf_at else cost, *rest)
+
+        monkeypatch.setattr(solver, "_minimize_arrays", counted_run)
+        monkeypatch.setattr(solver._Model, "evaluate", counted)
+        return evaluations
+
+    def test_in_the_first_run_it_fails_the_fit(self, monkeypatch):
+        trial = default_trial()
+        evaluations = self._evaluations(monkeypatch)
+        fit(trial)
+        monkeypatch.undo()
+        assert evaluations[:3] == [0, 0, 0]
+        for k in (1, 2, 3):  # the run's start, and two points after it
+            self._evaluations(monkeypatch, inf_at=k)
+            with pytest.raises(EvaluationFailureError, match="overflowed"):
+                fit(trial)
+            monkeypatch.undo()
+
+    def test_in_a_restart_it_ends_the_schedule_with_the_best_earlier_run(self, monkeypatch):
+        trial = polishing_failure_trial()
+        evaluations = self._evaluations(monkeypatch)
+        assert fit(trial).restarts_used == 5
+        monkeypatch.undo()
+        assert evaluations.count(0) < len(evaluations)
+        for at, restart in enumerate(evaluations, 1):
+            if restart == 0:
+                continue
+            self._evaluations(monkeypatch, inf_at=at)
+            result = fit(trial)
+            monkeypatch.undo()
+            earlier = fit(trial, SolverConfig(max_restarts=restart - 1))
+            assert result.restarts_used == restart
+            assert (result.r_o_hat, result.final_mse, result.converged) == (
+                earlier.r_o_hat,
+                earlier.final_mse,
+                earlier.converged,
+            )
+            assert result.iterations_total == earlier.iterations_total
