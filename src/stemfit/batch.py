@@ -6,6 +6,7 @@ Wall-clock timing is therefore kept out of the report unless explicitly
 requested, in a clearly separated ``timing`` section.
 """
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -174,7 +175,8 @@ def _summaries(fitted):
 def _comparison(fitted):
     """Per-class summaries and a Welch test of success against failure, for
     localization error and final MSE; None unless both classes have at least
-    two values of both metrics."""
+    two values of both metrics. JSON has no infinity, so an infinite t (each
+    class one repeated value, the two values different) is written as null."""
     blocks = {}
     for key in ("localization_error", "final_mse"):
         success = _metric_values([r for r in fitted if r["label"] == Label.SUCCESS.value], key)
@@ -185,7 +187,7 @@ def _comparison(fitted):
         blocks[key] = {
             "success": summarize(success).to_dict(),
             "failure": summarize(failure).to_dict(),
-            "t_statistic": welch.t_statistic,
+            "t_statistic": welch.t_statistic if math.isfinite(welch.t_statistic) else None,
             "p_value": welch.p_value,
             "degrees_of_freedom": welch.degrees_of_freedom,
         }

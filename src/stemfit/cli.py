@@ -50,13 +50,18 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _config_file(cls, path):
+    """``cls`` read from the JSON file ``path``, or its default when ``path`` is None."""
+    if path is None:
+        return cls()
+    try:
+        return cls.from_dict(read_json(path))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _sim_config(args) -> SimConfig:
-    config = SimConfig()
-    if args.config is not None:
-        try:
-            config = SimConfig.from_dict(read_json(args.config))
-        except ValueError as exc:
-            raise ValidationError(f"{args.config}: {exc}") from exc
+    config = _config_file(SimConfig, args.config)
     if args.seed is not None:
         try:
             config = replace(config, seed=args.seed)
@@ -66,12 +71,7 @@ def _sim_config(args) -> SimConfig:
 
 
 def _solver_config(args) -> SolverConfig:
-    if getattr(args, "solver_config", None) is None:
-        return SolverConfig()
-    try:
-        return SolverConfig.from_dict(read_json(args.solver_config))
-    except ValueError as exc:
-        raise ValidationError(f"{args.solver_config}: {exc}") from exc
+    return _config_file(SolverConfig, args.solver_config)
 
 
 def _cmd_simulate(args) -> int:

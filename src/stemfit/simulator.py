@@ -11,7 +11,7 @@ The palm normal is the sensor frame's +z axis expressed in the world frame.
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class SimConfig:
         """Build from a parsed JSON object; any malformed input raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("simulator config must be a JSON object")
-        unknown = set(data) - set(cls().to_dict())
+        unknown = set(data) - {field.name for field in fields(cls)}
         if unknown:
             raise ValueError(f"unknown simulator config fields: {sorted(unknown)}")
         kwargs = dict(data)
@@ -196,11 +196,8 @@ def sample_orientation(rng: np.random.Generator) -> UnitQuaternion:
 
 
 def _perpendicular_basis(unit: np.ndarray):
-    ref = np.array([0.0, 0.0, 1.0])
-    a = np.cross(ref, unit)
-    if np.linalg.norm(a) < 1e-9:
-        ref = np.array([1.0, 0.0, 0.0])
-        a = np.cross(ref, unit)
+    # unit is a sample_orientation normal: |z x unit| = cos(asin(u)) >= 2**-26 as u <= 1 - 2**-53
+    a = np.cross(np.array([0.0, 0.0, 1.0]), unit)
     a = a / np.linalg.norm(a)
     return a, np.cross(unit, a)
 

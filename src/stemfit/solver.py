@@ -16,7 +16,7 @@ import ctypes
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.linalg.cython_blas
@@ -122,19 +122,14 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "mse_target": self.mse_target,
-            "max_restarts": self.max_restarts,
-            "max_iterations_per_run": self.max_iterations_per_run,
-            "constraint_tolerance": self.constraint_tolerance,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
         """Build from a parsed JSON object; any malformed input raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("solver config must be a JSON object")
-        unknown = set(data) - set(cls().to_dict())
+        unknown = set(data) - {field.name for field in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
         return cls(**data)

@@ -160,7 +160,7 @@ def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
             warnings.warn(
                 f"{where}: quaternion norm {norm[i]:.9f} off unit by more than "
                 f"{_QUAT_WARN_TOL}; renormalizing",
-                stacklevel=3,
+                stacklevel=2,
             )
     return q / norm[:, None]
 
@@ -170,34 +170,23 @@ def _v1_columns(doc: dict, source: str) -> dict:
     raw_samples = doc["samples"]
     if not isinstance(raw_samples, list):
         raise ValidationError(f"{source}: samples must be an array")
-    fields = {"t": [], "translation": [], "rotation_wxyz": [], "force": [], "torque": []}
+    rows = []
     for i, raw in enumerate(raw_samples):
-        where = f"{source}: samples[{i}]"
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{where}: expected an object")
-        for field in ("t", "pose", "wrench"):
-            if field not in raw:
-                raise ValidationError(f"{where}: missing '{field}'")
-        pose, wrench = raw["pose"], raw["wrench"]
-        if not isinstance(pose, dict) or "translation" not in pose or "rotation_wxyz" not in pose:
-            raise ValidationError(
-                f"{where}: pose must contain 'translation' and 'rotation_wxyz'"
+        try:
+            t, pose, wrench = raw["t"], raw["pose"], raw["wrench"]
+            rows.append(
+                [t, pose["translation"], pose["rotation_wxyz"], wrench["force"], wrench["torque"]]
             )
-        if not isinstance(wrench, dict) or "force" not in wrench or "torque" not in wrench:
-            raise ValidationError(f"{where}: wrench must contain 'force' and 'torque'")
-        fields["t"].append(raw["t"])
-        fields["translation"].append(pose["translation"])
-        fields["rotation_wxyz"].append(pose["rotation_wxyz"])
-        fields["force"].append(wrench["force"])
-        fields["torque"].append(wrench["torque"])
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(
+                f"{source}: samples[{i}]: expected an object with 't', 'pose' "
+                "('translation', 'rotation_wxyz') and 'wrench' ('force', 'torque')"
+            ) from exc
+    columns = [list(column) for column in zip(*rows)] or [[]] * len(COLUMN_WIDTHS)
+    # messages call the quaternion column "rotation"
     return {
-        "t": _column(fields["t"], (), source, "t"),
-        "translation": _column(fields["translation"], (3,), source, "translation"),
-        "rotation_wxyz": _normalized_rotations(
-            _column(fields["rotation_wxyz"], (4,), source, "rotation"), source
-        ),
-        "force": _column(fields["force"], (3,), source, "force"),
-        "torque": _column(fields["torque"], (3,), source, "torque"),
+        name: _column(values, () if width is None else (width,), source, name.removesuffix("_wxyz"))
+        for (name, width), values in zip(COLUMN_WIDTHS.items(), columns)
     }
 
 
@@ -235,8 +224,6 @@ def _v2_columns(doc: dict, source: str) -> dict:
         if bad.size:
             i = int(bad[0]) // (width or 1)
             raise ValidationError(f"{where}: samples[{i}]: numbers must be finite")
-        if name == "rotation_wxyz":
-            column = _normalized_rotations(column, source)
         columns[name] = column
     return columns
 
@@ -282,6 +269,7 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
             _floats(doc["ground_truth"], (3,), f"{source}: ground_truth")
         )
     columns = read_columns(doc, source)
+    columns["rotation_wxyz"] = _normalized_rotations(columns["rotation_wxyz"], source)
     try:
         return Trial(
             samples=SampleColumns(**columns),

@@ -23,9 +23,16 @@ from stemfit.batch import (
     save_report,
 )
 from stemfit.cli import main
-from stemfit.errors import StemfitError, UnknownPlotKindError, ValidationError
-from stemfit.evaluation import summarize, welch_t_test
+from stemfit.errors import (
+    DegenerateInputError,
+    StemfitError,
+    UnknownPlotKindError,
+    ValidationError,
+)
+from stemfit.evaluation import orientation_error, summarize, welch_t_test
+from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
+from stemfit.spring_model import apple_position_world
 from stemfit.trial_io import MANIFEST_NAME, load_trial, save_corpus
 
 from conftest import encode_column, trial_to_dict
@@ -162,6 +169,7 @@ BAD_SIMULATE_ARGS = {
     "fraction_infinite": ["--n", "2", "--failure-fraction", "inf"],
     "fraction_above_one": ["--n", "2", "--failure-fraction", "1.5"],
     "fraction_negative": ["--n", "2", "--failure-fraction", "-0.1"],
+    "fraction_not_a_number": ["--n", "2", "--failure-fraction", "abc"],
 }
 
 
@@ -172,6 +180,7 @@ def _duplicate_id(trials):
 # manifest edits that load_manifest must reject
 BAD_MANIFEST_ENTRIES = {
     "file_not_a_string": lambda trials: trials[0].update(file=5),
+    "no_file": lambda trials: trials[0].pop("file"),
     "id_not_a_string": lambda trials: trials[0].update(id=["x"]),
     "duplicate_id": _duplicate_id,
     "file_outside_corpus": lambda trials: trials[0].update(file="../trial_000.json"),
@@ -346,6 +355,26 @@ class TestRunBatch:
             for label, loc, mse in rows
         ]
         assert _comparison(fitted) is None
+
+    def test_ground_truth_beside_the_initial_fruit_has_no_orientation_error(self, tmp_path):
+        # 1e-13 m is a positive distance, so the trial loads, but too short a
+        # ray for angle_between
+        out = _small_corpus(tmp_path / "c", seed=9, n=2)
+        path = out / "trial_000.json"
+        r_a0 = apple_position_world(load_trial(path))
+        doc = json.loads(path.read_text())
+        doc["ground_truth"] = [r_a0.x + 1e-13, r_a0.y, r_a0.z]
+        path.write_text(json.dumps(doc))
+        trial = load_trial(path)
+        with pytest.raises(DegenerateInputError, match="angle_between needs nonzero vectors"):
+            orientation_error(r_a0 + Vec3(0.1, 0.0, 0.0), trial.ground_truth, r_a0)
+        report = run_batch(out)
+        row = report["per_trial"][0]
+        assert row["status"] == "ok" and row["localization_error"] is not None
+        assert row["orientation_error"] is None
+        emit_plot_data(report, "error_vs_mse", tmp_path / "t.csv")
+        first = (tmp_path / "t.csv").read_text().splitlines()[1]
+        assert first == f"{row['final_mse']!r},{row['localization_error']!r},,success"
 
     def test_corrupted_trial_recorded_not_fatal(self, tmp_path):
         cfg = replace(SimConfig(), noise_sigma=0.0, seed=7)
@@ -555,6 +584,24 @@ class TestCli:
         welch = loaded["class_comparison"]["localization_error"]
         assert all(math.isfinite(welch[key]) for key in ("p_value", "degrees_of_freedom"))
         assert loaded["summary"]["localization_error"]["overall"]["std"] > 1e79
+
+    def test_infinite_welch_t_is_written_as_null(self, tmp_path, capsys):
+        # each class is one trial fitted twice: zero variance, different means
+        out = tmp_path / "c"
+        args = ["--n", "4", "--failure-fraction", "0.5", "--seed", "5", "--out", str(out)]
+        assert main(["simulate", *args]) == 0
+        for source, copy in (("trial_000", "trial_001"), ("trial_002", "trial_003")):
+            doc = json.loads((out / f"{source}.json").read_text())
+            doc["id"] = copy
+            (out / f"{copy}.json").write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        assert main(["batch", "--corpus", str(out), "--report", str(report)]) == 0
+        capsys.readouterr()
+        comparison = load_report(report)["class_comparison"]
+        for key in ("localization_error", "final_mse"):
+            assert comparison[key]["t_statistic"] is None
+            assert comparison[key]["p_value"] == 0.0
+            assert comparison[key]["degrees_of_freedom"] == 2.0
 
     def test_fit_single_trial(self, tmp_path, capsys):
         corpus = tmp_path / "c"

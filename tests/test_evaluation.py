@@ -151,6 +151,10 @@ class TestWelch:
         r = welch_t_test([0.0, 0.0], [1.0, 1.0])
         assert math.isinf(r.t_statistic) and r.p_value == 0.0
 
+    def test_constant_and_equal(self):
+        r = welch_t_test([2.0, 2.0], [2.0, 2.0, 2.0])
+        assert (r.t_statistic, r.p_value, r.degrees_of_freedom) == (0.0, 1.0, 3.0)
+
 
 
 def bits(value: float) -> bytes:

@@ -1,5 +1,7 @@
 import base64
 import json
+import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -244,6 +246,23 @@ def test_any_trial_file_is_its_json_document(trial):
     assert_loads_bit_exact(trial)
 
 
+# edits of a v1 document's samples that leave samples[1] without one of the
+# five values it must hold
+V1_SAMPLE_DEFECTS = {
+    "sample_an_array": lambda samples: samples.__setitem__(1, [0.0, 1.0]),
+    "sample_a_string": lambda samples: samples.__setitem__(1, "sample"),
+    "sample_null": lambda samples: samples.__setitem__(1, None),
+    "no_t": lambda samples: samples[1].pop("t"),
+    "no_pose": lambda samples: samples[1].pop("pose"),
+    "pose_an_array": lambda samples: samples[1].update(pose=[0.0, 0.0, 0.0]),
+    "no_translation": lambda samples: samples[1]["pose"].pop("translation"),
+    "no_rotation": lambda samples: samples[1]["pose"].pop("rotation_wxyz"),
+    "wrench_a_number": lambda samples: samples[1].update(wrench=5),
+    "no_force": lambda samples: samples[1]["wrench"].pop("force"),
+    "no_torque": lambda samples: samples[1]["wrench"].pop("torque"),
+}
+
+
 class TestTrialValidationOnLoad:
     def doc(self):
         return trial_to_dict(pull_trial([0.3, 0.0, 0.5], n=3))
@@ -332,6 +351,74 @@ class TestTrialValidationOnLoad:
         doc["samples"] = []
         with pytest.raises(ValidationError, match="at least 2 samples"):
             trial_from_dict(doc)
+
+    @pytest.mark.parametrize("samples", [{"t": 0.0}, "samples", None])
+    def test_samples_must_be_an_array(self, samples):
+        doc = self.doc()
+        doc["samples"] = samples
+        with pytest.raises(ValidationError, match="^<memory>: samples must be an array$"):
+            trial_from_dict(doc)
+
+    @pytest.mark.parametrize("defect", sorted(V1_SAMPLE_DEFECTS))
+    def test_malformed_sample_named_with_the_keys_it_needs(self, defect):
+        doc = self.doc()
+        V1_SAMPLE_DEFECTS[defect](doc["samples"])
+        message = (
+            "t.json: samples[1]: expected an object with 't', 'pose' "
+            "('translation', 'rotation_wxyz') and 'wrench' ('force', 'torque')"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            trial_from_dict(doc, source="t.json")
+
+    @pytest.mark.parametrize("doc", [[], "trial", 5, None])
+    def test_document_must_be_an_object(self, doc):
+        message = "^<memory>: trial document must be a JSON object$"
+        with pytest.raises(ValidationError, match=message):
+            trial_from_dict(doc)
+
+    @pytest.mark.parametrize("spring", [[632.0, 0.1], 632.0, {"k": 632.0}, {"l": 0.1}])
+    def test_spring_must_be_an_object_with_k_and_l(self, spring):
+        doc = self.doc()
+        doc["spring"] = spring
+        message = "^<memory>: spring must be an object with 'k' and 'l'$"
+        with pytest.raises(ValidationError, match=message):
+            trial_from_dict(doc)
+
+    def test_grasp_point_needs_three_numbers(self):
+        doc = self.doc()
+        doc["grasp_point"] = [0.0, 0.05]
+        message = "^<memory>: grasp_point: expected a 3-element array$"
+        with pytest.raises(ValidationError, match=message):
+            trial_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "path, named",
+        [
+            (("spring", "k"), "spring: k"),
+            (("grasp_point", 1), "grasp_point"),
+            (("samples", 1, "wrench", "force", 0), "samples[1]: force"),
+        ],
+    )
+    def test_json_nan_and_infinity_literals_rejected(self, path, named, value):
+        doc = self.doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        text = json.dumps(doc)  # writes the literal NaN, Infinity or -Infinity
+        assert "NaN" in text or "Infinity" in text
+        with pytest.raises(ValidationError, match=f"{re.escape(named)}: numbers must be finite$"):
+            loaded_from(text)
+
+    def test_zero_spring_stiffness_in_a_file(self):
+        doc = self.doc()
+        doc["spring"]["k"] = 0
+        with pytest.raises(
+            ValidationError,
+            match=r"t\.json: spring: spring stiffness must be positive and finite, got 0\.0$",
+        ):
+            loaded_from(json.dumps(doc))
 
     def test_quaternion_norm_policy(self):
         doc = self.doc()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -644,6 +645,75 @@ class TestGenerateCorpus:
             generate_corpus(SimConfig(), 4, 1.5)
 
 
+    @pytest.mark.parametrize(
+        "n_trials, failure_fraction, message",
+        [(-1, 0.5, "n_trials must be >= 0"), (4, 1.5, "failure_fraction must lie in [0, 1]")],
+    )
+    def test_arguments_rejected_with_their_rule(self, n_trials, failure_fraction, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_corpus(SimConfig(), n_trials, failure_fraction)
+
+
+_POSITIVE_FIELDS = ("k", "l", "pull_distance", "pull_speed", "sample_rate", "force_cap")
+# SimConfig overrides that break one rule each, with the message that states it
+REJECTED_CONFIGS = {
+    **{
+        f"{name}_{label}": ({name: value}, f"{name} must be positive")
+        for name in _POSITIVE_FIELDS
+        for label, value in (("zero", 0.0), ("negative", -1.0))
+    },
+    "negative_noise_sigma": ({"noise_sigma": -0.1}, "noise_sigma must be >= 0"),
+    "grasp_compliance_2x2": (
+        {"grasp_compliance": ((0.0, 0.0), (0.0, 0.0))},
+        "grasp_compliance must be a 3x3 matrix",
+    ),
+    "grasp_compliance_nan": (
+        {"grasp_compliance": ((math.nan, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))},
+        "grasp_compliance must be finite",
+    ),
+    "grasp_compliance_infinite": (
+        {"grasp_compliance": ((0.0, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, 0.0))},
+        "grasp_compliance must be finite",
+    ),
+    "attachment_region_flat": (
+        {"attachment_region": (Vec3(0.4, 0.3, 0.2), Vec3(0.8, 0.3, 0.6))},
+        "attachment_region must be a box with min < max per axis",
+    ),
+    "attachment_region_inverted": (
+        {"attachment_region": (Vec3(0.8, -0.3, 0.2), Vec3(0.4, 0.3, 0.6))},
+        "attachment_region must be a box with min < max per axis",
+    ),
+    "failure_compliance_range_single": (
+        {"failure_compliance_range": (0.002,)},
+        "failure_compliance_range must be a pair [lo, hi]",
+    ),
+    "failure_compliance_range_triple": (
+        {"failure_compliance_range": (0.002, 0.004, 0.01)},
+        "failure_compliance_range must be a pair [lo, hi]",
+    ),
+    "failure_compliance_range_zero_lo": (
+        {"failure_compliance_range": (0.0, 0.01)},
+        "failure_compliance_range must satisfy 0 < lo <= hi",
+    ),
+    "failure_compliance_range_lo_above_hi": (
+        {"failure_compliance_range": (0.02, 0.01)},
+        "failure_compliance_range must satisfy 0 < lo <= hi",
+    ),
+    "off_axis_angle_negative": (
+        {"off_axis_angle_deg": -1.0},
+        "off_axis_angle_deg must lie in [0, 90)",
+    ),
+    "off_axis_angle_90": ({"off_axis_angle_deg": 90.0}, "off_axis_angle_deg must lie in [0, 90)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CONFIGS))
+def test_config_rejected_with_its_rule(case):
+    overrides, message = REJECTED_CONFIGS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimConfig(**overrides)
+
+
 class TestSimConfigSerialization:
     def test_dict_round_trip(self):
         cfg = replace(
@@ -658,3 +728,23 @@ class TestSimConfigSerialization:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             SimConfig.from_dict({"bogus": 1.0})
+
+    @pytest.mark.parametrize("data", [[], 5, None, "{}"])
+    def test_from_dict_needs_an_object(self, data):
+        with pytest.raises(ValueError, match="^simulator config must be a JSON object$"):
+            SimConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"grasp_point": [0.0, 0.05]},
+            {"grasp_point": "origin"},
+            {"grasp_compliance": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0]]},
+            {"attachment_region": {"min": [0.4, -0.3], "max": [0.8, 0.3, 0.6]}},
+        ],
+    )
+    def test_nested_field_of_the_wrong_length_rejected(self, data):
+        (name,) = data
+        message = f"^{name}: malformed value .*{name} must be an array of 3 numbers"
+        with pytest.raises(ValueError, match=message):
+            SimConfig.from_dict(data)

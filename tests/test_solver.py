@@ -59,6 +59,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("data", [[], 5, None, "{}"])
+    def test_from_dict_needs_an_object(self, data):
+        with pytest.raises(ValueError, match="^solver config must be a JSON object$"):
+            SolverConfig.from_dict(data)
+
 
 def initial_guess(trial: Trial) -> np.ndarray:
     return solver._initial_guess_array(TrialArrays.from_trial(trial))

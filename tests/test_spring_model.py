@@ -357,6 +357,10 @@ class TestTrialValidation:
         with pytest.raises(ValueError, match="samples.t"):
             columns(np.zeros((2, 1)))
 
+    def test_samples_must_be_sample_columns(self):
+        with pytest.raises(TypeError, match="^Trial.samples must be SampleColumns, got list$"):
+            Trial([[0.0, 1.0]], SpringParams(1.0, 1.0), Vec3(0, 0, 0))
+
     def test_ground_truth_must_be_apart_from_start(self):
         with pytest.raises(ValueError, match="positive distance"):
             Trial(
