@@ -9,6 +9,7 @@ requested, in a clearly separated ``timing`` section.
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import (
@@ -28,6 +29,21 @@ REPORT_SCHEMA_VERSION = 1
 PLOT_KINDS = ("error_vs_mse", "runtime_hist", "joint_locations")
 
 
+# a report row's values after id, label and status, as an unfitted trial has them
+_UNFITTED_ROW = {
+    "converged": False,
+    "final_mse": None,
+    "iterations": 0,
+    "restarts": 0,
+    "max_constraint_violation": None,
+    "projected_gradient": None,
+    "r_o_hat": None,
+    "ground_truth": None,
+    "localization_error": None,
+    "orientation_error": None,
+}
+
+
 def _fit_entry(args):
     """Load, bias-compensate and fit one trial; never raises for per-trial
     problems."""
@@ -35,48 +51,29 @@ def _fit_entry(args):
     try:
         trial = bias_compensate(load_trial(trial_path))
         result = fit(trial, solver_config)
-        row = {
-            "id": entry["id"],
-            "label": trial.label.value,
-            "status": "ok",
-            "converged": result.converged,
-            "final_mse": result.final_mse,
-            "iterations": result.iterations_total,
-            "restarts": result.restarts_used,
-            "max_constraint_violation": result.max_constraint_violation,
-            "projected_gradient": result.projected_gradient,
-            "r_o_hat": [result.r_o_hat.x, result.r_o_hat.y, result.r_o_hat.z],
-            "ground_truth": None,
-            "localization_error": None,
-            "orientation_error": None,
-        }
+        row = {"id": entry["id"], "label": trial.label.value, "status": "ok"} | _UNFITTED_ROW
+        row.update(
+            converged=result.converged,
+            final_mse=result.final_mse,
+            iterations=result.iterations_total,
+            restarts=result.restarts_used,
+            max_constraint_violation=result.max_constraint_violation,
+            projected_gradient=result.projected_gradient,
+            r_o_hat=result.r_o_hat.as_array().tolist(),
+        )
         if trial.ground_truth is not None:
             gt = trial.ground_truth
-            row["ground_truth"] = [gt.x, gt.y, gt.z]
+            row["ground_truth"] = gt.as_array().tolist()
             row["localization_error"] = localization_error(result.r_o_hat, gt)
             r_a0 = apple_position_world(trial)
             try:
                 row["orientation_error"] = orientation_error(result.r_o_hat, gt, r_a0)
             except StemfitError:
-                row["orientation_error"] = None
+                pass
         return row, result.runtime
     except (ParseError, ValidationError, EvaluationFailureError, OSError) as exc:
-        row = {
-            "id": entry["id"],
-            "label": entry.get("label"),
-            "status": f"error: {exc}",
-            "converged": False,
-            "final_mse": None,
-            "iterations": 0,
-            "restarts": 0,
-            "max_constraint_violation": None,
-            "projected_gradient": None,
-            "r_o_hat": None,
-            "ground_truth": None,
-            "localization_error": None,
-            "orientation_error": None,
-        }
-        return row, 0.0
+        row = {"id": entry["id"], "label": entry.get("label"), "status": f"error: {exc}"}
+        return row | _UNFITTED_ROW, 0.0
 
 
 def run_batch(
@@ -183,13 +180,13 @@ def _comparison(fitted):
         failure = _metric_values([r for r in fitted if r["label"] == Label.FAILURE.value], key)
         if len(success) < 2 or len(failure) < 2:
             return None
-        welch = welch_t_test(success, failure)
+        welch = asdict(welch_t_test(success, failure))
+        if not math.isfinite(welch["t_statistic"]):
+            welch["t_statistic"] = None
         blocks[key] = {
             "success": summarize(success).to_dict(),
             "failure": summarize(failure).to_dict(),
-            "t_statistic": welch.t_statistic if math.isfinite(welch.t_statistic) else None,
-            "p_value": welch.p_value,
-            "degrees_of_freedom": welch.degrees_of_freedom,
+            **welch,
         }
     return blocks
 

@@ -7,7 +7,7 @@ Exit codes: 0 success, 1 validation or parse error, 2 solver non-convergence
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .batch import emit_plot_data, load_report, run_batch, save_report
 from .errors import EvaluationFailureError, StemfitError, ValidationError
@@ -101,22 +101,12 @@ def _cmd_fit(args) -> int:
     except EvaluationFailureError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    doc = {
-        "trial_id": trial.id,
-        "r_o_hat": [result.r_o_hat.x, result.r_o_hat.y, result.r_o_hat.z],
-        "final_mse": result.final_mse,
-        "iterations_total": result.iterations_total,
-        "restarts_used": result.restarts_used,
-        "runtime": result.runtime,
-        "converged": result.converged,
-        "max_constraint_violation": result.max_constraint_violation,
-        "projected_gradient": result.projected_gradient,
-    }
+    doc = {"trial_id": trial.id, **{f.name: getattr(result, f.name) for f in fields(result)}}
+    doc["r_o_hat"] = result.r_o_hat.as_array().tolist()
     if args.trace:
-        doc["trace"] = [
-            [iteration, [point.x, point.y, point.z], cost]
-            for iteration, point, cost in result.trace
-        ]
+        doc["trace"] = [[i, point.as_array().tolist(), cost] for i, point, cost in result.trace]
+    else:
+        del doc["trace"]
     sys.stdout.write(dump_json(doc))
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 

@@ -1,7 +1,7 @@
 """Per-trial accuracy metrics, summary statistics, and Welch's t-test."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -20,7 +20,7 @@ class SummaryStats:
     std: float
 
     def to_dict(self) -> dict:
-        return {"median": self.median, "iqr": self.iqr, "mean": self.mean, "std": self.std}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

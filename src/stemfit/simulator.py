@@ -109,22 +109,10 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         return {
-            "k": self.k,
-            "l": self.l,
-            "pull_distance": self.pull_distance,
-            "pull_speed": self.pull_speed,
-            "sample_rate": self.sample_rate,
-            "force_cap": self.force_cap,
-            "noise_sigma": self.noise_sigma,
-            "grasp_compliance": [list(row) for row in self.grasp_compliance],
-            "attachment_region": {
-                "min": [self.attachment_region[0].x, self.attachment_region[0].y, self.attachment_region[0].z],
-                "max": [self.attachment_region[1].x, self.attachment_region[1].y, self.attachment_region[1].z],
-            },
-            "off_axis_angle_deg": self.off_axis_angle_deg,
-            "failure_compliance_range": list(self.failure_compliance_range),
-            "grasp_point": [self.grasp_point.x, self.grasp_point.y, self.grasp_point.z],
-            "seed": self.seed,
+            f.name: _NESTED_FIELDS[f.name][0](getattr(self, f.name))
+            if f.name in _NESTED_FIELDS
+            else getattr(self, f.name)
+            for f in fields(self)
         }
 
     @classmethod
@@ -136,10 +124,10 @@ class SimConfig:
         if unknown:
             raise ValueError(f"unknown simulator config fields: {sorted(unknown)}")
         kwargs = dict(data)
-        for name, convert in _NESTED_FIELDS.items():
+        for name, (_, decode) in _NESTED_FIELDS.items():
             if name in kwargs:
                 try:
-                    kwargs[name] = convert(kwargs[name])
+                    kwargs[name] = decode(kwargs[name])
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{name}: malformed value ({exc!r})") from exc
         return cls(**kwargs)
@@ -154,15 +142,21 @@ def _numbers(name: str, values, length: int) -> tuple:
     return tuple(float(finite_number(name, v)) for v in values)
 
 
-# JSON form -> field value for the fields that are not plain numbers
+# the fields that are not plain numbers: (field value -> JSON form, JSON form -> field value)
 _NESTED_FIELDS = {
-    "grasp_compliance": lambda rows: tuple(_numbers("grasp_compliance", row, 3) for row in rows),
-    "attachment_region": lambda box: (
-        Vec3(*_numbers("attachment_region", box["min"], 3)),
-        Vec3(*_numbers("attachment_region", box["max"], 3)),
+    "grasp_compliance": (
+        lambda rows: [list(row) for row in rows],
+        lambda rows: tuple(_numbers("grasp_compliance", row, 3) for row in rows),
     ),
-    "failure_compliance_range": tuple,
-    "grasp_point": lambda point: Vec3(*_numbers("grasp_point", point, 3)),
+    "attachment_region": (
+        lambda box: {"min": box[0].as_array().tolist(), "max": box[1].as_array().tolist()},
+        lambda box: tuple(Vec3(*_numbers("attachment_region", box[end], 3)) for end in ("min", "max")),
+    ),
+    "failure_compliance_range": (list, tuple),
+    "grasp_point": (
+        lambda point: point.as_array().tolist(),
+        lambda point: Vec3(*_numbers("grasp_point", point, 3)),
+    ),
 }
 
 
@@ -407,7 +401,7 @@ def _failure_config(config: SimConfig, rng: np.random.Generator, trial_id: str) 
     with np.errstate(over="ignore", invalid="ignore"):
         comp = basis @ np.diag(eigenvalues) @ basis.T
     try:
-        return replace(config, grasp_compliance=tuple(tuple(float(v) for v in row) for row in comp))
+        return replace(config, grasp_compliance=comp)
     except ValueError as exc:  # large equal eigenvalues fail the symmetry check
         raise SimulationConfigError(f"{trial_id}: drawn failure-class compliance: {exc}") from exc
 

@@ -303,7 +303,9 @@ def _kkt_step(hess, it: _Iterate):
 
     The working set starts from violated constraints plus active ones with a
     positive multiplier estimate; constraints whose solved multiplier comes
-    out negative are dropped one at a time.
+    out negative are dropped one at a time. A singular system (two equal
+    working-set rows, say) is solved by least squares; a non-finite one gives
+    a NaN step.
     """
     work = set(np.flatnonzero(it.values > 0.0).tolist())
     for i, idx in enumerate(it.active):
@@ -319,6 +321,8 @@ def _kkt_step(hess, it: _Iterate):
             kkt_mat[:3, 3:] = rows.T
             kkt_mat[3:, :3] = rows
         rhs = np.concatenate([-it.grad, -it.values[work]])
+        if not (np.isfinite(kkt_mat).all() and np.isfinite(rhs).all()):
+            return np.full(3, np.nan)  # lstsq can spin on one; a NaN step ends the polish
         try:
             sol = np.linalg.solve(kkt_mat, rhs)
         except np.linalg.LinAlgError:

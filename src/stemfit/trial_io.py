@@ -36,6 +36,9 @@ NAME_MAX = 255
 
 _QUAT_WARN_TOL = 1e-6
 _QUAT_ERROR_TOL = 1e-3
+# a quaternion this close to unit norm is kept as read; dividing one by its
+# norm leaves it within 1.5 eps (2e7 random draws), so a reload keeps its bits
+_QUAT_UNIT_TOL = 4 * np.finfo(float).eps
 
 
 def _temp_name(name: str) -> str:
@@ -142,7 +145,8 @@ def _document(trial: Trial) -> dict:
 
 def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
     """Quaternions off unit norm by more than 1e-6 warn, by more than 1e-3
-    fail; all are normalized here, once."""
+    fail; each one off by more than ``_QUAT_UNIT_TOL`` is divided by its
+    norm, and the rest are kept bit for bit."""
     w, x, y, z = q.T
     # a finite entry beyond ~1e154 squares to inf, which the check below rejects
     with np.errstate(over="ignore"):
@@ -162,7 +166,7 @@ def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
                 f"{_QUAT_WARN_TOL}; renormalizing",
                 stacklevel=2,
             )
-    return q / norm[:, None]
+    return np.where((np.abs(norm - 1.0) > _QUAT_UNIT_TOL)[:, None], q / norm[:, None], q)
 
 
 def _v1_columns(doc: dict, source: str) -> dict:

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from stemfit.errors import (
 from stemfit.evaluation import orientation_error, summarize, welch_t_test
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
+from stemfit.solver import FitResult
 from stemfit.spring_model import apple_position_world
 from stemfit.trial_io import MANIFEST_NAME, load_trial, save_corpus
 
@@ -388,6 +389,10 @@ class TestRunBatch:
         statuses = {r["id"]: r["status"] for r in report["per_trial"]}
         assert statuses["trial_001"].startswith("error:")
         assert statuses["trial_000"] == "ok"
+        # an error row has the keys of a fitted row, in the same order
+        keys = [list(row) for row in report["per_trial"]]
+        assert keys[0] == keys[1] == keys[2]
+        assert keys[0][:3] == ["id", "label", "status"]
 
 
     def _one_overflow_error_row(self, tmp_path, corrupt):
@@ -614,10 +619,13 @@ class TestCli:
         assert doc["converged"] is True
         assert doc["final_mse"] < 1e-8
         assert "trace" not in doc
+        result_fields = {field.name for field in fields(FitResult)}
+        assert set(doc) == result_fields - {"trace"} | {"trial_id"}
 
         assert main(["fit", "--trial", str(trial_file), "--trace"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["trace"]) >= 1
+        assert set(doc) == result_fields | {"trial_id"}
 
     def test_fit_flags_change_behavior(self, tmp_path, capsys):
         corpus = tmp_path / "c"

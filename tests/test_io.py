@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from stemfit.trial_io import (
     load_manifest,
     load_trial,
     save_corpus,
+    _normalized_rotations,
     save_trial,
     trial_from_dict,
 )
@@ -190,6 +192,19 @@ class TestBitExactRoundTrip:
         for record in generate_corpus(cfg, 4, 0.5):
             assert_loads_bit_exact(record.trial)
 
+    def test_a_saved_trial_loads_with_its_bits_and_saves_again_to_them(self, tmp_path):
+        # norms within rounding of 1 are kept: trial_009 of this corpus has a
+        # quaternion of norm 1 - 2.2e-16, which a division by its norm moved
+        cfg = replace(SimConfig(), noise_sigma=0.05, seed=101)
+        path = tmp_path / "t.json"
+        for record in generate_corpus(cfg, 10, 0.4):
+            save_trial(record.trial, path)
+            loaded = load_trial(path)
+            save_trial(loaded, path)
+            for name, column in bits(record.trial).items():
+                np.testing.assert_array_equal(bits(loaded)[name], column)
+                np.testing.assert_array_equal(bits(load_trial(path))[name], column)
+
     def test_v2_file_is_smaller_than_v1(self):
         trial = sim_trial()
         assert len(written(trial)) < len(v1_text(trial).encode()) / 2
@@ -210,6 +225,17 @@ random_rows = (
 unit_rows = near_axis_rows | random_rows
 trial_ids = st.lists(st.sampled_from(SPECIAL_IDS) | st.text(max_size=3), max_size=4).map("".join)
 vectors = st.tuples(float_values, float_values, float_values)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(unit_rows, st.floats(1.0 - 9.99e-4, 1.0 + 9.99e-4)), min_size=1))
+def test_normalizing_twice_gives_the_bits_of_normalizing_once(rows):
+    q = np.array([np.asarray(row) * scale for row, scale in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # off unit norm by more than 1e-6
+        once = _normalized_rotations(q, "q")
+        twice = _normalized_rotations(once, "q")
+    np.testing.assert_array_equal(twice.view(np.uint64), once.view(np.uint64))
 
 
 @st.composite

@@ -1,11 +1,12 @@
+import json
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stemfit.errors import SimulationConfigError
@@ -714,7 +715,57 @@ def test_config_rejected_with_its_rule(case):
         SimConfig(**overrides)
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+positive_numbers = st.integers(min_value=1, max_value=10**6) | st.floats(
+    min_value=0.0, exclude_min=True, allow_infinity=False
+)
+
+
+@st.composite
+def valid_configs(draw):
+    """A SimConfig with every field drawn within its rules: a pull window up
+    to the limit, a PSD compliance (zero or with eigenvalues in [0, 1)), a
+    box with min < max per axis."""
+    pull_distance, sample_rate = draw(positive_numbers), draw(positive_numbers)
+    window = draw(st.floats(min_value=1e-300, max_value=MAX_WINDOW_SAMPLES))
+    pull_speed = float(pull_distance) * float(sample_rate) / window
+    assume(0.0 < pull_speed < math.inf)
+    assume(float(pull_distance) * float(sample_rate) / pull_speed <= MAX_WINDOW_SAMPLES)
+    eigenvalues = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    basis = random_unit_quaternion(rng).rotation_matrix()
+    compliance = basis @ np.diag(eigenvalues) @ basis.T
+    compliance = draw(st.sampled_from([np.zeros((3, 3)), (compliance + compliance.T) / 2]))
+    box = [
+        sorted(draw(st.lists(finite_floats, min_size=2, max_size=2, unique=True)))
+        for _ in range(3)
+    ]
+    failure_range = sorted(draw(st.lists(positive_numbers, min_size=2, max_size=2)))
+    return SimConfig(
+        k=draw(positive_numbers),
+        l=draw(positive_numbers),
+        pull_distance=pull_distance,
+        pull_speed=pull_speed,
+        sample_rate=sample_rate,
+        force_cap=draw(positive_numbers),
+        noise_sigma=draw(st.just(0) | st.floats(min_value=0.0, allow_infinity=False)),
+        grasp_compliance=tuple(tuple(float(v) for v in row) for row in compliance),
+        attachment_region=(Vec3(*(lo for lo, _ in box)), Vec3(*(hi for _, hi in box))),
+        off_axis_angle_deg=draw(st.floats(0.0, 90.0, exclude_max=True)),
+        failure_compliance_range=tuple(failure_range),
+        grasp_point=Vec3(*draw(st.lists(finite_floats, min_size=3, max_size=3))),
+        seed=draw(st.integers(min_value=0, max_value=2**70)),
+    )
+
+
 class TestSimConfigSerialization:
+    @settings(deadline=None)
+    @given(valid_configs())
+    def test_any_valid_config_round_trips_through_json(self, cfg):
+        doc = cfg.to_dict()
+        assert list(doc) == [field.name for field in fields(SimConfig)]
+        assert SimConfig.from_dict(json.loads(json.dumps(doc))) == cfg
+
     def test_dict_round_trip(self):
         cfg = replace(
             SimConfig(),

@@ -596,6 +596,48 @@ class TestFailedPolishSteps:
             assert polished is start and used == 1
             assert halvings.count(start.x.tobytes()) == 1 + solver._MAX_HALVINGS
 
+    def test_a_non_finite_kkt_system_ends_the_polish_before_lstsq(self, monkeypatch):
+        # numpy's lstsq can spin, never returning, on a system that holds a NaN
+        trial = default_trial()
+        polishes = _record_polishes(monkeypatch)
+        lstsq = np.linalg.lstsq
+
+        def finite_only(a, b, *args, **kwargs):
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise AssertionError("lstsq was given a non-finite system")
+            return lstsq(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "terms_hessian", lambda terms, arrays: np.full((3, 3), np.nan))
+        monkeypatch.setattr(np.linalg, "lstsq", finite_only)
+        result = fit(trial)
+        assert finite_fields(result)
+        assert polishes
+        for start, polished, used in polishes:
+            assert polished is start and used == 1
+
+    def test_a_singular_finite_kkt_system_is_solved_by_least_squares(self, monkeypatch):
+        # two equal working-set rows, as two samples taken while the hand pauses give
+        row = np.array([1.0, 0.0, 0.0])
+        it = SimpleNamespace(
+            values=np.array([0.5, 0.5]),
+            active=(),
+            lam=(),
+            jac=np.array([row, row]),
+            grad=np.array([-1.0, 2.0, 3.0]),
+        )
+        fallbacks = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        step = solver._kkt_step(np.eye(3), it)
+        assert len(fallbacks) == 1
+        # on the constraint boundary, and a Newton step along the free axes
+        np.testing.assert_allclose(step, [-0.5, -2.0, -3.0], rtol=0, atol=1e-15)
+
 
 class TestNonFiniteCost:
     """A model evaluation whose cost is not finite fails its run."""
