@@ -90,6 +90,10 @@ class SimConfig:
         object.__setattr__(
             self, "grasp_compliance", tuple(tuple(float(v) for v in row) for row in comp)
         )
+        # kept as tuples of the values given, as from_dict builds them, so a
+        # config equals its JSON round trip and hashes
+        for name in ("attachment_region", "failure_compliance_range"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         lo, hi = self.attachment_region
         if not all(getattr(lo, a) < getattr(hi, a) for a in ("x", "y", "z")):
             raise ValueError("attachment_region must be a box with min < max per axis")

@@ -2,7 +2,10 @@
 
 Each run has two stages. An SQP stage (scipy's SLSQP with the analytic cost
 gradient and constraint Jacobian) finds the basin; an active-set Newton polish
-then drives the KKT residual below the convergence gate. Polish steps are
+then drives the KKT residual below the convergence gate. SLSQP sees only the
+tension constraints near their boundary; everything that judges a point
+(the certificate, the polish, the choice of the best iterate) reads all of
+them. Polish steps are
 accepted on KKT-residual decrease rather than cost decrease, because cost
 differences near the optimum fall below double-precision resolution long
 before the gradient does.
@@ -43,6 +46,9 @@ from .spring_model import (
 KKT_GRADIENT_TOL = 1e-6
 # Constraints within this of their boundary (m) join multiplier estimation.
 _ACTIVE_WIDTH = 1e-6
+# An SQP cycle hands SLSQP only the constraints within this of their
+# boundary (m) at its start.
+_WORKING_SET_SLACK = 1e-3
 _SLSQP_FTOL = 1e-12
 # an SQP cycle that lowers the cost by less than this, relative to
 # 1 + |cost|, and barely moves the KKT residual or violation, is stagnant
@@ -441,40 +447,58 @@ def _minimize_arrays(
     if current.meets(ctol):
         return _RunResult(current, 0, True, tuple(trace) if collect_trace else None)
 
-    def cons_fun(x):
-        return -model.constraint_values(x)  # scipy wants >= 0 when feasible
-
-    def cons_jac(x):
-        return -model.constraint_jacobian(x)
+    def sqp(rows, maxiter):
+        """SLSQP from the cycle's start on the tension constraints ``rows``;
+        the evaluated point it returns, or None when that point is not
+        finite or sits on a sample."""
+        nonlocal used
+        res = _scipy_minimize(
+            model.value,
+            cycle_start.x,
+            jac=model.gradient,
+            method="SLSQP",
+            constraints=[
+                {
+                    "type": "ineq",
+                    # scipy wants >= 0 when feasible
+                    "fun": lambda x: -model.constraint_values(x)[rows],
+                    "jac": lambda x: -model.constraint_jacobian(x)[rows],
+                }
+            ],
+            options={
+                "maxiter": maxiter,
+                "ftol": _SLSQP_FTOL,
+            },
+        )
+        used += max(int(res.nit), 1)
+        if not np.all(np.isfinite(res.x)):
+            return None
+        try:
+            return _Iterate(res.x, model)
+        except SingularityError:
+            return None
 
     # cycle the SQP stage while it makes headway: a restart resets its
     # quasi-Newton model, which is what digs it out of curved valleys
     stagnant = 0
     while used < budget and stagnant < 2:
         cycle_start = current
+        # SLSQP sees only the constraints near their boundary. A point that
+        # breaks one it did not see is discarded, and the cycle is run again
+        # from its start on all of them, with the cycle's whole budget: cut
+        # short, that run can stop far above the basin's floor.
+        near = cycle_start.values >= -_WORKING_SET_SLACK
+        maxiter = budget - used
         try:
-            res = _scipy_minimize(
-                model.value,
-                current.x,
-                jac=model.gradient,
-                method="SLSQP",
-                constraints=[{"type": "ineq", "fun": cons_fun, "jac": cons_jac}],
-                options={
-                    "maxiter": budget - used,
-                    "ftol": _SLSQP_FTOL,
-                },
-            )
+            reached = sqp(near, maxiter)
+            if reached is not None and (reached.values[~near] > 0.0).any():
+                reached = sqp(slice(None), maxiter)
         except SingularityError:
             break  # keep the best evaluated iterate
-        used += max(int(res.nit), 1)
-        if np.all(np.isfinite(res.x)):
-            try:
-                current = _Iterate(res.x, model)
-            except SingularityError:
-                pass  # keep the cycle's start
-            else:
-                best = _better(best, current, ctol)
-                note(current)
+        if reached is not None:
+            current = reached
+            best = _better(best, current, ctol)
+            note(current)
         if current.meets(ctol):
             break
         if used < budget:

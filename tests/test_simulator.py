@@ -776,6 +776,20 @@ class TestSimConfigSerialization:
         )
         assert SimConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_list_built_config_equals_its_round_trip_and_hashes(self):
+        cfg = SimConfig(
+            failure_compliance_range=[0.002, 0.01],
+            attachment_region=[Vec3(0.4, -0.3, 0.2), Vec3(0.8, 0.3, 0.6)],
+            grasp_compliance=[[1e-3, 0, 0], [0, 2e-3, 0], [0, 0, 3e-3]],
+        )
+        doc = cfg.to_dict()
+        again = SimConfig.from_dict(json.loads(json.dumps(doc)))
+        assert again == cfg and hash(again) == hash(cfg)
+        # the values are kept as given, so the written form does not change
+        assert cfg.failure_compliance_range == (0.002, 0.01)
+        as_tuple = replace(cfg, failure_compliance_range=(0.002, 0.01))
+        assert json.dumps(doc) == json.dumps(as_tuple.to_dict())
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             SimConfig.from_dict({"bogus": 1.0})

@@ -300,6 +300,55 @@ def default_trial():
     return generate_trial(SimConfig(), np.random.default_rng(3), "default").trial
 
 
+def rerunning_trial():
+    """A failure-class trial with an SQP cycle whose working-set point breaks
+    a tension constraint SLSQP did not see, and one with an empty working set."""
+    return bias_compensate(generate_corpus(SimConfig(seed=2), 4, 1.0)[1].trial)
+
+
+def _record_slsqp_calls(monkeypatch):
+    """Record each ``_scipy_minimize`` call of a fit: its start ``x0``, its
+    ``maxiter``, the point it returned (``end``), the number of rows its
+    constraint function gave (``m``) and each (kind, x, value) that the
+    cost, gradient, constraint function and constraint Jacobian handed
+    SLSQP (``received``)."""
+    calls = []
+    minimize_slsqp = solver._scipy_minimize
+
+    def recorded(call, kind, fn):
+        def evaluate(x):
+            result = fn(x)
+            if kind == "values" and call.m is None:
+                call.m = len(result)
+            call.received.append((kind, x.copy(), np.copy(result)))
+            return result
+
+        return evaluate
+
+    def recording(fun, x0, *, jac, constraints, **kwargs):
+        (cons,) = constraints
+        maxiter = kwargs["options"]["maxiter"]
+        call = SimpleNamespace(x0=np.copy(x0), maxiter=maxiter, m=None, received=[])
+        cons = {
+            **cons,
+            "fun": recorded(call, "values", cons["fun"]),
+            "jac": recorded(call, "jacobian", cons["jac"]),
+        }
+        res = minimize_slsqp(
+            recorded(call, "cost", fun),
+            x0,
+            jac=recorded(call, "gradient", jac),
+            constraints=[cons],
+            **kwargs,
+        )
+        call.end = np.copy(res.x)
+        calls.append(call)
+        return res
+
+    monkeypatch.setattr(solver, "_scipy_minimize", recording)
+    return calls
+
+
 class TestEvaluationsPerPoint:
     @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
     def test_each_kernel_evaluates_each_point_once(self, monkeypatch, make_trial):
@@ -371,37 +420,42 @@ class TestEvaluationsPerPoint:
         for seen in (gradients, jacobians, calls["terms_cost"], calls["terms_constraint_values"]):
             assert len(seen) == len(set(seen))
 
-    @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
+    @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial, rerunning_trial])
     def test_slsqp_receives_the_kernel_bits(self, monkeypatch, make_trial):
-        received = []
-
-        def recorded(kind, fn):
-            def call(x):
-                result = fn(x)
-                received.append((kind, x.copy(), np.copy(result)))
-                return result
-
-            return call
-
-        def recording(fun, x0, *, jac, constraints, **kwargs):
-            (cons,) = constraints
-            cons = {**cons, "jac": recorded("jacobian", cons["jac"])}
-            return minimize_slsqp(
-                recorded("cost", fun), x0, jac=recorded("gradient", jac), constraints=[cons], **kwargs
-            )
-
-        minimize_slsqp = solver._scipy_minimize
-        monkeypatch.setattr(solver, "_scipy_minimize", recording)
+        calls = _record_slsqp_calls(monkeypatch)
         trial = make_trial()
         fit(trial)
         arrays = TrialArrays.from_trial(trial)
-        assert {kind for kind, _, _ in received} == {"cost", "gradient", "jacobian"}
-        for kind, x, got in received:
-            if kind == "jacobian":
-                want = -constraint_values_jacobian(x, arrays)[1]
-            else:
-                want = spring_model.cost_and_gradient(x, arrays)[kind == "gradient"]
-            assert np.array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64))
+        n = len(arrays)
+
+        def values_at(x):
+            return constraint_values_jacobian(x, arrays)[0]
+
+        assert calls
+        reruns = 0
+        previous = None
+        for call in calls:
+            # a cycle runs again on all n rows when the working-set point
+            # breaks a row the working set left out
+            rerun = (
+                previous is not None
+                and np.array_equal(previous.x0, call.x0)
+                and (values_at(previous.end)[~previous.rows] > 0.0).any()
+            )
+            reruns += rerun
+            # else the working set: the rows within 1 mm of their boundary
+            call.rows = np.full(n, True) if rerun else values_at(call.x0) >= -1e-3
+            assert {kind for kind, _, _ in call.received} >= {"cost", "values"}
+            for kind, x, got in call.received:
+                if kind in ("values", "jacobian"):
+                    want = -constraint_values_jacobian(x, arrays)[kind == "jacobian"][call.rows]
+                else:
+                    want = spring_model.cost_and_gradient(x, arrays)[kind == "gradient"]
+                assert np.array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64))
+            previous = call
+        kinds = {kind for call in calls for kind, _, _ in call.received}
+        assert kinds == {"cost", "gradient", "values", "jacobian"}
+        assert (reruns > 0) == (make_trial is rerunning_trial)
 
 
 def polishing_failure_trial():
@@ -419,6 +473,74 @@ def finite_fields(result) -> bool:
             result.projected_gradient,
         )
     )
+
+
+def rigid_corpus():
+    """Bias-compensated slow rigid pulls, about 2,000 samples each."""
+    config = replace(SimConfig(seed=7), pull_speed=5.0 / 632.0 / 4.0)
+    return [bias_compensate(record.trial) for record in generate_corpus(config, 4, 0.0)]
+
+
+class TestWorkingSet:
+    """Each SQP cycle hands SLSQP the tension constraints near their boundary,
+    and runs again on all of them when its point breaks one it left out."""
+
+    def test_agrees_with_every_constraint_given(self, monkeypatch):
+        trials = rigid_corpus()
+        screened = [fit(trial) for trial in trials]
+        monkeypatch.setattr(solver, "_WORKING_SET_SLACK", math.inf)
+        full = [fit(trial) for trial in trials]
+        both = [(a, b) for a, b in zip(screened, full) if a.converged and b.converged]
+        assert len(both) == len(trials)
+        for a, b in both:
+            assert (a.r_o_hat - b.r_o_hat).norm() <= 1e-8
+
+    def test_working_set_is_smaller_on_long_pulls(self, monkeypatch):
+        calls = _record_slsqp_calls(monkeypatch)
+        trial = rigid_corpus()[0]
+        fit(trial)
+        assert calls and all(call.m < len(trial.samples) / 2 for call in calls)
+
+    def test_a_point_that_breaks_an_omitted_row_reruns_its_cycle(self, monkeypatch):
+        calls = _record_slsqp_calls(monkeypatch)
+        trial = rerunning_trial()
+        arrays = TrialArrays.from_trial(trial)
+        n = len(arrays)
+        fit(trial)
+        reruns = 0
+        for first, second in zip(calls, calls[1:]):
+            near = constraint_values_jacobian(first.x0, arrays)[0] >= -1e-3
+            broken = constraint_values_jacobian(first.end, arrays)[0] > 0.0
+            if (broken & ~near).any():
+                reruns += 1
+                assert np.array_equal(second.x0, first.x0)
+                assert (first.m, second.m) == (near.sum(), n)
+                # the rerun is the cycle's full call: cut short, it can stop
+                # far above the floor of its basin
+                assert second.maxiter == first.maxiter
+        assert reruns > 0
+
+    def test_an_empty_working_set_still_gives_finite_fields(self, monkeypatch):
+        calls = _record_slsqp_calls(monkeypatch)
+        monkeypatch.setattr(solver, "_WORKING_SET_SLACK", -1.0)
+        for make_trial in (default_trial, rerunning_trial):
+            result = fit(make_trial())
+            assert finite_fields(result)
+        assert any(call.m == 0 for call in calls)
+
+    def test_a_converged_fit_holds_every_constraint(self):
+        trials = [default_trial(), rerunning_trial(), polishing_failure_trial(), *rigid_corpus()]
+        trials += [
+            bias_compensate(record.trial) for record in generate_corpus(SimConfig(seed=42), 12, 0.5)
+        ]
+        results = [fit(trial) for trial in trials]
+        assert sum(result.converged for result in results) >= len(trials) - 2
+        tolerance = SolverConfig().constraint_tolerance
+        for trial, result in zip(trials, results):
+            if result.converged:
+                arrays = TrialArrays.from_trial(trial)
+                values, _ = constraint_values_jacobian(result.r_o_hat.as_array(), arrays)
+                assert values.max() <= tolerance
 
 
 class _PointTermsCalls:
