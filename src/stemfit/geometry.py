@@ -158,16 +158,21 @@ def angle_between(r1: Vec3, r2: Vec3) -> float:
     """Angle between two vectors in degrees, covering [0, 180] continuously.
 
     Uses the two-argument arctangent of (cross-product norm, dot product) so
-    obtuse angles are well defined instead of wrapping.
+    obtuse angles are well defined instead of wrapping. Each vector is first
+    scaled by a power of two that puts its largest component below 1 in
+    magnitude, so the products cannot overflow. The scaling is exact, so the
+    angle keeps the bits of the unscaled arithmetic wherever that stays
+    finite and normal.
     """
     a = r1.as_array()
     b = r2.as_array()
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    norm_a = math.hypot(*a)
+    norm_b = math.hypot(*b)
     if norm_a < DEGENERATE_NORM or norm_b < DEGENERATE_NORM:
         raise DegenerateInputError(
             f"angle_between needs nonzero vectors (norms {norm_a:.3e}, {norm_b:.3e})"
         )
+    a, b = (np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1]) for v in (a, b))
     cross = float(np.linalg.norm(np.cross(a, b)))
     dot = float(np.dot(a, b))
     return math.degrees(math.atan2(cross, dot))

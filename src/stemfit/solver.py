@@ -1,14 +1,16 @@
 """Constrained least-squares estimation of the attachment point.
 
-Each run has two stages. An SQP stage (scipy's SLSQP with the analytic cost
-gradient and constraint Jacobian) finds the basin; an active-set Newton polish
-then drives the KKT residual below the convergence gate. SLSQP sees only the
-tension constraints near their boundary; everything that judges a point
-(the certificate, the polish, the choice of the best iterate) reads all of
-them. Polish steps are
-accepted on KKT-residual decrease rather than cost decrease, because cost
-differences near the optimum fall below double-precision resolution long
-before the gradient does.
+A run is three stages in a row, each allowed ``max_iterations_per_run``
+iterations. SLSQP (scipy's, with the analytic cost gradient and constraint
+Jacobian) starts from the run's start on the tension constraints near their
+boundary; if its point breaks one it left out, it runs again from the same
+start on all of them. Unless that point is already certified, an active-set
+Newton polish then drives the KKT residual below the convergence gate.
+Everything that judges a point (the certificate, the polish, the choice of
+the best iterate) reads all constraints. Polish steps are accepted on
+KKT-residual decrease rather than cost decrease, because cost differences
+near the optimum fall below double-precision resolution long before the
+gradient does.
 
 ``fit`` wraps runs in the reseeding schedule: while the best mean squared
 error stays above ``mse_target``, the next run is seeded at the previous
@@ -46,14 +48,10 @@ from .spring_model import (
 KKT_GRADIENT_TOL = 1e-6
 # Constraints within this of their boundary (m) join multiplier estimation.
 _ACTIVE_WIDTH = 1e-6
-# An SQP cycle hands SLSQP only the constraints within this of their
-# boundary (m) at its start.
+# A run hands SLSQP only the constraints within this of their boundary (m)
+# at its start.
 _WORKING_SET_SLACK = 1e-3
 _SLSQP_FTOL = 1e-12
-# an SQP cycle that lowers the cost by less than this, relative to
-# 1 + |cost|, and barely moves the KKT residual or violation, is stagnant
-_CYCLE_COST_TOL = 1e-10
-_POLISH_MAX_ITER = 60
 _MAX_HALVINGS = 30
 # Upper limits of the two SolverConfig counts. SLSQP's iteration count is a C
 # integer (2**63 fails inside scipy), and unbounded restarts can run forever.
@@ -341,10 +339,14 @@ def _kkt_step(hess, it: _Iterate):
         work.pop(int(np.argmin(lam)))
 
 
-# polish only refines near-stationary, near-feasible points; far-out iterates
-# belong to the SQP stage
-_POLISH_KKT_GATE = 1.0
-_POLISH_VIOL_GATE = 1e-6
+def _on_sphere(x: np.ndarray, centre: np.ndarray, radius: float) -> np.ndarray:
+    """``x`` moved radially onto the sphere; its centre raises
+    ``SingularityError``, having no direction."""
+    offset = x - centre
+    dist = float(np.linalg.norm(offset))
+    if dist == 0.0:
+        raise SingularityError("polish trial point at the centre of its binding sphere")
+    return centre + radius * offset / dist
 
 
 def _polish(start: _Iterate, model: _Model, ctol: float, budget: int):
@@ -352,11 +354,17 @@ def _polish(start: _Iterate, model: _Model, ctol: float, budget: int):
 
     Each Newton step is halved until it lowers the merit without new
     constraint violation beyond tolerance; the polish ends when no halving
-    is accepted. Steps this close to the optimum are legitimately tiny, so
-    stagnation is judged on the merit's decay rate, not on step size.
+    is accepted, the merit stalls or ``budget`` steps are taken. Steps near
+    the optimum are legitimately tiny, so stagnation is judged on the
+    merit's decay rate, not on step size.
+
+    When exactly one constraint has a positive multiplier, each trial point
+    is moved radially onto that sample's sphere before it is evaluated: a
+    step along the sphere's tangent plane leaves the sphere by O(|step|^2),
+    which can drop the binding constraint out of the active set. A trial
+    point at the sphere's centre is treated like a point on a sample.
     """
-    if start.kkt > _POLISH_KKT_GATE or start.viol > _POLISH_VIOL_GATE:
-        return start, 0
+    arrays = model.arrays
     current = start
     iterations = 0
     stalled = 0
@@ -366,12 +374,17 @@ def _polish(start: _Iterate, model: _Model, ctol: float, budget: int):
         step_norm = float(np.linalg.norm(step))
         if not math.isfinite(step_norm) or step_norm == 0.0:
             break
+        binding = current.active[current.lam > 0.0]
+        centre = arrays.grasp_world[binding[0]] if binding.size == 1 else None
         accepted = None
         alpha = 1.0
         viol_cap = max(current.viol, ctol)
         for _ in range(_MAX_HALVINGS):
+            x = current.x + alpha * step
             try:
-                trial_it = _Iterate(current.x + alpha * step, model)
+                if centre is not None:
+                    x = _on_sphere(x, centre, arrays.l)
+                trial_it = _Iterate(x, model)
             except SingularityError:
                 alpha *= 0.5
                 continue
@@ -437,24 +450,23 @@ def _minimize_arrays(
             trace.append((trace_base + used, Vec3.from_array(it.x.copy()), it.cost))
 
     try:
-        current = _Iterate(np.asarray(x0, dtype=float), model)
+        start = _Iterate(np.asarray(x0, dtype=float), model)
     except SingularityError as exc:
         raise EvaluationFailureError(
             "starting point coincides with a fruit position sample"
         ) from exc
-    best = current
-    note(current)
-    if current.meets(ctol):
-        return _RunResult(current, 0, True, tuple(trace) if collect_trace else None)
+    note(start)
+    if start.meets(ctol):
+        return _RunResult(start, 0, True, tuple(trace) if collect_trace else None)
 
-    def sqp(rows, maxiter):
-        """SLSQP from the cycle's start on the tension constraints ``rows``;
+    def sqp(rows):
+        """SLSQP from the run's start on the tension constraints ``rows``;
         the evaluated point it returns, or None when that point is not
-        finite or sits on a sample."""
+        finite. A point on a sample raises ``SingularityError``."""
         nonlocal used
         res = _scipy_minimize(
             model.value,
-            cycle_start.x,
+            start.x,
             jac=model.gradient,
             method="SLSQP",
             constraints=[
@@ -466,61 +478,39 @@ def _minimize_arrays(
                 }
             ],
             options={
-                "maxiter": maxiter,
+                "maxiter": budget,
                 "ftol": _SLSQP_FTOL,
             },
         )
         used += max(int(res.nit), 1)
         if not np.all(np.isfinite(res.x)):
             return None
-        try:
-            return _Iterate(res.x, model)
-        except SingularityError:
-            return None
+        return _Iterate(res.x, model)
 
-    # cycle the SQP stage while it makes headway: a restart resets its
-    # quasi-Newton model, which is what digs it out of curved valleys
-    stagnant = 0
-    while used < budget and stagnant < 2:
-        cycle_start = current
-        # SLSQP sees only the constraints near their boundary. A point that
-        # breaks one it did not see is discarded, and the cycle is run again
-        # from its start on all of them, with the cycle's whole budget: cut
-        # short, that run can stop far above the basin's floor.
-        near = cycle_start.values >= -_WORKING_SET_SLACK
-        maxiter = budget - used
-        try:
-            reached = sqp(near, maxiter)
-            if reached is not None and (reached.values[~near] > 0.0).any():
-                reached = sqp(slice(None), maxiter)
-        except SingularityError:
-            break  # keep the best evaluated iterate
-        if reached is not None:
-            current = reached
-            best = _better(best, current, ctol)
-            note(current)
-        if current.meets(ctol):
-            break
-        if used < budget:
-            polished, polish_used = _polish(
-                current, model, ctol, min(_POLISH_MAX_ITER, budget - used)
-            )
-            used += polish_used
-            if polished is not current:
-                current = polished
-                best = _better(best, current, ctol)
-                note(current)
-            if current.meets(ctol):
-                break
-        cost_drop = cycle_start.cost - current.cost
-        made_progress = (
-            cost_drop > _CYCLE_COST_TOL * (1.0 + abs(cycle_start.cost))
-            or current.kkt < 0.75 * cycle_start.kkt
-            or current.viol < 0.75 * cycle_start.viol
-        )
-        stagnant = 0 if made_progress else stagnant + 1
-
-    # every new ``current`` went through ``_better``, so ``best`` is final
+    # SLSQP sees only the constraints near their boundary. A point that
+    # breaks one it did not see is discarded, and SLSQP runs again from the
+    # start on all of them, with the whole budget: cut short, that run can
+    # stop far above the basin's floor.
+    near = start.values >= -_WORKING_SET_SLACK
+    try:
+        reached = sqp(near)
+        if reached is not None and (reached.values[~near] > 0.0).any():
+            reached = sqp(slice(None))
+    except SingularityError:
+        reached = None  # the polish goes on from the start
+    current = best = start
+    if reached is not None:
+        current = reached
+        best = _better(best, current, ctol)
+        note(current)
+    if not current.meets(ctol):
+        # the polish gets the whole budget too: where SLSQP stalled, it may
+        # need more steps than SLSQP left over
+        polished, polish_used = _polish(current, model, ctol, budget)
+        used += polish_used
+        if polished is not current:
+            best = _better(best, polished, ctol)
+            note(polished)
     return _RunResult(best, used, best.meets(ctol), tuple(trace) if collect_trace else None)
 
 

@@ -33,10 +33,10 @@ from stemfit.evaluation import orientation_error, summarize, welch_t_test
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
 from stemfit.solver import FitResult
-from stemfit.spring_model import apple_position_world
+from stemfit.spring_model import SpringParams, apple_position_world
 from stemfit.trial_io import MANIFEST_NAME, load_trial, save_corpus
 
-from conftest import encode_column, trial_to_dict
+from conftest import encode_column, pull_trial, trial_to_dict
 
 
 def _as_v1(path, edit):
@@ -376,6 +376,23 @@ class TestRunBatch:
         emit_plot_data(report, "error_vs_mse", tmp_path / "t.csv")
         first = (tmp_path / "t.csv").read_text().splitlines()[1]
         assert first == f"{row['final_mse']!r},{row['localization_error']!r},,success"
+
+    def test_a_trial_at_1e100_m_gets_a_finite_orientation_error(self, tmp_path):
+        # every length scaled by 1e100 and the stiffness by 1e-100: the same
+        # forces, and rays whose cross product would overflow unscaled
+        scale = 1e100
+        trial = pull_trial(
+            np.array([0.4, 0.0, 0.6]) * scale,
+            spring=SpringParams(632.0 / scale, 0.1 * scale),
+            n=6,
+            speed=0.05 * scale,
+            rng=np.random.default_rng(0),
+            noise=0.01,
+        )
+        save_corpus([trial], tmp_path / "c")
+        row = run_batch(tmp_path / "c")["per_trial"][0]
+        assert row["status"] == "ok"
+        assert 0.0 < row["orientation_error"] < 90.0
 
     def test_corrupted_trial_recorded_not_fatal(self, tmp_path):
         cfg = replace(SimConfig(), noise_sigma=0.0, seed=7)

@@ -154,6 +154,19 @@ class TestAngleBetween:
             assert abs(angle_between(a, b) - angle_between(s * a, b)) < 1e-9
             assert abs(angle_between(a, b) - angle_between(a, s * b)) < 1e-9
 
+    def test_long_vectors_do_not_overflow(self):
+        # unscaled, the cross product's norm squares 1e200 and overflows
+        assert angle_between(Vec3(1e100, 0.0, 0.0), Vec3(1e100, 1e100, 0.0)) == 45.0
+        assert angle_between(Vec3(1e300, 0.0, 0.0), Vec3(-1e300, 0.0, 1e-300)) == 180.0
+
+    def test_scaling_keeps_the_bits_of_the_unscaled_formula(self, rng):
+        for _ in range(1000):
+            a, b = (rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(2))
+            unscaled = math.degrees(
+                math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
+            )
+            assert angle_between(Vec3(*a), Vec3(*b)) == unscaled
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DegenerateInputError):
             angle_between(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0))

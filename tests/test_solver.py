@@ -138,9 +138,13 @@ class TestMinimize:
         monkeypatch.setattr(
             solver, "_scipy_minimize", lambda *args, **kwargs: SimpleNamespace(x=fruit0, nit=1)
         )
+        polishes = _record_polishes(monkeypatch)
         result = one_run(trial, start)
-        assert np.array_equal(result.iterate.x, start)
-        assert not result.converged
+        # the run goes on from its start, and the singular point is never returned
+        assert [polish_start.x.tobytes() for polish_start, _, _ in polishes] == [start.tobytes()]
+        assert not np.array_equal(result.iterate.x, fruit0)
+        assert result.converged
+        assert np.linalg.norm(result.iterate.x - trial.ground_truth.as_array()) < 1e-9
 
 
 class TestFitRecovery:
@@ -541,6 +545,92 @@ class TestWorkingSet:
                 arrays = TrialArrays.from_trial(trial)
                 values, _ = constraint_values_jacobian(result.r_o_hat.as_array(), arrays)
                 assert values.max() <= tolerance
+
+
+def projecting_trial():
+    """A failure-class trial whose polish accepts a point moved onto the
+    sphere of its one binding constraint."""
+    return bias_compensate(generate_corpus(SimConfig(seed=2), 4, 1.0)[0].trial)
+
+
+class TestRunStages:
+    """A run is SLSQP, its rerun on all rows when needed, and one polish."""
+
+    def test_a_run_spends_at_most_three_budgets(self, monkeypatch):
+        budget = 20
+        calls = _record_slsqp_calls(monkeypatch)
+        polish_budgets = []
+        polish = solver._polish
+        runs = []
+        minimize_arrays = solver._minimize_arrays
+
+        def recorded_polish(start, model, ctol, budget):
+            polish_budgets.append(budget)
+            return polish(start, model, ctol, budget)
+
+        def recorded_run(*args):
+            run = minimize_arrays(*args)
+            runs.append(run.iterations)
+            return run
+
+        monkeypatch.setattr(solver, "_polish", recorded_polish)
+        monkeypatch.setattr(solver, "_minimize_arrays", recorded_run)
+        fit(rerunning_trial(), SolverConfig(max_iterations_per_run=budget))
+        # each stage gets the whole budget
+        assert calls and {call.maxiter for call in calls} == {budget}
+        assert polish_budgets and set(polish_budgets) == {budget}
+        assert max(runs) <= 3 * budget
+        # beyond twice the budget: the three stages all counted
+        assert max(runs) > 2 * budget
+
+    def test_a_polish_point_on_one_binding_constraint_lies_on_its_sphere(self, monkeypatch):
+        projected = {}
+        on_sphere = solver._on_sphere
+
+        def recorded(x, centre, radius):
+            point = on_sphere(x, centre, radius)
+            projected[point.tobytes()] = (centre, radius)
+            return point
+
+        monkeypatch.setattr(solver, "_on_sphere", recorded)
+        polishes = _record_polishes(monkeypatch)
+        fit(projecting_trial())
+        accepted = [
+            (polished.x, *projected[polished.x.tobytes()])
+            for start, polished, _ in polishes
+            if polished is not start and polished.x.tobytes() in projected
+        ]
+        assert accepted
+        for x, centre, radius in accepted:
+            assert abs(np.linalg.norm(x - centre) - radius) <= 4 * np.spacing(radius)
+
+    def test_a_trial_point_at_the_centre_is_halved(self, monkeypatch):
+        trial = rerunning_trial()
+        model = solver._Model(TrialArrays.from_trial(trial))
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = solver._Iterate(solver._initial_guess_array(model.arrays), model)
+        # the start binds only its first sample's constraint
+        assert start.active.tolist() == [0] and start.lam[0] > 0.0
+        centre = model.arrays.grasp_world[0]
+        step = centre - start.x
+        assert np.array_equal(start.x + step, centre)
+        points = []
+        on_sphere = solver._on_sphere
+
+        def recorded(x, centre, radius):
+            points.append(x.copy())
+            return on_sphere(x, centre, radius)
+
+        monkeypatch.setattr(solver, "_on_sphere", recorded)
+        monkeypatch.setattr(solver, "_kkt_step", lambda hess, it: centre - it.x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            polished, used = solver._polish(start, model, SolverConfig().constraint_tolerance, 1)
+        # the step to the centre is halved, not evaluated
+        assert np.array_equal(points[0], centre)
+        assert np.array_equal(points[1], start.x + 0.5 * step)
+        assert used == 1
+        with pytest.raises(SingularityError, match="centre"):
+            on_sphere(centre, centre, model.arrays.l)
 
 
 class _PointTermsCalls:
