@@ -162,7 +162,8 @@ def angle_between(r1: Vec3, r2: Vec3) -> float:
     scaled by a power of two that puts its largest component below 1 in
     magnitude, so the products cannot overflow. The scaling is exact, so the
     angle keeps the bits of the unscaled arithmetic wherever that stays
-    finite and normal.
+    finite and normal. The cross product is taken component by component,
+    as ``np.cross`` takes it, at a fraction of its call overhead.
     """
     a = r1.as_array()
     b = r2.as_array()
@@ -173,6 +174,8 @@ def angle_between(r1: Vec3, r2: Vec3) -> float:
             f"angle_between needs nonzero vectors (norms {norm_a:.3e}, {norm_b:.3e})"
         )
     a, b = (np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1]) for v in (a, b))
-    cross = float(np.linalg.norm(np.cross(a, b)))
-    dot = float(np.dot(a, b))
-    return math.degrees(math.atan2(cross, dot))
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
+    cross = np.array((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
+    # np.linalg.norm's own arithmetic, without its call overhead
+    return math.degrees(math.atan2(math.sqrt(cross.dot(cross)), float(a.dot(b))))

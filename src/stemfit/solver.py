@@ -4,8 +4,11 @@ A run is three stages in a row, each allowed ``max_iterations_per_run``
 iterations. SLSQP (scipy's, with the analytic cost gradient and constraint
 Jacobian) starts from the run's start on the tension constraints near their
 boundary; if its point breaks one it left out, it runs again from the same
-start on all of them. Unless that point is already certified, an active-set
-Newton polish then drives the KKT residual below the convergence gate.
+start on all of them. Both calls solve in variables scaled by the cost
+Hessian at the run's start (``_metric``), so that SLSQP's initial identity
+quasi-Newton matrix has the cost's curvature.
+Unless that point is already certified, an active-set Newton polish then
+drives the KKT residual below the convergence gate.
 Everything that judges a point (the certificate, the polish, the choice of
 the best iterate) reads all constraints. Polish steps are accepted on
 KKT-residual decrease rather than cost decrease, because cost differences
@@ -52,6 +55,9 @@ _ACTIVE_WIDTH = 1e-6
 # at its start.
 _WORKING_SET_SLACK = 1e-3
 _SLSQP_FTOL = 1e-12
+# The metric floors each Hessian eigenvalue's size at this fraction of the
+# largest one's.
+_METRIC_FLOOR = 1e-6
 _MAX_HALVINGS = 30
 # Upper limits of the two SolverConfig counts. SLSQP's iteration count is a C
 # integer (2**63 fails inside scipy), and unbounded restarts can run forever.
@@ -159,12 +165,13 @@ class _Model:
 
     SLSQP asks for the cost and the constraint values at every point it
     tries, but for the gradient and the constraint Jacobian only at the
-    points it accepts, about a third of them. So the model keeps one point's
-    per-sample terms (``point_terms``) and computes each quantity from them
-    the first time it is asked for. A full evaluation at a point the model
-    has not seen (a run's start, a polish trial point) goes to the public
-    kernels. The key is the point's exact bytes, because SLSQP updates its
-    point in place.
+    points it accepts: in the scaled variables of ``_metric``, nearly all of
+    them on success fits, fewer where the line search backtracks. So the
+    model keeps one point's per-sample terms (``point_terms``) and computes
+    each quantity from them the first time it is asked for. A full
+    evaluation at a point the model has not seen (a run's start, a polish
+    trial point) goes to the public kernels. The key is the point's exact
+    bytes, because SLSQP updates its point in place.
     """
 
     __slots__ = ("arrays", "_key", "_terms", "_cost", "_grad", "_values", "_jac")
@@ -420,6 +427,27 @@ def _initial_guess_array(arrays: TrialArrays) -> np.ndarray:
     return arrays.grasp_world[0] + arrays.l * direction
 
 
+def _metric(model: _Model, x: np.ndarray) -> np.ndarray:
+    """The matrix ``M`` of the change of variables ``x + M @ y`` in which
+    SLSQP solves a run that starts at ``x``.
+
+    SLSQP starts its quasi-Newton matrix at the identity, far below the
+    cost's curvature (of order 2k^2). With ``M = V |L|^(-1/2)`` from the
+    eigendecomposition ``V L V^T`` of the cost Hessian at ``x``, the identity
+    is that Hessian's size in ``y``. Each ``|L|`` is floored at
+    ``_METRIC_FLOOR`` of the largest; a Hessian that is not finite or is
+    zero gives ``M = I``.
+    """
+    hess = model.hessian(x)
+    if np.isfinite(hess).all():
+        eigenvalues, vectors = np.linalg.eigh(hess)
+        size = np.abs(eigenvalues)
+        top = size.max()
+        if 0.0 < top < math.inf:
+            return vectors / np.sqrt(np.maximum(size, _METRIC_FLOOR * top))
+    return np.eye(3)
+
+
 class _RunResult:
     __slots__ = ("iterate", "iterations", "converged", "trace")
 
@@ -459,22 +487,28 @@ def _minimize_arrays(
     if start.meets(ctol):
         return _RunResult(start, 0, True, tuple(trace) if collect_trace else None)
 
+    metric = _metric(model, start.x)
+
+    def point(y):
+        return start.x + metric @ y
+
     def sqp(rows):
-        """SLSQP from the run's start on the tension constraints ``rows``;
-        the evaluated point it returns, or None when that point is not
-        finite. A point on a sample raises ``SingularityError``."""
+        """SLSQP from the run's start on the tension constraints ``rows``,
+        in the variables ``y`` of ``_metric``; the evaluated point it
+        returns, or None when that point is not finite. A point on a sample
+        raises ``SingularityError``."""
         nonlocal used
         res = _scipy_minimize(
-            model.value,
-            start.x,
-            jac=model.gradient,
+            lambda y: model.value(point(y)),
+            np.zeros(3),
+            jac=lambda y: metric.T @ model.gradient(point(y)),
             method="SLSQP",
             constraints=[
                 {
                     "type": "ineq",
                     # scipy wants >= 0 when feasible
-                    "fun": lambda x: -model.constraint_values(x)[rows],
-                    "jac": lambda x: -model.constraint_jacobian(x)[rows],
+                    "fun": lambda y: -model.constraint_values(point(y))[rows],
+                    "jac": lambda y: -model.constraint_jacobian(point(y))[rows] @ metric,
                 }
             ],
             options={
@@ -483,9 +517,10 @@ def _minimize_arrays(
             },
         )
         used += max(int(res.nit), 1)
-        if not np.all(np.isfinite(res.x)):
+        x = point(res.x)
+        if not np.all(np.isfinite(x)):
             return None
-        return _Iterate(res.x, model)
+        return _Iterate(x, model)
 
     # SLSQP sees only the constraints near their boundary. A point that
     # breaks one it did not see is discarded, and SLSQP runs again from the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from stemfit.errors import DegenerateInputError
@@ -166,6 +168,23 @@ class TestAngleBetween:
                 math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
             )
             assert angle_between(Vec3(*a), Vec3(*b)) == unscaled
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        st.integers(-1000, 1000),
+        st.integers(-1000, 1000),
+    )
+    def test_keeps_the_bits_of_the_numpy_cross_product(self, components, exp_a, exp_b):
+        # exponents that reach past the square root of the largest float take
+        # the power-of-two scaling that keeps the products finite
+        a = np.ldexp(np.array(components[:3]), exp_a)
+        b = np.ldexp(np.array(components[3:]), exp_b)
+        assume(math.hypot(*a) >= 1e-12 and math.hypot(*b) >= 1e-12)
+        a_scaled, b_scaled = (np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1]) for v in (a, b))
+        cross = float(np.linalg.norm(np.cross(a_scaled, b_scaled)))
+        want = math.degrees(math.atan2(cross, float(np.dot(a_scaled, b_scaled))))
+        assert angle_between(Vec3(*a), Vec3(*b)) == want
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DegenerateInputError):
