@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     EvaluationFailureError,
@@ -29,19 +30,27 @@ REPORT_SCHEMA_VERSION = 1
 PLOT_KINDS = ("error_vs_mse", "runtime_hist", "joint_locations")
 
 
-# a report row's values after id, label and status, as an unfitted trial has them
-_UNFITTED_ROW = {
-    "converged": False,
-    "final_mse": None,
-    "iterations": 0,
-    "restarts": 0,
-    "max_constraint_violation": None,
-    "projected_gradient": None,
-    "r_o_hat": None,
-    "ground_truth": None,
-    "localization_error": None,
-    "orientation_error": None,
+class _Key(NamedTuple):
+    kind: str  # a key of _KINDS
+    unfitted: object  # the value in the row of a trial that could not be fitted
+    summarized: bool = False  # per-class statistics in the report's summary
+    compared: bool = False  # a Welch test of success against failure
+
+
+# the keys of a report row after id, label and status, in row order
+_ROW_KEYS = {
+    "converged": _Key("bool", False),
+    "final_mse": _Key("number", None, summarized=True, compared=True),
+    "iterations": _Key("count", 0),
+    "restarts": _Key("count", 0),
+    "max_constraint_violation": _Key("number", None),
+    "projected_gradient": _Key("number", None),
+    "r_o_hat": _Key("vec3", None),
+    "ground_truth": _Key("vec3", None),
+    "localization_error": _Key("number", None, summarized=True, compared=True),
+    "orientation_error": _Key("number", None, summarized=True),
 }
+_UNFITTED_ROW = {key: spec.unfitted for key, spec in _ROW_KEYS.items()}
 
 
 def _fit_entry(args):
@@ -112,6 +121,7 @@ def run_batch(
     runtimes = {row["id"]: runtime for (row, runtime) in outcomes}
 
     fitted = [r for r in rows if r["status"] == "ok"]
+    classes = _by_class(fitted)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "stemfit-report",
@@ -128,12 +138,11 @@ def run_batch(
             "fitted": len(fitted),
             "failed": len(rows) - len(fitted),
             "converged": sum(1 for r in fitted if r["converged"]),
-            "success": sum(1 for r in fitted if r["label"] == Label.SUCCESS.value),
-            "failure": sum(1 for r in fitted if r["label"] == Label.FAILURE.value),
+            **{label: len(subset) for label, subset in classes.items()},
         },
         "per_trial": rows,
-        "summary": _summaries(fitted),
-        "class_comparison": _comparison(fitted),
+        "summary": _summaries({"overall": fitted, **classes}),
+        "class_comparison": _comparison(classes),
     }
     if include_timing:
         ok_rt = [runtimes[r["id"]] for r in fitted]
@@ -148,19 +157,20 @@ def run_batch(
     return report
 
 
+def _by_class(fitted) -> dict:
+    """The fitted rows of each class, keyed by label: success, then failure."""
+    return {label.value: [r for r in fitted if r["label"] == label.value] for label in Label}
+
+
 def _metric_values(rows, key):
     return [r[key] for r in rows if r[key] is not None]
 
 
-def _summaries(fitted):
+def _summaries(scopes):
     summary = {}
-    for key in ("final_mse", "localization_error", "orientation_error"):
+    for key in (k for k, spec in _ROW_KEYS.items() if spec.summarized):
         block = {}
-        for scope, subset in (
-            ("overall", fitted),
-            ("success", [r for r in fitted if r["label"] == Label.SUCCESS.value]),
-            ("failure", [r for r in fitted if r["label"] == Label.FAILURE.value]),
-        ):
+        for scope, subset in scopes.items():
             values = _metric_values(subset, key)
             block[scope] = (
                 {"count": len(values), **summarize(values).to_dict()} if values else None
@@ -169,15 +179,15 @@ def _summaries(fitted):
     return summary
 
 
-def _comparison(fitted):
+def _comparison(classes):
     """Per-class summaries and a Welch test of success against failure, for
-    localization error and final MSE; None unless both classes have at least
-    two values of both metrics. JSON has no infinity, so an infinite t (each
-    class one repeated value, the two values different) is written as null."""
+    each compared key; None unless both classes have at least two values of
+    every compared key. JSON has no infinity, so an infinite t (each class
+    one repeated value, the two values different) is written as null."""
     blocks = {}
-    for key in ("localization_error", "final_mse"):
-        success = _metric_values([r for r in fitted if r["label"] == Label.SUCCESS.value], key)
-        failure = _metric_values([r for r in fitted if r["label"] == Label.FAILURE.value], key)
+    for key in (k for k, spec in _ROW_KEYS.items() if spec.compared):
+        success = _metric_values(classes[Label.SUCCESS.value], key)
+        failure = _metric_values(classes[Label.FAILURE.value], key)
         if len(success) < 2 or len(failure) < 2:
             return None
         welch = asdict(welch_t_test(success, failure))
@@ -195,35 +205,43 @@ def save_report(report: dict, path):
     atomic_write_text(path, dump_json(report))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float is not finite
+        return False
+
+
+# what a row value of each kind must be, and the test of it
+_KINDS = {
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "number": ("a finite number or null", lambda v: v is None or _is_finite(v)),
+    "vec3": (
+        "an array of 3 finite numbers or null",
+        lambda v: v is None or (isinstance(v, list) and len(v) == 3 and all(map(_is_finite, v))),
+    ),
+}
 
 
 def _check_row(row, where: str):
-    """A per-trial row carries what ``emit_plot_data`` reads of it: the
-    status of every row, and the values of the rows that were fitted."""
+    """A per-trial row has a string status; a fitted one (status "ok") also
+    has a string id and label, and every key of ``_ROW_KEYS`` with a value of its kind."""
     if not isinstance(row, dict) or not isinstance(row.get("status"), str):
         raise ValidationError(f"{where}: expected an object with a string 'status'")
     if row["status"] != "ok":
         return
     if not (isinstance(row.get("id"), str) and isinstance(row.get("label"), str)):
         raise ValidationError(f"{where}: 'id' and 'label' must be strings")
-    if not isinstance(row.get("converged"), bool):
-        raise ValidationError(f"{where}: 'converged' must be true or false")
-    for key in ("final_mse", "localization_error", "orientation_error"):
-        if key not in row or not (row[key] is None or _is_number(row[key])):
-            raise ValidationError(f"{where}: '{key}' must be a number or null")
-    for key in ("ground_truth", "r_o_hat"):
-        value = row.get(key, ())
-        if value is not None and not (
-            isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
-        ):
-            raise ValidationError(f"{where}: '{key}' must be a 3-element array or null")
+    for key, spec in _ROW_KEYS.items():
+        what, valid = _KINDS[spec.kind]
+        if key not in row or not valid(row[key]):
+            raise ValidationError(f"{where}: {key!r} must be {what}")
 
 
 def load_report(path) -> dict:
-    """Read a report file; everything ``emit_plot_data`` reads is checked, and
-    a report that lacks or malforms any of it is a ValidationError."""
+    """Read a report file whose rows pass ``_check_row`` and whose timing, if
+    any, maps ids to finite seconds; any other file is a ValidationError."""
     report = read_json(path)
     if not isinstance(report, dict) or report.get("kind") != "stemfit-report":
         raise ValidationError(f"{path}: not a stemfit report file")
@@ -235,9 +253,9 @@ def load_report(path) -> dict:
     timing = report.get("timing")
     if timing is not None:
         per_trial = timing.get("per_trial") if isinstance(timing, dict) else None
-        if not isinstance(per_trial, dict) or not all(map(_is_number, per_trial.values())):
+        if not isinstance(per_trial, dict) or not all(map(_is_finite, per_trial.values())):
             raise ValidationError(
-                f"{path}: timing must be an object whose per_trial maps ids to seconds"
+                f"{path}: timing must be an object whose per_trial maps ids to finite seconds"
             )
     return report
 
@@ -264,10 +282,7 @@ def emit_plot_data(report: dict, kind: str, out_path):
     rows = [r for r in report.get("per_trial", []) if r["status"] == "ok"]
     if kind == "error_vs_mse":
         header = ["final_mse", "localization_error", "orientation_error", "label"]
-        table = [
-            [r["final_mse"], r["localization_error"], r["orientation_error"], r["label"]]
-            for r in rows
-        ]
+        table = [[r[key] for key in header] for r in rows]
     elif kind == "runtime_hist":
         timing = report.get("timing")
         if not timing:

@@ -386,4 +386,8 @@ def load_manifest(corpus_dir) -> dict:
     if version != MANIFEST_SCHEMA_VERSION or version is True:  # JSON true equals 1 in Python
         raise ValidationError(f"{manifest_path}: unsupported or missing schema_version")
     _check_entries(manifest.get("trials"), str(manifest_path))
+    try:  # a report copies its seed, sim_config, config_digest and labels
+        json.dumps(manifest, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"{manifest_path}: holds NaN or an infinity") from exc
     return manifest

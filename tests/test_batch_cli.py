@@ -15,7 +15,9 @@ import pytest
 
 import stemfit
 from stemfit.batch import (
+    _ROW_KEYS,
     PLOT_KINDS,
+    _by_class,
     _comparison,
     emit_plot_data,
     load_report,
@@ -189,16 +191,23 @@ BAD_MANIFEST_ENTRIES = {
 }
 
 
+# manifest edits that leave a number a report cannot hold
+NON_FINITE_MANIFESTS = {
+    "nan_seed": lambda manifest: manifest.update(seed=math.nan),
+    "infinite_sim_config": lambda manifest: manifest["sim_config"].update(k=math.inf),
+    "negative_infinite_digest": lambda manifest: manifest.update(config_digest=-math.inf),
+    "nan_label": lambda manifest: manifest["trials"][1].update(label=math.nan),
+}
+
+
+# a fitted row that load_report accepts: every key of the row table with a
+# valid value of its kind
+_KIND_VALUES = {"bool": True, "count": 3, "number": 0.5, "vec3": [0.0, 0.0, 1.0]}
 _OK_ROW = {
     "id": "a",
     "label": "success",
     "status": "ok",
-    "converged": True,
-    "final_mse": 0.5,
-    "localization_error": 0.01,
-    "orientation_error": None,
-    "ground_truth": [0.0, 0.0, 1.0],
-    "r_o_hat": None,
+    **{key: _KIND_VALUES[spec.kind] for key, spec in _ROW_KEYS.items()},
 }
 # report documents (beside "kind") that load_report must reject
 BAD_REPORTS = {
@@ -215,6 +224,21 @@ BAD_REPORTS = {
     "timing_not_an_object": {"per_trial": [_OK_ROW], "timing": 5},
     "timing_per_trial_not_an_object": {"per_trial": [_OK_ROW], "timing": {"per_trial": []}},
     "timing_not_seconds": {"per_trial": [_OK_ROW], "timing": {"per_trial": {"a": "1"}}},
+    "negative_iterations": {"per_trial": [{**_OK_ROW, "iterations": -1}]},
+    "string_iterations": {"per_trial": [{**_OK_ROW, "iterations": "3"}]},
+    "boolean_iterations": {"per_trial": [{**_OK_ROW, "iterations": True}]},
+    "fractional_iterations": {"per_trial": [{**_OK_ROW, "iterations": 1.5}]},
+    "missing_restarts": {"per_trial": [{k: v for k, v in _OK_ROW.items() if k != "restarts"}]},
+    "string_projected_gradient": {"per_trial": [{**_OK_ROW, "projected_gradient": "0"}]},
+    "boolean_max_constraint_violation": {
+        "per_trial": [{**_OK_ROW, "max_constraint_violation": True}]
+    },
+    "nan_final_mse": {"per_trial": [{**_OK_ROW, "final_mse": math.nan}]},
+    "infinite_localization_error": {"per_trial": [{**_OK_ROW, "localization_error": math.inf}]},
+    "negative_infinite_ground_truth": {
+        "per_trial": [{**_OK_ROW, "ground_truth": [0.0, -math.inf, 1.0]}]
+    },
+    "nan_timing": {"per_trial": [_OK_ROW], "timing": {"per_trial": {"a": math.nan}}},
 }
 
 
@@ -355,7 +379,7 @@ class TestRunBatch:
             {"label": label, "localization_error": loc, "final_mse": mse}
             for label, loc, mse in rows
         ]
-        assert _comparison(fitted) is None
+        assert _comparison(_by_class(fitted)) is None
 
     def test_ground_truth_beside_the_initial_fruit_has_no_orientation_error(self, tmp_path):
         # 1e-13 m is a positive distance, so the trial loads, but too short a
@@ -486,6 +510,18 @@ class TestReportFiles:
         path.write_text("{}")
         with pytest.raises(ValidationError):
             load_report(path)
+
+    def test_well_formed_report_loads(self, tmp_path, capsys):
+        # the row and timing that each BAD_REPORTS case breaks in one place
+        timing = {"per_trial": {"a": 0.25}}
+        doc = {"kind": "stemfit-report", "per_trial": [_OK_ROW], "timing": timing}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert load_report(path) == doc
+        for kind in PLOT_KINDS:
+            assert main(["report", "--in", str(path), "--plot-data", kind,
+                         "--out", str(tmp_path / f"{kind}.csv")]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("case", sorted(BAD_REPORTS))
     def test_malformed_report_rejected(self, tmp_path, capsys, case):
@@ -791,6 +827,21 @@ class TestCli:
         assert main(["batch", "--corpus", str(out), "--report", str(report)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_MANIFESTS))
+    def test_non_finite_manifest_exits_1(self, tmp_path, capsys, monkeypatch, case):
+        out = _small_corpus(tmp_path / "c", seed=9, n=2)
+        (out / "trial_001.json").write_text("{broken")
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        NON_FINITE_MANIFESTS[case](manifest)
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        monkeypatch.setattr("stemfit.batch.fit", lambda *args: pytest.fail("a trial was fitted"))
+        report = tmp_path / "r.json"
+        assert main(["batch", "--corpus", str(out), "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and MANIFEST_NAME in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not report.exists()
 
     def test_bad_usage_exits_1(self, capsys):

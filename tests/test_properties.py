@@ -18,14 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stemfit.batch import PLOT_KINDS, run_batch
+from stemfit.batch import _ROW_KEYS, _UNFITTED_ROW, PLOT_KINDS, load_report, run_batch
 from stemfit.cli import _sim_config, _solver_config, main
 from stemfit.errors import EvaluationFailureError, StemfitError, ValidationError
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
 from stemfit.solver import SolverConfig, fit
 from stemfit.spring_model import SampleColumns, SpringParams, Trial, TrialArrays
-from stemfit.trial_io import save_corpus, trial_from_dict
+from stemfit.trial_io import MANIFEST_NAME, save_corpus, trial_from_dict
 
 from conftest import (
     assert_kernels_match_reference,
@@ -180,18 +180,24 @@ def test_arbitrary_config_objects_raise_only_stemfit_errors(doc):
                 pass
 
 
+# the valid values of each kind in the report row table
+KIND_VALUES = {
+    "bool": st.booleans(),
+    "count": st.integers(min_value=0) | st.integers(min_value=10**300, max_value=10**400),
+    "number": st.none() | finite | st.integers(min_value=-(2**63), max_value=2**63),
+    "vec3": st.none() | st.lists(finite, min_size=3, max_size=3),
+}
 ROW_VALUES = {
     "id": st.text(max_size=3),
     "label": st.sampled_from(["success", "failure"]),
     "status": st.just("ok"),
-    "converged": st.booleans(),
-    "final_mse": st.none() | finite,
-    "localization_error": st.none() | finite,
-    "orientation_error": st.none() | finite,
-    "ground_truth": st.none() | st.lists(finite, min_size=3, max_size=3),
-    "r_o_hat": st.none() | st.lists(finite, min_size=3, max_size=3),
+    **{key: KIND_VALUES[spec.kind] for key, spec in _ROW_KEYS.items()},
 }
 fitted_rows = st.fixed_dictionaries(ROW_VALUES)
+error_rows = fitted_rows.map(lambda row: {**row, **_UNFITTED_ROW, "status": "error: unreadable"})
+valid_timing = st.fixed_dictionaries(
+    {"per_trial": st.dictionaries(st.text(max_size=3), finite, max_size=3)}
+)
 REMOVED = object()
 # a fitted row as a batch writes it, with up to two of its keys given any
 # JSON value or removed; or any JSON value at all
@@ -228,6 +234,25 @@ def test_arbitrary_report_files_give_only_stemfit_errors(doc):
         for kind in PLOT_KINDS:
             argv = ["report", "--in", str(path), "--plot-data", kind, "--out", str(out)]
             assert main(argv) in (0, 1)  # a traceback would propagate out of main
+
+
+@settings(deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("stemfit-report"),
+            "per_trial": st.lists(fitted_rows | error_rows, max_size=3),
+        },
+        optional={"timing": valid_timing},
+    )
+)
+def test_reports_of_valid_rows_give_their_tables(doc):
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work) / "report.json", Path(work) / "out.csv"
+        path.write_text(json.dumps(doc))
+        for kind in PLOT_KINDS:
+            argv = ["report", "--in", str(path), "--plot-data", kind, "--out", str(out)]
+            assert main(argv) == (1 if kind == "runtime_hist" and "timing" not in doc else 0)
 
 
 def _column_strategy(n, width, unit_rows=False):
@@ -399,6 +424,28 @@ def test_one_corrupted_file_gives_exactly_one_error_row(clean_corpora, data, ver
     errors = [r["id"] for r in report["per_trial"] if r["status"] != "ok"]
     assert errors == [victim.stem]
     assert report["counts"]["failed"] == 1 and report["counts"]["fitted"] == 2
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.fixed_dictionaries(
+        {"seed": json_values, "sim_config": json_values, "config_digest": json_values}
+    )
+)
+def test_any_manifest_seed_and_config_give_only_stemfit_errors(clean_corpora, values):
+    # a report copies these three manifest fields
+    with tempfile.TemporaryDirectory() as work:
+        corpus, report = Path(work) / "corpus", Path(work) / "report.json"
+        shutil.copytree(clean_corpora / "v2", corpus)
+        manifest = json.loads((corpus / MANIFEST_NAME).read_text())
+        (corpus / MANIFEST_NAME).write_text(json.dumps({**manifest, **values}))
+        code = main(["batch", "--corpus", str(corpus), "--report", str(report)])
+        assert code in (0, 1)  # a traceback would propagate out of main
+        assert report.exists() == (code == 0)
+        if code == 0:
+            assert load_report(report)["seed"] == values["seed"]
 
 
 extreme = st.floats(min_value=-1e300, max_value=1e300)
