@@ -103,6 +103,8 @@ def _cmd_fit(args) -> int:
         return EXIT_NOT_CONVERGED
     doc = {"trial_id": trial.id, **{f.name: getattr(result, f.name) for f in fields(result)}}
     doc["r_o_hat"] = result.r_o_hat.as_array().tolist()
+    if not args.with_timing:
+        doc["runtime"] = None
     if args.trace:
         doc["trace"] = [[i, point.as_array().tolist(), cost] for i, point, cost in result.trace]
     else:
@@ -166,6 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument("--solver-config", help="solver config JSON file")
     p_fit.add_argument("--trace", action="store_true", help="include the iterate trace")
+    p_fit.add_argument(
+        "--with-timing",
+        action="store_true",
+        help="give the wall-clock runtime (makes the output non-reproducible)",
+    )
     p_fit.set_defaults(func=_cmd_fit)
 
     p_batch = sub.add_parser("batch", help="fit a corpus and write a report")

@@ -124,24 +124,44 @@ class UnitQuaternion:
         return cls(w, x, y, z)
 
     def rotation_matrix(self) -> np.ndarray:
-        return rotation_matrices(np.array([[self.w, self.x, self.y, self.z]]))[0]
+        """The (3, 3) rotation matrix, by ``rotation_matrices``' formula."""
+        return np.array(_rotation_rows(self.w, self.x, self.y, self.z))
+
+
+def _rotation_rows(w, x, y, z):
+    """The rotation matrix of the quaternion ``(w, x, y, z)``, used as given,
+    as three rows of three entries. The one formula behind every rotation
+    matrix in the package: the entries are floats for float arguments and
+    arrays for array arguments, with the same bits either way."""
+    return (
+        (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+        (2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)),
+        (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+    )
 
 
 def rotation_matrices(wxyz: np.ndarray) -> np.ndarray:
     """Rotation matrices ``(n, 3, 3)`` of unit quaternions given as rows
-    ``(n, 4)`` in scalar-first order; the rows are used as given."""
+    ``(n, 4)`` in scalar-first order; the rows are used as given. Each entry
+    is ``_rotation_rows``' formula, the one that ``UnitQuaternion.rotation_matrix``
+    and ``spring_model.apple_position_world`` evaluate on one quaternion's
+    floats, so a matrix keeps its bits whichever of them builds it."""
     w, x, y, z = np.asarray(wxyz, dtype=float).T
     rot = np.empty((w.size, 3, 3))
-    rot[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    rot[:, 0, 1] = 2.0 * (x * y - w * z)
-    rot[:, 0, 2] = 2.0 * (x * z + w * y)
-    rot[:, 1, 0] = 2.0 * (x * y + w * z)
-    rot[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    rot[:, 1, 2] = 2.0 * (y * z - w * x)
-    rot[:, 2, 0] = 2.0 * (x * z - w * y)
-    rot[:, 2, 1] = 2.0 * (y * z + w * x)
-    rot[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    for i, row in enumerate(_rotation_rows(w, x, y, z)):
+        for j, entry in enumerate(row):
+            rot[:, i, j] = entry
     return rot
+
+
+def _quaternion_norms(wxyz: np.ndarray) -> np.ndarray:
+    """The norms ``sqrt(w*w + x*x + y*y + z*z)`` of quaternion rows ``(n, 4)``,
+    summed left to right as ``np.sum(q * q, axis=1)`` sums each row, but in
+    elementwise passes over the columns. A finite entry beyond ~1e154 gives
+    an infinite norm, without a warning."""
+    with np.errstate(over="ignore"):
+        ww, xx, yy, zz = (wxyz * wxyz).T
+        return np.sqrt(ww + xx + yy + zz)
 
 
 def rotate_rows(rot: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -17,7 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularityError, ValidationError
-from .geometry import Vec3, rotate_rows, rotation_matrices
+from .geometry import (
+    Vec3,
+    _quaternion_norms,
+    _rotation_rows,
+    rotate_rows,
+    rotation_matrices,
+)
 
 SINGULARITY_DISTANCE = 1e-12
 
@@ -88,7 +94,16 @@ class SampleColumns:
 
 @dataclass(frozen=True)
 class Trial:
-    """A pull recording: sample columns, spring parameters, grasp geometry, labels."""
+    """A pull recording: sample columns, spring parameters, grasp geometry, labels.
+
+    Construction checks the columns: at least 2 samples, every value finite,
+    strictly increasing ``t`` and unit quaternions (within
+    ``UNIT_QUATERNION_TOL``). Each check is one whole-array pass; only a
+    check that fails searches for the first bad ``samples[i]``, which its
+    message names. A ``ground_truth`` must lie away from the first fruit
+    position, ``apple_position_world``, whose rotation is the one formula
+    (``geometry._rotation_rows``) behind every rotation matrix in the package.
+    """
 
     samples: SampleColumns
     spring: SpringParams
@@ -104,25 +119,22 @@ class Trial:
         if len(s) < 2:
             raise ValueError(f"trial needs at least 2 samples, got {len(s)}")
         for name in COLUMN_WIDTHS:
-            column = getattr(s, name)
-            finite = np.isfinite(column).reshape(len(s), -1).all(axis=1)
+            finite = np.isfinite(getattr(s, name))
             if not finite.all():
-                i = int(np.argmin(finite))
+                i = int(np.argmin(finite)) // (finite.size // len(s))
                 raise ValueError(f"samples[{i}]: {name} must be finite")
-        steps = np.flatnonzero(~(s.t[1:] > s.t[:-1]))  # np.diff can overflow
-        if steps.size:
-            i = int(steps[0]) + 1
+        increasing = s.t[1:] > s.t[:-1]  # np.diff can overflow
+        if not increasing.all():
+            i = int(np.argmin(increasing)) + 1
             raise ValueError(
                 f"samples[{i}]: timestamp {s.t[i]} not strictly greater "
                 f"than previous {s.t[i - 1]}"
             )
         q = s.rotation_wxyz
-        # a finite entry beyond ~1e154 squares to inf, which fails the check
-        with np.errstate(over="ignore"):
-            norm = np.sqrt(np.sum(q * q, axis=1))
-        off_unit = ~(np.abs(norm - 1.0) <= UNIT_QUATERNION_TOL)
-        if off_unit.any():
-            i = int(np.argmax(off_unit))
+        # an infinite norm (a finite entry beyond ~1e154) fails the check
+        unit = np.abs(_quaternion_norms(q) - 1.0) <= UNIT_QUATERNION_TOL
+        if not unit.all():
+            i = int(np.argmin(unit))
             raise ValueError(
                 f"samples[{i}]: rotation_wxyz {q[i].tolist()} is not a unit quaternion"
             )
@@ -297,10 +309,13 @@ def constraint_values_jacobian(
 
 
 def apple_position_world(trial: Trial) -> Vec3:
-    """World-frame fruit position at the first sample (grasp point is sensor-fixed)."""
+    """World-frame fruit position at the first sample (grasp point is
+    sensor-fixed). The first rotation is ``geometry._rotation_rows``' formula on
+    the first quaternion's floats, the formula ``rotation_matrices`` stacks, so
+    the position keeps the bits of the first row of ``TrialArrays.grasp_world``."""
     s = trial.samples
-    first = rotation_matrices(s.rotation_wxyz[:1]) @ trial.grasp_point.as_array()
-    return Vec3.from_array(first[0] + s.translation[0])
+    rot = np.array(_rotation_rows(*s.rotation_wxyz[0].tolist()))
+    return Vec3.from_array(rot @ trial.grasp_point.as_array() + s.translation[0])
 
 
 def bias_compensate(trial: Trial) -> Trial:

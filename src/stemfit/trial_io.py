@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .geometry import Vec3
+from .geometry import Vec3, _quaternion_norms
 from .spring_model import COLUMN_WIDTHS, Label, SampleColumns, SpringParams, Trial
 
 TRIAL_SCHEMA_VERSION = 2
@@ -146,13 +146,15 @@ def _document(trial: Trial) -> dict:
 def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
     """Quaternions off unit norm by more than 1e-6 warn, by more than 1e-3
     fail; each one off by more than ``_QUAT_UNIT_TOL`` is divided by its
-    norm, and the rest are kept bit for bit."""
-    w, x, y, z = q.T
-    # a finite entry beyond ~1e154 squares to inf, which the check below rejects
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(w * w + x * x + y * y + z * z)
+    norm, and the rest are kept bit for bit: ``q`` itself when no row is off."""
+    # an infinite norm (a finite entry beyond ~1e154) fails the check below
+    norm = _quaternion_norms(q)
+    deviation = np.abs(norm - 1.0)
+    off_unit = deviation > _QUAT_UNIT_TOL
+    if not off_unit.any():
+        return q
     for tol, severe in ((_QUAT_ERROR_TOL, True), (_QUAT_WARN_TOL, False)):
-        off = np.abs(norm - 1.0) > tol
+        off = deviation > tol
         if off.any():
             i = int(np.argmax(off))
             where = f"{source}: samples[{i}]: rotation"
@@ -166,7 +168,7 @@ def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
                 f"{_QUAT_WARN_TOL}; renormalizing",
                 stacklevel=2,
             )
-    return np.where((np.abs(norm - 1.0) > _QUAT_UNIT_TOL)[:, None], q / norm[:, None], q)
+    return np.where(off_unit[:, None], q / norm[:, None], q)
 
 
 def _v1_columns(doc: dict, source: str) -> dict:
@@ -224,9 +226,9 @@ def _v2_columns(doc: dict, source: str) -> dict:
                 f"got {len(raw)} bytes"
             )
         column = np.frombuffer(raw, "<f8").reshape((n,) if width is None else (n, width))
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            i = int(bad[0]) // (width or 1)
+        finite = np.isfinite(column)
+        if not finite.all():
+            i = int(np.argmin(finite)) // (width or 1)
             raise ValidationError(f"{where}: samples[{i}]: numbers must be finite")
         columns[name] = column
     return columns

@@ -2,10 +2,12 @@
 references that tests hold the package to: the spring force law, the
 per-sample pose and wrench mappings behind its stacked (columnar)
 computations, the row-wise (n, 3) model formulas behind its columnar model
-kernels, the v1 and v2 trial documents behind its trial-file reader and
-writer, and the whole-window, row-by-row pull and the trial-by-trial corpus
-behind the simulator's prefix evaluation and row-parallel equilibrium
-solve."""
+kernels, the per-row column checks behind ``Trial``'s whole-array passes,
+the one-quaternion rotation stacks behind the first pose and
+``UnitQuaternion.rotation_matrix``, the v1 and v2 trial documents behind its
+trial-file reader and writer, and the whole-window, row-by-row pull and the
+trial-by-trial corpus behind the simulator's prefix evaluation and
+row-parallel equilibrium solve."""
 
 import base64
 import math
@@ -16,7 +18,7 @@ import pytest
 
 from stemfit import spring_model
 from stemfit.errors import SimulationConfigError, SingularityError
-from stemfit.geometry import UnitQuaternion, Vec3, rotate_rows
+from stemfit.geometry import UnitQuaternion, Vec3, rotate_rows, rotation_matrices
 from stemfit.simulator import (
     SimTrialRecord,
     _perpendicular_basis,
@@ -27,7 +29,9 @@ from stemfit.simulator import (
     sample_orientation,
 )
 from stemfit.spring_model import (
+    COLUMN_WIDTHS,
     SINGULARITY_DISTANCE,
+    UNIT_QUATERNION_TOL,
     Label,
     SampleColumns,
     SpringParams,
@@ -72,6 +76,60 @@ def wrench_to_world_reference(q, translation, force, torque):
     force_w = rot @ np.asarray(force, dtype=float)
     torque_w = rot @ np.asarray(torque, dtype=float) + np.cross(translation, force_w)
     return force_w, torque_w
+
+
+def rotation_matrix_stack_reference(q) -> np.ndarray:
+    """Rotation matrix of one quaternion ``(w, x, y, z)`` as the (1, 3, 3)
+    stack of ``rotation_matrices``."""
+    return rotation_matrices(np.array([[float(v) for v in q]]))[0]
+
+
+def apple_position_reference(trial: Trial) -> np.ndarray:
+    """The first fruit position through a (1, 3, 3) ``rotation_matrices``
+    stack, its matrix-vector product and the first translation."""
+    s = trial.samples
+    first = rotation_matrices(s.rotation_wxyz[:1]) @ trial.grasp_point.as_array()
+    return first[0] + s.translation[0]
+
+
+def quaternion_norms_reference(q) -> np.ndarray:
+    """Quaternion row norms as a sum along each (4,) row."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(q * q, axis=1))
+
+
+def first_non_finite_reference(samples: SampleColumns):
+    """``(column name, row)`` of the first row holding a NaN or an infinity,
+    in column order, each row reduced over its width; None if all finite."""
+    n = len(samples)
+    for name in COLUMN_WIDTHS:
+        finite = np.isfinite(getattr(samples, name)).reshape(n, -1).all(axis=1)
+        if not finite.all():
+            return name, int(np.argmin(finite))
+    return None
+
+
+def trial_check_reference(samples: SampleColumns) -> str | None:
+    """The message of the first column check that ``Trial`` fails on
+    ``samples``, or None: finiteness, increasing ``t`` and unit quaternions,
+    each computed row by row."""
+    n = len(samples)
+    if n < 2:
+        return f"trial needs at least 2 samples, got {n}"
+    bad = first_non_finite_reference(samples)
+    if bad is not None:
+        return f"samples[{bad[1]}]: {bad[0]} must be finite"
+    t = samples.t
+    steps = np.flatnonzero(~(t[1:] > t[:-1]))
+    if steps.size:
+        i = int(steps[0]) + 1
+        return f"samples[{i}]: timestamp {t[i]} not strictly greater than previous {t[i - 1]}"
+    q = samples.rotation_wxyz
+    off_unit = ~(np.abs(quaternion_norms_reference(q) - 1.0) <= UNIT_QUATERNION_TOL)
+    if off_unit.any():
+        i = int(np.argmax(off_unit))
+        return f"samples[{i}]: rotation_wxyz {q[i].tolist()} is not a unit quaternion"
+    return None
 
 
 def predict_force(r_o: Vec3, r_a_t: Vec3, spring: SpringParams) -> Vec3:

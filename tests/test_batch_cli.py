@@ -680,6 +680,20 @@ class TestCli:
         assert len(doc["trace"]) >= 1
         assert set(doc) == result_fields | {"trial_id"}
 
+    def test_fit_runtime_only_with_timing(self, tmp_path, capsys):
+        trial_file = _small_corpus(tmp_path / "c", seed=9, n=1) / "trial_000.json"
+        outputs = []
+        for _ in range(2):
+            assert main(["fit", "--trial", str(trial_file)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["runtime"] is None
+
+        assert main(["fit", "--trial", str(trial_file), "--with-timing"]) == 0
+        timed = json.loads(capsys.readouterr().out)
+        assert isinstance(timed["runtime"], float) and timed["runtime"] > 0.0
+        assert timed | {"runtime": None} == json.loads(outputs[0])
+
     def test_fit_flags_change_behavior(self, tmp_path, capsys):
         corpus = tmp_path / "c"
         cfg = replace(SimConfig(), noise_sigma=0.1, seed=13)

@@ -21,19 +21,37 @@ from hypothesis.extra.numpy import arrays
 from stemfit.batch import _ROW_KEYS, _UNFITTED_ROW, PLOT_KINDS, load_report, run_batch
 from stemfit.cli import _sim_config, _solver_config, main
 from stemfit.errors import EvaluationFailureError, StemfitError, ValidationError
-from stemfit.geometry import Vec3
+from stemfit.geometry import UnitQuaternion, Vec3, _quaternion_norms
 from stemfit.simulator import SimConfig, generate_corpus
 from stemfit.solver import SolverConfig, fit
-from stemfit.spring_model import SampleColumns, SpringParams, Trial, TrialArrays
-from stemfit.trial_io import MANIFEST_NAME, save_corpus, trial_from_dict
+from stemfit.spring_model import (
+    SampleColumns,
+    SpringParams,
+    Trial,
+    TrialArrays,
+    apple_position_world,
+)
+from stemfit.trial_io import (
+    _QUAT_UNIT_TOL,
+    MANIFEST_NAME,
+    _normalized_rotations,
+    save_corpus,
+    trial_from_dict,
+)
 
 from conftest import (
+    apple_position_reference,
     assert_kernels_match_reference,
     encode_column,
+    first_non_finite_reference,
     pull_trial,
+    quaternion_norms_reference,
+    rotation_matrix_stack_reference,
+    trial_check_reference,
     trial_to_dict,
     trial_to_v2_dict,
     v1_text,
+    wxyz,
 )
 
 COLUMN_WIDTHS = {"t": None, "translation": 3, "rotation_wxyz": 4, "force": 3, "torque": 3}
@@ -325,6 +343,114 @@ def test_columns_stay_read_only_through_pickle():
         column = getattr(copied.samples, name)
         np.testing.assert_array_equal(column, getattr(trial.samples, name))
         assert not column.flags.writeable
+
+
+EPS = np.finfo(float).eps
+unit_quaternion_rows = arrays(float, 4, elements=st.floats(-1.0, 1.0)).filter(
+    lambda q: np.linalg.norm(q) > 1e-3
+).map(lambda q: q / np.linalg.norm(q))
+
+
+@st.composite
+def checked_columns(draw):
+    """Valid columns of 2-12 samples with defects written into them: NaN or
+    an infinity at random entries of random columns, timestamps equal to or
+    below their predecessor, and quaternions scaled to a norm within a few
+    ulps of 1 +- 1e-9 (or far off it)."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    steps = draw(arrays(float, n, elements=st.floats(1e-3, 1.0)))
+    columns = {"t": np.cumsum(steps) + draw(st.floats(-1e3, 1e3))}
+    for name in ("translation", "force", "torque"):
+        columns[name] = draw(arrays(float, (n, 3), elements=st.floats(-1e3, 1e3)))
+    unit = np.array(draw(st.lists(unit_quaternion_rows, min_size=n, max_size=n)))
+    columns["rotation_wxyz"] = unit.copy()
+    rows = st.integers(min_value=0, max_value=n - 1)
+    scales = st.tuples(st.sampled_from([-1e-9, 1e-9]), st.integers(-4, 4)).map(
+        lambda a: 1.0 + a[0] + a[1] * EPS
+    ) | st.sampled_from([0.5, 1.0 + 1e-6, 1e200])
+    for row, scale in draw(st.lists(st.tuples(rows, scales), max_size=3)):
+        columns["rotation_wxyz"][row] = unit[row] * scale
+    backs = st.tuples(st.integers(1, n - 1), st.floats(0.0, 2.0))
+    for row, back in draw(st.lists(backs, max_size=2)):
+        columns["t"][row] = columns["t"][row - 1] - back
+    non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+    bad = st.tuples(st.sampled_from(sorted(COLUMN_WIDTHS)), rows, st.integers(0, 3), non_finite)
+    for name, row, entry, value in draw(st.lists(bad, max_size=4)):
+        column = columns[name]
+        if column.ndim == 1:
+            column[row] = value
+        else:
+            column[row, entry % column.shape[1]] = value
+    return SampleColumns(**columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_columns())
+def test_trial_checks_agree_with_the_row_by_row_checks(samples):
+    expected = trial_check_reference(samples)
+    try:
+        Trial(samples, SpringParams(1.0, 1.0), Vec3(0.0, 0.0, 0.0))
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+    bad = first_non_finite_reference(samples)
+    if bad is not None:
+        doc = copy.deepcopy(BASE_DOCS["v2"])
+        doc["columns"] = {name: encode_column(getattr(samples, name)) for name in COLUMN_WIDTHS}
+        named = f"<memory>: columns: {bad[0]}: samples[{bad[1]}]: numbers must be finite"
+        with pytest.raises(ValidationError) as info:
+            trial_from_dict(doc)
+        assert str(info.value) == named
+
+
+finite_moderate = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    unit_quaternion_rows,
+    st.tuples(finite_moderate, finite_moderate, finite_moderate),
+    arrays(float, (2, 3), elements=finite_moderate),
+)
+def test_first_pose_keeps_the_bits_of_a_rotation_stack(q, grasp, translation):
+    trial = Trial(
+        SampleColumns(
+            t=[0.0, 1.0],
+            translation=translation,
+            rotation_wxyz=[q, q],
+            force=np.zeros((2, 3)),
+            torque=np.zeros((2, 3)),
+        ),
+        SpringParams(1.0, 1.0),
+        Vec3(*grasp),
+    )
+    position = apple_position_world(trial).as_array()
+    np.testing.assert_array_equal(position, apple_position_reference(trial))
+    np.testing.assert_array_equal(position, TrialArrays.from_trial(trial).grasp_world[0])
+    quaternion = UnitQuaternion(*q)
+    np.testing.assert_array_equal(
+        quaternion.rotation_matrix(),
+        rotation_matrix_stack_reference(wxyz(quaternion)),
+    )
+
+
+@given(arrays(float, st.tuples(st.integers(0, 12), st.just(4)), elements=finite))
+def test_quaternion_norms_keep_the_bits_of_a_sum_along_each_row(q):
+    np.testing.assert_array_equal(_quaternion_norms(q), quaternion_norms_reference(q))
+
+
+@given(st.lists(st.tuples(unit_quaternion_rows, st.integers(-8, 8)), min_size=1, max_size=12))
+def test_normalized_rotations_divide_exactly_the_rows_off_unit(rows):
+    """Rows scaled by up to 8 ulps, both sides of ``_QUAT_UNIT_TOL`` (4 eps)."""
+    q = np.array([row * (1.0 + k * EPS) for row, k in rows])
+    norm = quaternion_norms_reference(q)
+    off = np.abs(norm - 1.0) > _QUAT_UNIT_TOL
+    result = _normalized_rotations(q, "x")
+    if not off.any():
+        assert result is q
+    np.testing.assert_array_equal(result[~off], q[~off])
+    np.testing.assert_array_equal(result[off], q[off] / norm[off, None])
 
 
 @pytest.fixture(scope="module")
