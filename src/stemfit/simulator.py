@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import SimulationConfigError
-from .geometry import UnitQuaternion, Vec3, finite_number, rotate_rows
+from .geometry import UnitQuaternion, Vec3, cross3, finite_number, rotate_rows
 from .spring_model import Label, SampleColumns, SpringParams, Trial
 
 _ZERO_COMPLIANCE = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
@@ -195,14 +195,14 @@ def sample_orientation(rng: np.random.Generator) -> UnitQuaternion:
 
 def _perpendicular_basis(unit: np.ndarray):
     # unit is a sample_orientation normal: |z x unit| = cos(asin(u)) >= 2**-26 as u <= 1 - 2**-53
-    a = np.cross(np.array([0.0, 0.0, 1.0]), unit)
+    a = cross3(np.array([0.0, 0.0, 1.0]), unit)
     a = a / np.linalg.norm(a)
-    return a, np.cross(unit, a)
+    return a, cross3(unit, a)
 
 
 def _rotate_about(vec: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
-    return vec * c + np.cross(axis, vec) * s + axis * np.dot(axis, vec) * (1.0 - c)
+    return vec * c + cross3(axis, vec) * s + axis * np.dot(axis, vec) * (1.0 - c)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

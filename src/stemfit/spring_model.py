@@ -59,8 +59,8 @@ class SampleColumns:
     ``t`` (n,) in seconds; the sensor pose as ``translation`` (n, 3) in the
     world frame and ``rotation_wxyz`` (n, 4), a world-from-sensor unit
     quaternion; the sensor-frame wrench as ``force`` (n, 3) and
-    ``torque`` (n, 3). Each column is copied to float64 and made read-only on
-    construction; :class:`Trial` checks the values.
+    ``torque`` (n, 3). Each column is copied to C-ordered float64 and made
+    read-only on construction; :class:`Trial` checks the values.
     """
 
     t: np.ndarray
@@ -72,7 +72,7 @@ class SampleColumns:
     def __post_init__(self):
         n = None
         for name, width in COLUMN_WIDTHS.items():
-            column = np.array(getattr(self, name), dtype=float)
+            column = np.array(getattr(self, name), dtype=float, order="C")
             if n is None:
                 if column.ndim != 1:
                     raise ValueError(f"samples.t: expected shape (n,), got {column.shape}")

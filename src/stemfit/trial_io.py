@@ -1,20 +1,27 @@
 """Trial and corpus file formats.
 
-A trial file is one JSON document with an explicit schema version, written
-by ``dump_json`` like every other stemfit file. ``save_trial`` writes schema
-version 2: the head keys (``id``, ``label``, ``spring``, ``grasp_point``,
-optional ``ground_truth``) as plain JSON, and under ``columns`` each sample
-column (``t``, ``translation``, ``rotation_wxyz``, ``force``, ``torque``) as
-the RFC 4648 base64 text of its row-major little-endian float64 bytes, so
-save/load is bit-exact and no number is formatted or parsed as decimal text.
-``load_trial`` also reads the legacy version 1, one object per sample with
-decimal numbers, which is what a hand-written or externally recorded file
-may still be. A corpus is a directory of trial files plus ``manifest.json``
-listing ids, labels, the generation seed, and a digest of the generating
-configuration. All writes go through a temp-file-then-rename step.
+A trial file is one JSON document with an explicit schema version, byte for
+byte what ``dump_json`` writes for it, like every other stemfit file.
+``save_trial`` writes schema version 2: the head keys (``id``, ``label``,
+``spring``, ``grasp_point``, optional ``ground_truth``) as plain JSON, and
+under ``columns`` each sample column (``t``, ``translation``,
+``rotation_wxyz``, ``force``, ``torque``) as the RFC 4648 base64 text of its
+row-major little-endian float64 bytes, so save/load is bit-exact and no
+number is formatted or parsed as decimal text. JSON escapes no character of
+the base64 alphabet and ``columns`` sorts before every head key, so the
+writer puts the base64 bytes in place in front of ``dump_json``'s text of
+the head instead of having ``json`` copy them. ``load_trial`` also reads
+the legacy version 1, one object per sample with decimal numbers, which is
+what a hand-written or externally recorded file may still be. A corpus is a
+directory of trial files plus ``manifest.json`` listing ids, labels, the
+generation seed, and a digest of the generating configuration. All writes
+go through one temp-file-then-rename step, which takes the file's bytes:
+text is encoded to UTF-8 first, so a text that cannot be encoded fails
+before any temp file exists.
 """
 
 import base64
+import binascii
 import hashlib
 import json
 import os
@@ -46,20 +53,27 @@ def _temp_name(name: str) -> str:
     return f".{name}.{os.urandom(8).hex()}.tmp"
 
 
-def atomic_write_text(path, text: str):
-    """Write ``text`` to ``path`` through a uniquely named temp file in the
+def atomic_write_bytes(path, data: bytes):
+    """Write ``data`` to ``path`` through a uniquely named temp file in the
     same directory, renamed over ``path`` once complete; the temp file is
     removed if the write fails. The new file's mode follows the umask."""
     path = Path(path)
     tmp = path.with_name(_temp_name(path.name))
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path, text: str):
+    """Write ``text`` as UTF-8 through ``atomic_write_bytes``. It is encoded
+    before the temp file is created, so a text that cannot be encoded (a
+    lone surrogate) raises UnicodeEncodeError and leaves no file behind."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def read_json(path):
@@ -122,21 +136,15 @@ def _vec(v: Vec3) -> list:
     return [v.x, v.y, v.z]
 
 
-def _encoded(column: np.ndarray) -> str:
-    return base64.b64encode(column.astype("<f8", copy=False).tobytes()).decode("ascii")
-
-
-def _document(trial: Trial) -> dict:
-    """The v2 document of a trial: each sample column as the base64 text of
-    its row-major little-endian float64 bytes."""
-    s = trial.samples
+def _head(trial: Trial) -> dict:
+    """The keys of a trial's v2 document other than ``columns``; each sorts
+    after ``columns``."""
     doc = {
         "schema_version": TRIAL_SCHEMA_VERSION,
         "id": trial.id,
         "label": trial.label.value,
         "spring": {"k": trial.spring.k, "l": trial.spring.l},
         "grasp_point": _vec(trial.grasp_point),
-        "columns": {name: _encoded(getattr(s, name)) for name in COLUMN_WIDTHS},
     }
     if trial.ground_truth is not None:
         doc["ground_truth"] = _vec(trial.ground_truth)
@@ -290,8 +298,20 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
 
 
 def save_trial(trial: Trial, path):
-    """Write ``trial`` as a v2 document."""
-    atomic_write_text(path, dump_json(_document(trial)))
+    """Write ``trial`` as a v2 document, byte for byte ``dump_json`` of it:
+    ``columns``, the first key in sorted order, at ``dump_json``'s
+    indentation in front of its text of the head. Each column goes in, in
+    sorted name order, as the base64 bytes ``b2a_base64`` writes from the
+    column's buffer rather than text that ``json`` copies; JSON escapes no
+    character of that alphabet."""
+    s = trial.samples
+    parts = [b'{\n  "columns": {\n']
+    for name in sorted(COLUMN_WIDTHS):
+        encoded = binascii.b2a_base64(getattr(s, name).astype("<f8", copy=False), newline=False)
+        parts += (b'    "', name.encode(), b'": "', encoded, b'",\n')
+    parts[-1] = b'"\n  },\n'
+    parts.append(dump_json(_head(trial)).encode()[2:])  # without the head's "{\n"
+    atomic_write_bytes(path, b"".join(parts))
 
 
 def load_trial(path) -> Trial:
@@ -305,7 +325,7 @@ def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: i
     ``load_manifest``'s checks, and each id must be a plain file name (not
     empty, ``.`` or ``..``, without a path separator or NUL, and not naming
     the manifest) that the file system can take: ``<id>.json`` must encode
-    to file-system bytes, and the temp name ``atomic_write_text`` writes it
+    to file-system bytes, and the temp name ``atomic_write_bytes`` writes it
     through must fit in ``NAME_MAX`` bytes. All of this is checked before
     any file is written; otherwise a ValidationError leaves ``out_dir``
     untouched."""

@@ -578,8 +578,9 @@ class TestPlotData:
 
     def test_ids_that_need_quoting_round_trip(self, tmp_path):
         # a trial id may hold a comma, a double quote, CR or LF; each plot
-        # kind quotes it, so every row reads back at the header's width
-        ids = ['a,b "x"', "line\nbreak", "cr\ronly", "plain"]
+        # kind quotes it, so every row reads back at the header's width; a
+        # non-ASCII id is written as its UTF-8 bytes
+        ids = ['a,b "x"', "line\nbreak", "cr\ronly", "plain", "\u00e9\u6837"]
         cfg = replace(SimConfig(), noise_sigma=0.0, seed=3)
         trials = [replace(r.trial, id=i) for r, i in zip(generate_corpus(cfg, len(ids), 0.0), ids)]
         save_corpus(trials, tmp_path / "c", sim_config_dict=cfg.to_dict(), seed=3)
@@ -587,7 +588,7 @@ class TestPlotData:
         for kind in PLOT_KINDS:
             out = tmp_path / f"{kind}.csv"
             emit_plot_data(report, kind, out)
-            with open(out, newline="") as f:
+            with open(out, newline="", encoding="utf-8") as f:
                 header, *rows = csv.reader(f)
             assert len(rows) == len(ids)
             assert all(len(row) == len(header) for row in rows)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from stemfit.errors import DegenerateInputError
-from stemfit.geometry import UnitQuaternion, Vec3, angle_between, rotation_matrices
+from stemfit.geometry import UnitQuaternion, Vec3, angle_between, cross3, rotation_matrices
 
 from conftest import (
     pose_point_reference,
@@ -172,16 +172,29 @@ class TestAngleBetween:
     @settings(max_examples=500, deadline=None)
     @given(
         st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
-        st.integers(-1000, 1000),
-        st.integers(-1000, 1000),
+        st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+            | st.floats(-1.0, 1.0),
+            min_size=6,
+            max_size=6,
+        ),
+        # below 2**-40 a vector of three components in [-1, 1] is shorter than
+        # the 1e-12 the assume below asks for, so such exponents are not drawn
+        st.integers(-40, 1000),
+        st.integers(-40, 1000),
     )
-    def test_keeps_the_bits_of_the_numpy_cross_product(self, components, exp_a, exp_b):
+    def test_keeps_the_bits_of_the_numpy_cross_product(self, components, small, exp_a, exp_b):
         # exponents that reach past the square root of the largest float take
         # the power-of-two scaling that keeps the products finite
         a = np.ldexp(np.array(components[:3]), exp_a)
         b = np.ldexp(np.array(components[3:]), exp_b)
-        assume(math.hypot(*a) >= 1e-12 and math.hypot(*b) >= 1e-12)
         a_scaled, b_scaled = (np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1]) for v in (a, b))
+        # cross3 is np.cross bit for bit, signed zeros and subnormals included
+        for x, y in ((a_scaled, b_scaled), (np.array(small[:3]), np.array(small[3:]))):
+            np.testing.assert_array_equal(
+                cross3(x, y).view(np.uint64), np.cross(x, y).view(np.uint64)
+            )
+        assume(math.hypot(*a) >= 1e-12 and math.hypot(*b) >= 1e-12)
         cross = float(np.linalg.norm(np.cross(a_scaled, b_scaled)))
         want = math.degrees(math.atan2(cross, float(np.dot(a_scaled, b_scaled))))
         assert angle_between(Vec3(*a), Vec3(*b)) == want

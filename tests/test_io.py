@@ -160,10 +160,33 @@ class TestTrialFileBytes:
         cfg = replace(SimConfig(), noise_sigma=0.05, seed=31)
         records = generate_corpus(cfg, 6, 0.5)
         assert {r.trial.label for r in records} == {Label.SUCCESS, Label.FAILURE}
-        save_corpus([r.trial for r in records], tmp_path, sim_config_dict=cfg.to_dict(), seed=31)
-        for record in records:
-            path = tmp_path / f"{record.trial.id}.json"
-            assert path.read_bytes() == json_text(record.trial)
+        # a slow rigid pull of 2,001 samples, as in the rigid-2000 benchmark, and
+        # its first 2,000 and 1,999: the base64 of t ends in "", "==" and "="
+        slow = sim_trial(seed=2, pull_speed=5.0 / 632.0 / 4.0)
+        assert len(slow.samples) == 2001
+        prefixes = [
+            replace(
+                slow,
+                id=f"slow_{n}",
+                samples=SampleColumns(*(getattr(slow.samples, name)[:n] for name in COLUMNS)),
+            )
+            for n in (2001, 2000, 1999)
+        ]
+        # columns given in Fortran order are written as their C-order bytes
+        transposed = replace(
+            slow,
+            id="fortran",
+            samples=SampleColumns(
+                *(np.asfortranarray(getattr(slow.samples, name)) for name in COLUMNS)
+            ),
+        )
+        trials = [r.trial for r in records] + prefixes + [transposed]
+        save_corpus(trials, tmp_path, sim_config_dict=cfg.to_dict(), seed=31)
+        for trial in trials:
+            path = tmp_path / f"{trial.id}.json"
+            assert path.read_bytes() == json_text(trial)
+        endings = [json.loads(json_text(t))["columns"]["t"][-2:] for t in prefixes]
+        assert [e.count("=") for e in endings] == [0, 2, 1]
 
     @pytest.mark.parametrize("trial_id", SPECIAL_IDS)
     @pytest.mark.parametrize("ground_truth", [None, Vec3(0.3, -0.0, 0.5)])
