@@ -83,7 +83,10 @@ class SimConfig:
             raise ValueError("grasp_compliance must be a 3x3 matrix")
         if not np.isfinite(comp).all():
             raise ValueError("grasp_compliance must be finite")
-        if not np.allclose(comp, comp.T, atol=1e-12):
+        # a difference that overflows is not close, and must not warn
+        with np.errstate(over="ignore"):
+            symmetric = np.allclose(comp, comp.T, atol=1e-12)
+        if not symmetric:
             raise ValueError("grasp_compliance must be symmetric")
         if np.linalg.eigvalsh(comp).min() < -1e-12:
             raise ValueError("grasp_compliance must be positive semidefinite")

@@ -15,9 +15,11 @@ KKT-residual decrease rather than cost decrease, because cost differences
 near the optimum fall below double-precision resolution long before the
 gradient does.
 
-``fit`` wraps runs in the reseeding schedule: while the best mean squared
-error stays above ``mse_target``, the next run is seeded at the previous
-run's output, up to ``max_restarts`` times.
+``fit`` is the reseeding schedule, one loop of runs: while the best mean
+squared error stays above ``mse_target``, the next run is seeded at the
+previous run's best iterate, up to ``max_restarts`` times. Each run returns
+its best iterate, its iteration count and the points it noted for the trace;
+the fit's certificate is read off the best iterate of all runs.
 """
 
 import ctypes
@@ -448,44 +450,25 @@ def _metric(model: _Model, x: np.ndarray) -> np.ndarray:
     return np.eye(3)
 
 
-class _RunResult:
-    __slots__ = ("iterate", "iterations", "converged", "trace")
-
-    def __init__(self, iterate, iterations, converged, trace):
-        self.iterate = iterate
-        self.iterations = iterations
-        self.converged = converged
-        self.trace = trace
-
-
 def _minimize_arrays(
-    model: _Model,
-    x0: np.ndarray,
-    config: SolverConfig,
-    collect_trace: bool,
-    trace_base: int,
-) -> _RunResult:
-    """One run from ``x0``; the caller has set numpy to ignore overflow,
-    which ``_Iterate`` turns into an ``EvaluationFailureError``, as it does a
-    singular start."""
+    model: _Model, x0: np.ndarray, config: SolverConfig
+) -> tuple[_Iterate, int, list[tuple[int, _Iterate]]]:
+    """One run from ``x0``: its best iterate, the iterations it used and the
+    points it noted, each as the iterations used before it and its iterate.
+    The caller has set numpy to ignore overflow, which ``_Iterate`` turns
+    into an ``EvaluationFailureError``, as it does a singular start."""
     ctol = config.constraint_tolerance
     budget = config.max_iterations_per_run
     used = 0
-    trace: list[tuple[int, Vec3, float]] = []
-
-    def note(it: _Iterate):
-        if collect_trace:
-            trace.append((trace_base + used, Vec3.from_array(it.x.copy()), it.cost))
-
     try:
         start = _Iterate(np.asarray(x0, dtype=float), model)
     except SingularityError as exc:
         raise EvaluationFailureError(
             "starting point coincides with a fruit position sample"
         ) from exc
-    note(start)
+    noted = [(0, start)]
     if start.meets(ctol):
-        return _RunResult(start, 0, True, tuple(trace) if collect_trace else None)
+        return start, 0, noted
 
     metric = _metric(model, start.x)
 
@@ -537,7 +520,7 @@ def _minimize_arrays(
     if reached is not None:
         current = reached
         best = _better(best, current, ctol)
-        note(current)
+        noted.append((used, current))
     if not current.meets(ctol):
         # the polish gets the whole budget too: where SLSQP stalled, it may
         # need more steps than SLSQP left over
@@ -545,8 +528,8 @@ def _minimize_arrays(
         used += polish_used
         if polished is not current:
             best = _better(best, polished, ctol)
-            note(polished)
-    return _RunResult(best, used, best.meets(ctol), tuple(trace) if collect_trace else None)
+            noted.append((used, polished))
+    return best, used, noted
 
 
 def fit(
@@ -555,58 +538,52 @@ def fit(
     *,
     collect_trace: bool = False,
 ) -> FitResult:
-    """Full estimation schedule: initial run plus MSE-target reseeding.
+    """Full estimation schedule: one loop of runs, the first from the initial
+    guess and each restart from the previous run's best iterate, while the
+    best mean squared error stays above ``mse_target``.
 
     The returned point is the best iterate seen across runs (feasible ones
-    preferred, then lowest cost); iteration counts and runtime aggregate over
-    all runs. A model-evaluation failure (an overflow, or a run that starts
-    on a fruit position sample) in the first run propagates as
-    ``EvaluationFailureError``; in a restart it ends the schedule, and the
-    best earlier run is returned. The fit runs scipy's BLAS on one thread,
-    so its bits do not depend on the machine (``_one_blas_thread``).
+    preferred, then lowest cost), and the certificate is read off it;
+    iteration counts and runtime aggregate over all runs. A model-evaluation
+    failure (an overflow, or a run that starts on a fruit position sample)
+    in the first run propagates as ``EvaluationFailureError``; in a restart
+    it ends the schedule, still counted in ``restarts_used``, and adds
+    nothing to the trace. The fit runs scipy's BLAS on one thread, so its
+    bits do not depend on the machine (``_one_blas_thread``).
     """
     start = time.perf_counter()
-    model = _Model(TrialArrays.from_trial(trial))
-    ctol = config.constraint_tolerance
-
     trace: list[tuple[int, Vec3, float]] = []
     iterations_total = 0
     restarts_used = 0
-    best_run: _RunResult | None = None
-
-    def absorb(run: _RunResult):
-        nonlocal iterations_total, best_run
-        iterations_total += run.iterations
-        if collect_trace and run.trace:
-            trace.extend(run.trace)
-        if best_run is None or _better(best_run.iterate, run.iterate, ctol) is run.iterate:
-            best_run = run
-
+    best = None
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        model = _Model(TrialArrays.from_trial(trial))
         x0 = _initial_guess_array(model.arrays)
-        run = _minimize_arrays(model, x0, config, collect_trace, 0)
-        absorb(run)
-        while (
-            best_run.iterate.cost > config.mse_target
-            and restarts_used < config.max_restarts
-        ):
-            restarts_used += 1
+        while True:
             try:
-                run = _minimize_arrays(
-                    model, run.iterate.x, config, collect_trace, iterations_total
-                )
+                run_best, used, noted = _minimize_arrays(model, x0, config)
             except EvaluationFailureError:
+                if best is None:
+                    raise
                 break
-            absorb(run)
+            if collect_trace:
+                trace += [(iterations_total + k, Vec3.from_array(it.x), it.cost) for k, it in noted]
+            iterations_total += used
+            if best is None or _better(best, run_best, config.constraint_tolerance) is run_best:
+                best = run_best
+            if best.cost <= config.mse_target or restarts_used == config.max_restarts:
+                break
+            restarts_used += 1
+            x0 = run_best.x
 
     return FitResult(
-        r_o_hat=Vec3.from_array(best_run.iterate.x),
-        final_mse=best_run.iterate.cost,
+        r_o_hat=Vec3.from_array(best.x),
+        final_mse=best.cost,
         iterations_total=iterations_total,
         restarts_used=restarts_used,
         runtime=time.perf_counter() - start,
-        converged=best_run.converged,
-        max_constraint_violation=best_run.iterate.viol,
-        projected_gradient=best_run.iterate.kkt,
+        converged=best.meets(config.constraint_tolerance),
+        max_constraint_violation=best.viol,
+        projected_gradient=best.kkt,
         trace=tuple(trace) if collect_trace else None,
     )

@@ -326,9 +326,10 @@ def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: i
     empty, ``.`` or ``..``, without a path separator or NUL, and not naming
     the manifest) that the file system can take: ``<id>.json`` must encode
     to file-system bytes, and the temp name ``atomic_write_bytes`` writes it
-    through must fit in ``NAME_MAX`` bytes. All of this is checked before
-    any file is written; otherwise a ValidationError leaves ``out_dir``
-    untouched."""
+    through must fit in ``NAME_MAX`` bytes. The manifest, ``seed`` and
+    ``sim_config_dict`` included, must hold no NaN or infinity. All of this
+    is checked before any file is written; otherwise a ValidationError
+    leaves ``out_dir`` untouched."""
     out_dir = Path(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
     trials = list(trials)
@@ -359,11 +360,6 @@ def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: i
                 f"{entry['file']!r} must encode to at most "
                 f"{NAME_MAX - len(_temp_name(''))} file-system bytes"
             )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if manifest_path.exists():
-        raise FileExistsError(f"{manifest_path}: corpus manifest already exists")
-    for trial, entry in zip(trials, entries):
-        save_trial(trial, out_dir / entry["file"])
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "seed": seed,
@@ -371,7 +367,23 @@ def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: i
         "config_digest": config_digest(sim_config_dict or {}),
         "trials": entries,
     }
-    atomic_write_text(manifest_path, dump_json(manifest))
+    manifest_text = _manifest_json(manifest, manifest_path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if manifest_path.exists():
+        raise FileExistsError(f"{manifest_path}: corpus manifest already exists")
+    for trial, entry in zip(trials, entries):
+        save_trial(trial, out_dir / entry["file"])
+    atomic_write_text(manifest_path, manifest_text)
+
+
+def _manifest_json(manifest: dict, manifest_path) -> str:
+    """``dump_json`` of a manifest; a NaN or an infinity anywhere in it
+    raises ValidationError, because a report copies its seed, sim_config,
+    config_digest and labels."""
+    try:
+        return dump_json(manifest)
+    except ValueError as exc:
+        raise ValidationError(f"{manifest_path}: holds NaN or an infinity") from exc
 
 
 def _check_entries(trials, where: str):
@@ -408,8 +420,5 @@ def load_manifest(corpus_dir) -> dict:
     if version != MANIFEST_SCHEMA_VERSION or version is True:  # JSON true equals 1 in Python
         raise ValidationError(f"{manifest_path}: unsupported or missing schema_version")
     _check_entries(manifest.get("trials"), str(manifest_path))
-    try:  # a report copies its seed, sim_config, config_digest and labels
-        json.dumps(manifest, allow_nan=False)
-    except ValueError as exc:
-        raise ValidationError(f"{manifest_path}: holds NaN or an infinity") from exc
+    _manifest_json(manifest, manifest_path)
     return manifest

@@ -144,9 +144,10 @@ BAD_SIM_CONFIGS = {
     ),
     "boolean_grasp_compliance": ('{"grasp_compliance": [[true, 0, 0], [0, 0, 0], [0, 0, 0]]}', "0"),
 }
-# valid configs too extreme to simulate: their pulls overflow, divide by
-# zero or meet a singular matrix (numpy must not warn), or their drawn
-# failure-class compliance is not symmetric within SimConfig's tolerance
+# configs with extreme numbers, rejected with one error line and no numpy
+# warning: valid ones whose pulls overflow, divide by zero or meet a
+# singular matrix, or whose drawn failure-class compliance is not symmetric
+# within SimConfig's tolerance, and one whose symmetry check overflows
 EXTREME_SIM_CONFIGS = {
     "huge_k": ('{"k": 1e300}', "0"),
     "huge_k_compliant": ('{"k": 1e300}', "1"),
@@ -154,6 +155,10 @@ EXTREME_SIM_CONFIGS = {
     "tiny_l_compliant": ('{"l": 1e-300}', "1"),
     "huge_grasp_compliance": ('{"grasp_compliance": [[1e300, 0, 0], [0, 0, 0], [0, 0, 0]]}', "0"),
     "equal_large_failure_compliance": ('{"failure_compliance_range": [1e5, 1e5]}', "1"),
+    "extreme_antisymmetric_grasp_compliance": (
+        '{"grasp_compliance": [[0, 1.7e308, 0], [-1.7e308, 0, 0], [0, 0, 0]]}',
+        "0",
+    ),
 }
 BAD_SIM_CONFIGS.update(EXTREME_SIM_CONFIGS)
 BAD_SOLVER_CONFIGS = {

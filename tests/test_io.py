@@ -814,6 +814,21 @@ class TestCorpus:
             save_corpus([], tmp_path / "corpus")
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"sim_config_dict": {"k": math.nan}},
+            {"sim_config_dict": {"k": math.inf}},
+            {"seed": math.nan},
+        ],
+        ids=["nan-config", "infinite-config", "nan-seed"],
+    )
+    def test_rejects_a_non_finite_manifest_field_before_writing(self, tmp_path, fields):
+        records = generate_corpus(SimConfig(seed=5), 2, 0.0)
+        with pytest.raises(ValidationError, match="holds NaN or an infinity"):
+            save_corpus([r.trial for r in records], tmp_path / "work" / "corpus", **fields)
+        assert list(tmp_path.rglob("*")) == []
+
     def test_saved_corpus_passes_load_manifest(self, tmp_path):
         records = generate_corpus(SimConfig(seed=5), 3, 0.0)
         ids = ["x y", ".hidden", "\u00e9"]

@@ -575,11 +575,13 @@ def test_any_manifest_seed_and_config_give_only_stemfit_errors(clean_corpora, va
 
 
 extreme = st.floats(min_value=-1e300, max_value=1e300)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def extreme_trials(draw):
-    """Valid trials of 2-20 samples whose numbers reach +-1e300."""
+    """Valid trials of 2-20 samples whose numbers reach +-1e300, and whose
+    translations, forces and grasp point reach the largest finite float."""
     n = draw(st.integers(min_value=2, max_value=20))
     q = draw(
         arrays(float, (n, 4), elements=st.floats(-1.0, 1.0)).filter(
@@ -588,14 +590,14 @@ def extreme_trials(draw):
     )
     samples = SampleColumns(
         t=draw(arrays(float, n, elements=extreme, unique=True).map(np.sort)),
-        translation=draw(arrays(float, (n, 3), elements=extreme)),
+        translation=draw(arrays(float, (n, 3), elements=finite)),
         rotation_wxyz=q / np.linalg.norm(q, axis=1)[:, None],
-        force=draw(arrays(float, (n, 3), elements=extreme)),
+        force=draw(arrays(float, (n, 3), elements=finite)),
         torque=draw(arrays(float, (n, 3), elements=extreme)),
     )
     positive = st.floats(min_value=1e-300, max_value=1e300)
     spring = SpringParams(draw(positive), draw(positive))
-    return Trial(samples, spring, Vec3(*draw(st.tuples(extreme, extreme, extreme))))
+    return Trial(samples, spring, Vec3(*draw(st.tuples(finite, finite, finite))))
 
 
 @settings(
@@ -605,11 +607,11 @@ def extreme_trials(draw):
 )
 @given(extreme_trials())
 def test_fit_of_a_finite_trial_is_finite_or_an_evaluation_failure(trial):
-    with np.errstate(all="ignore"):
-        try:
-            result = fit(trial)
-        except EvaluationFailureError:
-            return
+    # unwrapped: pyproject turns a numpy warning that fit lets out into a failure
+    try:
+        result = fit(trial)
+    except EvaluationFailureError:
+        return
     assert np.isfinite([result.final_mse, result.max_constraint_violation]).all()
     assert np.isfinite(result.projected_gradient)
     assert np.isfinite(result.r_o_hat.as_array()).all()

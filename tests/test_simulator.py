@@ -676,6 +676,10 @@ REJECTED_CONFIGS = {
         {"grasp_compliance": ((0.0, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, 0.0))},
         "grasp_compliance must be finite",
     ),
+    "grasp_compliance_extreme_antisymmetric": (
+        {"grasp_compliance": ((0.0, 1.7e308, 0.0), (-1.7e308, 0.0, 0.0), (0.0, 0.0, 0.0))},
+        "grasp_compliance must be symmetric",
+    ),
     "attachment_region_flat": (
         {"attachment_region": (Vec3(0.4, 0.3, 0.2), Vec3(0.8, 0.3, 0.6))},
         "attachment_region must be a box with min < max per axis",

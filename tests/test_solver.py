@@ -71,10 +71,15 @@ def initial_guess(trial: Trial) -> np.ndarray:
 
 
 def one_run(trial: Trial, x0: np.ndarray):
-    """One run of the solver from ``x0``, as ``fit`` starts each run."""
+    """One run of the solver from ``x0``, as ``fit`` starts each run: its
+    best iterate, whether that iterate is certified, and its iterations."""
     model = solver._Model(TrialArrays.from_trial(trial))
+    config = SolverConfig()
     with np.errstate(over="ignore", invalid="ignore"):
-        return solver._minimize_arrays(model, np.asarray(x0, dtype=float), SolverConfig(), False, 0)
+        best, used, _ = solver._minimize_arrays(model, np.asarray(x0, dtype=float), config)
+    return SimpleNamespace(
+        iterate=best, converged=best.meets(config.constraint_tolerance), iterations=used
+    )
 
 
 class TestInitialGuess:
@@ -695,7 +700,8 @@ class TestRunStages:
 
         def recorded_run(*args):
             run = minimize_arrays(*args)
-            runs.append(run.iterations)
+            _, used, _ = run
+            runs.append(used)
             return run
 
         monkeypatch.setattr(solver, "_polish", recorded_polish)
@@ -1034,3 +1040,22 @@ class TestNonFiniteCost:
                 earlier.converged,
             )
             assert result.iterations_total == earlier.iterations_total
+
+    def test_a_restart_that_fails_after_noting_its_start_adds_nothing_to_the_trace(
+        self, monkeypatch
+    ):
+        # a short budget leaves each run uncertified, so every restart works
+        trial = polishing_failure_trial()
+        config = SolverConfig(max_iterations_per_run=5)
+        evaluations = self._evaluations(monkeypatch)
+        assert fit(trial, config).restarts_used == 5
+        monkeypatch.undo()
+        for restart in range(1, 6):
+            # the restart's first evaluation is its start, which it notes
+            after_start = [at for at, run in enumerate(evaluations, 1) if run == restart][1]
+            self._evaluations(monkeypatch, inf_at=after_start)
+            result = fit(trial, config, collect_trace=True)
+            monkeypatch.undo()
+            earlier = fit(trial, replace(config, max_restarts=restart - 1), collect_trace=True)
+            assert result.restarts_used == restart
+            assert result.trace == earlier.trace
