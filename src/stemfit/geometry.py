@@ -43,10 +43,8 @@ class Vec3:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"Vec3.{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            value = finite_number(f"Vec3.{name}", getattr(self, name))
+            object.__setattr__(self, name, float(value))
 
     @classmethod
     def from_array(cls, a) -> "Vec3":
@@ -84,7 +82,9 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self):
-        w, x, y, z = (float(self.w), float(self.x), float(self.y), float(self.z))
+        w, x, y, z = (
+            float(finite_number(f"UnitQuaternion.{name}", getattr(self, name))) for name in "wxyz"
+        )
         norm = math.sqrt(w * w + x * x + y * y + z * z)
         if not math.isfinite(norm) or norm < DEGENERATE_NORM:
             raise ValueError(f"quaternion norm {norm!r} too small to normalize")
@@ -92,36 +92,6 @@ class UnitQuaternion:
         object.__setattr__(self, "x", x / norm)
         object.__setattr__(self, "y", y / norm)
         object.__setattr__(self, "z", z / norm)
-
-    @classmethod
-    def from_rotation_matrix(cls, matrix) -> "UnitQuaternion":
-        m = np.asarray(matrix, dtype=float)
-        trace = m[0, 0] + m[1, 1] + m[2, 2]
-        if trace > 0.0:
-            s = math.sqrt(trace + 1.0) * 2.0
-            w = 0.25 * s
-            x = (m[2, 1] - m[1, 2]) / s
-            y = (m[0, 2] - m[2, 0]) / s
-            z = (m[1, 0] - m[0, 1]) / s
-        elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            w = (m[2, 1] - m[1, 2]) / s
-            x = 0.25 * s
-            y = (m[0, 1] + m[1, 0]) / s
-            z = (m[0, 2] + m[2, 0]) / s
-        elif m[1, 1] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            w = (m[0, 2] - m[2, 0]) / s
-            x = (m[0, 1] + m[1, 0]) / s
-            y = 0.25 * s
-            z = (m[1, 2] + m[2, 1]) / s
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            w = (m[1, 0] - m[0, 1]) / s
-            x = (m[0, 2] + m[2, 0]) / s
-            y = (m[1, 2] + m[2, 1]) / s
-            z = 0.25 * s
-        return cls(w, x, y, z)
 
     def rotation_matrix(self) -> np.ndarray:
         """The (3, 3) rotation matrix, by ``rotation_matrices``' formula."""

@@ -93,13 +93,22 @@ class SimConfig:
         object.__setattr__(
             self, "grasp_compliance", tuple(tuple(float(v) for v in row) for row in comp)
         )
+        if not isinstance(self.grasp_point, Vec3):
+            raise ValueError("grasp_point must be a Vec3")
+        region = self.attachment_region
+        if not (
+            isinstance(region, (tuple, list))
+            and len(region) == 2
+            and all(isinstance(end, Vec3) for end in region)
+        ):
+            raise ValueError("attachment_region must be a pair (min, max) of Vec3")
+        lo, hi = region
+        if not all(getattr(lo, a) < getattr(hi, a) for a in ("x", "y", "z")):
+            raise ValueError("attachment_region must be a box with min < max per axis")
         # kept as tuples of the values given, as from_dict builds them, so a
         # config equals its JSON round trip and hashes
         for name in ("attachment_region", "failure_compliance_range"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        lo, hi = self.attachment_region
-        if not all(getattr(lo, a) < getattr(hi, a) for a in ("x", "y", "z")):
-            raise ValueError("attachment_region must be a box with min < max per axis")
         if len(self.failure_compliance_range) != 2:
             raise ValueError("failure_compliance_range must be a pair [lo, hi]")
         clo, chi = (
@@ -176,24 +185,24 @@ class SimTrialRecord:
 
 def sample_orientation(rng: np.random.Generator) -> UnitQuaternion:
     """Draw a hand orientation whose palm normal is area-uniform on the
-    quarter sphere: elevation in [0, 90] degrees above horizontal (never with
-    gravity), azimuth spanning the half-plane around +x, plus a uniform roll
-    about the normal."""
+    quarter sphere: elevation ``e`` in [0, 90] degrees above horizontal
+    (never with gravity), azimuth ``a`` spanning the half-plane around +x,
+    plus a uniform roll ``r`` about the normal. The orientation is the
+    quaternion of ``Rz(a) Ry(pi/2 - e) Rz(pi/2 + r)`` in closed form; its
+    rotation's third column is the palm normal."""
     u = rng.uniform(size=3)
     elevation = math.asin(u[0])
     azimuth = -0.5 * math.pi + math.pi * u[1]
     roll = 2.0 * math.pi * u[2]
-    normal = np.array(
-        [
-            math.cos(elevation) * math.cos(azimuth),
-            math.cos(elevation) * math.sin(azimuth),
-            math.sin(elevation),
-        ]
+    tilt = 0.25 * math.pi - 0.5 * elevation
+    plus = 0.5 * (azimuth + 0.5 * math.pi + roll)
+    minus = 0.5 * (azimuth - 0.5 * math.pi - roll)
+    return UnitQuaternion(
+        math.cos(tilt) * math.cos(plus),
+        -math.sin(tilt) * math.sin(minus),
+        math.sin(tilt) * math.cos(minus),
+        math.cos(tilt) * math.sin(plus),
     )
-    a, b = _perpendicular_basis(normal)
-    col0 = math.cos(roll) * a + math.sin(roll) * b
-    col1 = -math.sin(roll) * a + math.cos(roll) * b
-    return UnitQuaternion.from_rotation_matrix(np.column_stack([col0, col1, normal]))
 
 
 def _perpendicular_basis(unit: np.ndarray):

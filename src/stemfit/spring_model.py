@@ -21,6 +21,7 @@ from .geometry import (
     Vec3,
     _quaternion_norms,
     _rotation_rows,
+    finite_number,
     rotate_rows,
     rotation_matrices,
 )
@@ -41,9 +42,9 @@ class SpringParams:
     l: float
 
     def __post_init__(self):
-        if not (0.0 < self.k < math.inf):
+        if not finite_number("spring stiffness", self.k) > 0.0:
             raise ValueError(f"spring stiffness must be positive and finite, got {self.k}")
-        if not (0.0 < self.l < math.inf):
+        if not finite_number("spring resting length", self.l) > 0.0:
             raise ValueError(f"spring resting length must be positive and finite, got {self.l}")
 
 
@@ -96,8 +97,9 @@ class SampleColumns:
 class Trial:
     """A pull recording: sample columns, spring parameters, grasp geometry, labels.
 
-    Construction checks the columns: at least 2 samples, every value finite,
-    strictly increasing ``t`` and unit quaternions (within
+    Construction checks the type of every field but ``id`` (a TypeError),
+    then the columns: at least 2 samples, every value finite, strictly
+    increasing ``t`` and unit quaternions (within
     ``UNIT_QUATERNION_TOL``). Each check is one whole-array pass; only a
     check that fails searches for the first bad ``samples[i]``, which its
     message names. A ``ground_truth`` must lie away from the first fruit
@@ -113,9 +115,14 @@ class Trial:
     id: str = ""
 
     def __post_init__(self):
+        kinds = {"samples": SampleColumns, "spring": SpringParams, "grasp_point": Vec3, "label": Label}
+        if self.ground_truth is not None:
+            kinds["ground_truth"] = Vec3
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"Trial.{name} must be {kind.__name__}, got {type(value).__name__}")
         s = self.samples
-        if not isinstance(s, SampleColumns):
-            raise TypeError(f"Trial.samples must be SampleColumns, got {type(s).__name__}")
         if len(s) < 2:
             raise ValueError(f"trial needs at least 2 samples, got {len(s)}")
         for name in COLUMN_WIDTHS:

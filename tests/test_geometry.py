@@ -31,6 +31,11 @@ class TestVec3:
             Vec3(1.0, float("nan"), 0.0)
         with pytest.raises(ValueError):
             Vec3(float("inf"), 0.0, 0.0)
+        with pytest.raises(ValueError, match="^Vec3.x must be finite$"):
+            Vec3(10**400, 0, 0)
+        for bad in ("0.5", True, None):
+            with pytest.raises(ValueError, match=f"^Vec3.y must be a number, got {bad!r}$"):
+                Vec3(0.5, bad, 0)
 
     def test_arithmetic(self):
         v = Vec3(1.0, 2.0, 3.0) + Vec3(0.5, -1.0, 0.0)
@@ -51,19 +56,18 @@ class TestUnitQuaternion:
         with pytest.raises(ValueError):
             UnitQuaternion(0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "bad", ["1", True, math.nan, math.inf, 10**400], ids=["str", "bool", "nan", "inf", "huge_int"]
+    )
+    def test_rejects_a_component_that_is_not_a_finite_number(self, bad):
+        with pytest.raises(ValueError, match="^UnitQuaternion.w must be "):
+            UnitQuaternion(bad, 0, 0, 0)
+
     def test_rotation_matrix_matches_reference(self, rng):
         for _ in range(50):
             q = random_unit_quaternion(rng)
             np.testing.assert_allclose(
                 q.rotation_matrix(), scipy_rotation(q).as_matrix(), atol=1e-12
-            )
-
-    def test_matrix_round_trip(self, rng):
-        for _ in range(50):
-            q = random_unit_quaternion(rng)
-            back = UnitQuaternion.from_rotation_matrix(q.rotation_matrix())
-            np.testing.assert_allclose(
-                back.rotation_matrix(), q.rotation_matrix(), atol=1e-9
             )
 
     def test_rotation_matrices_equal_per_quaternion_reference(self, rng):

@@ -91,6 +91,34 @@ class TestSampleOrientation:
             normal = sample_orientation(rng).rotation_matrix() @ [0.0, 0.0, 1.0]
             assert normal[0] >= -1e-12
 
+    def test_rotation_matches_the_column_construction(self):
+        # the oracle: the frame built column by column from the same three
+        # uniforms, with u = z x n normalized and v = n x u, rolled about n
+        for seed in range(2000):
+            u0, u1, u2 = np.random.default_rng(seed).uniform(size=3)
+            elevation = math.asin(u0)
+            azimuth = -0.5 * math.pi + math.pi * u1
+            roll = 2.0 * math.pi * u2
+            n = np.array(
+                [
+                    math.cos(elevation) * math.cos(azimuth),
+                    math.cos(elevation) * math.sin(azimuth),
+                    math.sin(elevation),
+                ]
+            )
+            u = np.cross([0.0, 0.0, 1.0], n)
+            u /= np.linalg.norm(u)
+            v = np.cross(n, u)
+            expected = np.column_stack(
+                [
+                    math.cos(roll) * u + math.sin(roll) * v,
+                    -math.sin(roll) * u + math.cos(roll) * v,
+                    n,
+                ]
+            )
+            rot = sample_orientation(np.random.default_rng(seed)).rotation_matrix()
+            np.testing.assert_allclose(rot, expected, rtol=0.0, atol=1e-14)
+
     def test_deterministic_for_fixed_seed(self):
         a = sample_orientation(np.random.default_rng(99))
         b = sample_orientation(np.random.default_rng(99))
@@ -680,6 +708,15 @@ REJECTED_CONFIGS = {
         {"grasp_compliance": ((0.0, 1.7e308, 0.0), (-1.7e308, 0.0, 0.0), (0.0, 0.0, 0.0))},
         "grasp_compliance must be symmetric",
     ),
+    "attachment_region_tuples": (
+        {"attachment_region": ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))},
+        "attachment_region must be a pair (min, max) of Vec3",
+    ),
+    "attachment_region_one_corner": (
+        {"attachment_region": (Vec3(0.4, -0.3, 0.2),)},
+        "attachment_region must be a pair (min, max) of Vec3",
+    ),
+    "grasp_point_tuple": ({"grasp_point": (0.0, 0.0, 0.05)}, "grasp_point must be a Vec3"),
     "attachment_region_flat": (
         {"attachment_region": (Vec3(0.4, 0.3, 0.2), Vec3(0.8, 0.3, 0.6))},
         "attachment_region must be a box with min < max per axis",

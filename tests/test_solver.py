@@ -466,20 +466,40 @@ class TestEvaluationsPerPoint:
         """The points at which SLSQP asked for ``kind``."""
         return {x.tobytes() for call in slsqp_calls for k, x, _ in call.received if k == kind}
 
+    @staticmethod
+    def _record_iterates(monkeypatch):
+        """Record the bytes of each point an ``_Iterate`` evaluates in full. At
+        the point SLSQP returns, the model may hold only the cost and the
+        constraint values that SLSQP asked for; the iterate asks for the
+        derivatives there too."""
+        points = set()
+
+        class Recorded(solver._Iterate):
+            __slots__ = ()
+
+            def __init__(self, x, model):
+                points.add(x.tobytes())
+                super().__init__(x, model)
+
+        monkeypatch.setattr(solver, "_Iterate", Recorded)
+        return points
+
     @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
     def test_derivatives_only_where_asked(self, monkeypatch, make_trial):
         calls = self._record_model_calls(monkeypatch)
         slsqp = _record_slsqp_calls(monkeypatch)
+        iterated = self._record_iterates(monkeypatch)
         fit(make_trial())
         full = calls["cost_and_gradient"]
         values = set(calls["terms_cost"] + full)
         gradients = calls["terms_gradient"] + full
         jacobians = calls["terms_constraint_jacobian"] + calls["constraint_values_jacobian"]
         # the model computes SLSQP's derivatives only at the points it asks
-        # them at, and every other derivative comes with a full evaluation
+        # them at or an iterate evaluates, and every other derivative comes
+        # with a full evaluation
         assert calls["terms_gradient"] and calls["terms_constraint_jacobian"]
-        assert set(calls["terms_gradient"]) <= self._asked(slsqp, "gradient")
-        assert set(calls["terms_constraint_jacobian"]) <= self._asked(slsqp, "jacobian")
+        assert set(calls["terms_gradient"]) <= self._asked(slsqp, "gradient") | iterated
+        assert set(calls["terms_constraint_jacobian"]) <= self._asked(slsqp, "jacobian") | iterated
         assert set(gradients) <= values and set(jacobians) <= values
         # and nothing is computed twice at a point
         for seen in (gradients, jacobians, calls["terms_cost"], calls["terms_constraint_values"]):
@@ -490,10 +510,11 @@ class TestEvaluationsPerPoint:
         # it asks for no derivative; the model computes none there
         calls = self._record_model_calls(monkeypatch)
         slsqp = _record_slsqp_calls(monkeypatch)
+        iterated = self._record_iterates(monkeypatch)
         fit(rerunning_trial())
-        assert self._asked(slsqp, "cost") - self._asked(slsqp, "gradient")
-        assert set(calls["terms_gradient"]) <= self._asked(slsqp, "gradient")
-        assert set(calls["terms_constraint_jacobian"]) <= self._asked(slsqp, "jacobian")
+        assert self._asked(slsqp, "cost") - self._asked(slsqp, "gradient") - iterated
+        assert set(calls["terms_gradient"]) <= self._asked(slsqp, "gradient") | iterated
+        assert set(calls["terms_constraint_jacobian"]) <= self._asked(slsqp, "jacobian") | iterated
 
     @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial, rerunning_trial])
     def test_slsqp_receives_the_kernel_bits(self, monkeypatch, make_trial):
@@ -680,7 +701,7 @@ class TestScaledVariables:
 def projecting_trial():
     """A failure-class trial whose polish accepts a point moved onto the
     sphere of its one binding constraint."""
-    return bias_compensate(generate_corpus(SimConfig(seed=1), 4, 1.0)[0].trial)
+    return bias_compensate(generate_corpus(SimConfig(seed=1), 4, 1.0)[1].trial)
 
 
 class TestRunStages:

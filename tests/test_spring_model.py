@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from stemfit.errors import SingularityError
 from stemfit.geometry import UnitQuaternion, Vec3
@@ -86,8 +87,12 @@ class TestTrialArrays:
 
 # hold times (s) that give generated success trials of 2, 12 (the default
 # pull speed), 226 and 2001 samples; failure trials, whose fruit drifts in
-# the hand, run longer (7 to ~12,000 samples)
-HOLD_TIMES = {"n2": 0.002, "n12": None, "n226": 0.45, "n2000": 4.0}
+# the hand, run longer (7 to ~12,000 samples). The pull speed is
+# force_cap / k / hold, so a rigid pull's noiseless force reaches the cap a
+# quarter or half of a sample period after a sample row: a hold that is a
+# whole number of periods would put the cap on a row, where a trial's length
+# hangs on the last bit of its pose
+HOLD_TIMES = {"n2": 0.0025, "n12": None, "n226": 0.4505, "n2000": 4.001}
 SUCCESS_LENGTHS = {"n2": 2, "n12": 12, "n226": 226, "n2000": 2001}
 
 
@@ -212,7 +217,9 @@ class TestEvaluate:
             g_rot = random_unit_quaternion(rng).rotation_matrix()
             g_shift = rng.normal(size=3)
             rotations = [
-                wxyz(UnitQuaternion.from_rotation_matrix(g_rot @ rotation_matrix_reference(q)))
+                Rotation.from_matrix(g_rot @ rotation_matrix_reference(q)).as_quat(
+                    scalar_first=True
+                )
                 for q in s.rotation_wxyz
             ]
             moved_samples = replace(
@@ -379,3 +386,24 @@ class TestTrialValidation:
             SpringParams(math.inf, 0.1)
         with pytest.raises(ValueError):
             SpringParams(632.0, math.nan)
+        with pytest.raises(ValueError, match="^spring stiffness must be a number, got True$"):
+            SpringParams(True, 0.1)
+        with pytest.raises(ValueError, match="^spring resting length must be a number, got '0.1'$"):
+            SpringParams(632, "0.1")
+        with pytest.raises(ValueError, match="^spring stiffness must be finite$"):
+            SpringParams(10**400, 0.1)
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("spring", (632.0, 0.1), "SpringParams"),
+            ("grasp_point", (0.0, 0.0, 0.05), "Vec3"),
+            ("ground_truth", (0.5, 0.0, 0.4), "Vec3"),
+            ("label", "success", "Label"),
+        ],
+    )
+    def test_fields_must_have_their_types(self, field, value, kind):
+        trial = pull_trial([0.3, 0.0, 0.5], n=3)
+        message = f"^Trial.{field} must be {kind}, got {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            replace(trial, **{field: value})
