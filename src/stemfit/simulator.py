@@ -78,7 +78,10 @@ class SimConfig:
                 f"pull window exceeds {MAX_WINDOW_SAMPLES} samples; shorten "
                 "pull_distance, lower sample_rate or raise pull_speed"
             )
-        comp = np.asarray(self.grasp_compliance, dtype=float)
+        try:
+            comp = np.asarray(self.grasp_compliance, dtype=float)
+        except (TypeError, ValueError) as exc:  # not numbers, or ragged rows
+            raise ValueError("grasp_compliance must be a 3x3 matrix") from exc
         if comp.shape != (3, 3):
             raise ValueError("grasp_compliance must be a 3x3 matrix")
         if not np.isfinite(comp).all():
@@ -105,12 +108,13 @@ class SimConfig:
         lo, hi = region
         if not all(getattr(lo, a) < getattr(hi, a) for a in ("x", "y", "z")):
             raise ValueError("attachment_region must be a box with min < max per axis")
+        compliance_range = self.failure_compliance_range
+        if not (isinstance(compliance_range, (tuple, list)) and len(compliance_range) == 2):
+            raise ValueError("failure_compliance_range must be a pair [lo, hi]")
         # kept as tuples of the values given, as from_dict builds them, so a
         # config equals its JSON round trip and hashes
         for name in ("attachment_region", "failure_compliance_range"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if len(self.failure_compliance_range) != 2:
-            raise ValueError("failure_compliance_range must be a pair [lo, hi]")
         clo, chi = (
             finite_number("failure_compliance_range", v) for v in self.failure_compliance_range
         )

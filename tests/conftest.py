@@ -7,27 +7,35 @@ the one-quaternion rotation stacks behind the first pose and
 ``UnitQuaternion.rotation_matrix``, the v1 and v2 trial documents behind its
 trial-file reader and writer, and the whole-window, row-by-row pull and the
 trial-by-trial corpus behind the simulator's prefix evaluation and
-row-parallel equilibrium solve."""
+row-parallel equilibrium solve. The solver tests' fit recorder and their
+trial finder close the file."""
 
 import base64
+import functools
 import math
 import struct
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from stemfit import spring_model
+from stemfit import solver, spring_model
 from stemfit.errors import SimulationConfigError, SingularityError
 from stemfit.geometry import UnitQuaternion, Vec3, rotate_rows, rotation_matrices
 from stemfit.simulator import (
+    SimConfig,
     SimTrialRecord,
     _perpendicular_basis,
     _rotate_about,
     _failure_config,
     _row_norms,
     _spring_forces,
+    generate_corpus,
+    generate_trial,
     sample_orientation,
 )
+from stemfit.solver import SolverConfig
 from stemfit.spring_model import (
     COLUMN_WIDTHS,
     SINGULARITY_DISTANCE,
@@ -36,6 +44,8 @@ from stemfit.spring_model import (
     SampleColumns,
     SpringParams,
     Trial,
+    TrialArrays,
+    bias_compensate,
 )
 from stemfit.trial_io import dump_json
 
@@ -558,3 +568,203 @@ def pull_trial(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def mean_force_start(trial: Trial) -> np.ndarray:
+    """The first fruit position plus one resting length along the mean
+    world-frame force: a start on sample 0's sphere, computed here so that a
+    test of one run does not hang on the solver's initial guess."""
+    arrays = TrialArrays.from_trial(trial)
+    mean_force = arrays.force_world.mean(axis=0)
+    return arrays.grasp_world[0] + arrays.l * (mean_force / float(np.linalg.norm(mean_force)))
+
+
+def one_run(trial: Trial, x0=None, config: SolverConfig = SolverConfig()):
+    """One run of the solver from ``x0`` (by default ``mean_force_start``), as
+    ``fit`` makes each run: its best iterate, whether that iterate is
+    certified, and its iterations."""
+    x0 = mean_force_start(trial) if x0 is None else x0
+    model = solver._Model(TrialArrays.from_trial(trial))
+    with solver._one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        best, used, _ = solver._minimize_arrays(model, np.asarray(x0, dtype=float), config)
+    return SimpleNamespace(
+        iterate=best, converged=best.meets(config.constraint_tolerance), iterations=used
+    )
+
+
+class FitRecorder:
+    """What the solver does while the recorder is installed. Each internal is
+    wrapped for recording here alone, over whatever is installed when the
+    recorder is made, so a stub put in first is recorded too. Per call of:
+
+    - ``_minimize_arrays``, in ``runs``: its ``best`` iterate, iterations ``used``;
+    - ``_metric``, in ``metrics``: (start, M); SLSQP's ``y`` is ``start + M @ y``;
+    - ``_scipy_minimize``, in ``calls``: its run's start ``x0`` and ``metric``,
+      its ``maxiter``, the point it returned (``end``), the rows its constraint
+      function gave (``m``) and each (kind, point, value) handed to SLSQP
+      (``received``);
+    - ``_polish``, in ``polishes``: its ``start``, ``budget``, returned iterate
+      (``end``) and iterations ``used``;
+    - ``_on_sphere``, in ``spheres``: the point ``x`` given, ``centre``,
+      ``radius`` and the ``point`` returned (None if it raised);
+    - ``_Iterate``, in ``iterates``: the bytes of the point it evaluates;
+    - ``numpy.linalg.lstsq``, in ``lstsq``: its arguments (in a fit, only
+      ``_kkt_step`` calls it).
+
+    ``stage`` is "run start", "sqp" or "polish" while one runs, else
+    "between stages".
+    """
+
+    def __init__(self, monkeypatch):
+        self.runs, self.metrics, self.calls, self.polishes, self.spheres = [], [], [], [], []
+        self.iterates, self.lstsq, self.stage = [], [], None
+        minimize_arrays, metric, polish = solver._minimize_arrays, solver._metric, solver._polish
+        slsqp, on_sphere, lstsq = solver._scipy_minimize, solver._on_sphere, np.linalg.lstsq
+
+        def run(model, x0, config):
+            self.runs.append(ran := SimpleNamespace(best=None, used=None))
+            ran.best, ran.used, noted = minimize_arrays(model, x0, config)
+            return ran.best, ran.used, noted
+
+        def metric_of(model, x):
+            self.metrics.append((x.copy(), metric(model, x)))
+            return self.metrics[-1][1]
+
+        def handed(call, kind, fn):
+            def evaluate(y):
+                result = fn(y)
+                if kind == "values" and call.m is None:
+                    call.m = len(result)
+                call.received.append((kind, call.x0 + call.metric @ y, np.copy(result)))
+                return result
+
+            return evaluate
+
+        def sqp(fun, y0, *, jac, constraints, **kwargs):
+            (cons,) = constraints
+            start, m = self.metrics[-1]
+            assert not y0.any()  # SLSQP starts at the run's start, y = 0
+            maxiter = kwargs["options"]["maxiter"]
+            call = SimpleNamespace(x0=start, metric=m, maxiter=maxiter, m=None, received=[])
+            cons = {
+                **cons,
+                "fun": handed(call, "values", cons["fun"]),
+                "jac": handed(call, "jacobian", cons["jac"]),
+            }
+            jac = handed(call, "gradient", jac)
+            res = slsqp(handed(call, "cost", fun), y0, jac=jac, constraints=[cons], **kwargs)
+            call.end = start + m @ res.x
+            self.calls.append(call)
+            return res
+
+        def polished(start, model, ctol, budget):
+            end, used = polish(start, model, ctol, budget)
+            self.polishes.append(SimpleNamespace(start=start, budget=budget, end=end, used=used))
+            return end, used
+
+        def projected(x, centre, radius):
+            call = SimpleNamespace(x=x.copy(), centre=centre, radius=radius, point=None)
+            self.spheres.append(call)
+            call.point = on_sphere(x, centre, radius)
+            return call.point
+
+        def solved(*args, **kwargs):
+            self.lstsq.append(args)
+            return lstsq(*args, **kwargs)
+
+        iterates = self.iterates
+
+        class Iterate(solver._Iterate):
+            __slots__ = ()
+
+            def __init__(self, x, model):
+                iterates.append(x.tobytes())
+                super().__init__(x, model)
+
+        for name, recorded in (
+            ("_minimize_arrays", self._staged("run start", run)),
+            ("_metric", metric_of),
+            ("_scipy_minimize", self._staged("sqp", sqp)),
+            ("_polish", self._staged("polish", polished)),
+            ("_on_sphere", projected),
+            ("_Iterate", Iterate),
+        ):
+            monkeypatch.setattr(solver, name, recorded)
+        monkeypatch.setattr(np.linalg, "lstsq", solved)
+
+    def _staged(self, stage, fn):
+        def call(*args, **kwargs):
+            self.stage = stage
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.stage = "between stages"
+
+        return call
+
+    def asked(self, kind) -> set:
+        """The bytes of the points at which SLSQP asked for ``kind``."""
+        return {x.tobytes() for call in self.calls for k, x, _ in call.received if k == kind}
+
+
+def rigid_corpus():
+    """Bias-compensated slow rigid pulls, about 2,000 samples each."""
+    config = replace(SimConfig(seed=7), pull_speed=5.0 / 632.0 / 4.0)
+    return [bias_compensate(record.trial) for record in generate_corpus(config, 4, 0.0)]
+
+
+def recording_of(drive) -> FitRecorder:
+    """A ``FitRecorder`` of what the solver does in ``drive()``, holding what
+    ``drive`` returned as ``result``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        recorder = FitRecorder(monkeypatch)
+        recorder.result = drive()
+    return recorder
+
+
+class Sighting:
+    """One trial of the behaviour pool, with the recording of its ``fit``,
+    made the first time a behaviour asks for it."""
+
+    def __init__(self, trial: Trial):
+        self.trial = trial
+
+    @functools.cached_property
+    def fit(self) -> FitRecorder:
+        return recording_of(lambda: solver.fit(self.trial))
+
+
+@functools.cache
+def _behaviour_pool() -> tuple:
+    """The trials the finder scans, in this order, each bias-compensated as
+    ``stemfit batch`` fits it: default-config success trials from
+    ``default_rng(1)`` to ``default_rng(40)``, the failure corpora
+    ``generate_corpus(SimConfig(seed=s), 4, 1.0)`` for s = 1 to 30, and
+    ``rigid_corpus``."""
+    success = [
+        generate_trial(SimConfig(), np.random.default_rng(i), f"success_{i}").trial
+        for i in range(1, 41)
+    ]
+    failure = [
+        replace(made.trial, id=f"failure_{s}_{made.trial.id}")
+        for s in range(1, 31)
+        for made in generate_corpus(SimConfig(seed=s), 4, 1.0)
+    ]
+    return tuple(Sighting(bias_compensate(trial)) for trial in success + failure + rigid_corpus())
+
+
+@functools.cache
+def _first_showing(behaviour):
+    return next((seen.trial for seen in _behaviour_pool() if behaviour(seen)), None)
+
+
+def trial_showing(behaviour) -> Trial:
+    """The first trial of the behaviour pool on which ``behaviour``, a
+    predicate on a ``Sighting``, holds; the search and each recording are
+    made once per session. Fails the test, naming the behaviour, when no
+    pool trial shows it. Ask before the test patches anything: the pool's
+    fits must be the package's own."""
+    trial = _first_showing(behaviour)
+    if trial is None:
+        pytest.fail(f"no trial of the behaviour pool shows {behaviour.__name__}", pytrace=False)
+    return trial

@@ -696,6 +696,7 @@ REJECTED_CONFIGS = {
         {"grasp_compliance": ((0.0, 0.0), (0.0, 0.0))},
         "grasp_compliance must be a 3x3 matrix",
     ),
+    "grasp_compliance_string": ({"grasp_compliance": "x"}, "grasp_compliance must be a 3x3 matrix"),
     "grasp_compliance_nan": (
         {"grasp_compliance": ((math.nan, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))},
         "grasp_compliance must be finite",
@@ -731,6 +732,10 @@ REJECTED_CONFIGS = {
     ),
     "failure_compliance_range_triple": (
         {"failure_compliance_range": (0.002, 0.004, 0.01)},
+        "failure_compliance_range must be a pair [lo, hi]",
+    ),
+    "failure_compliance_range_number": (
+        {"failure_compliance_range": 0.005},
         "failure_compliance_range must be a pair [lo, hi]",
     ),
     "failure_compliance_range_zero_lo": (

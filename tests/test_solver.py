@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 from dataclasses import replace
@@ -18,6 +19,7 @@ from stemfit.solver import (
     fit,
 )
 from stemfit.spring_model import (
+    Label,
     SpringParams,
     Trial,
     TrialArrays,
@@ -25,7 +27,17 @@ from stemfit.spring_model import (
     constraint_values_jacobian,
 )
 
-from conftest import columns, pose_point_reference, pull_trial, static_trial
+from conftest import (
+    FitRecorder,
+    columns,
+    one_run,
+    pose_point_reference,
+    pull_trial,
+    recording_of,
+    rigid_corpus,
+    static_trial,
+    trial_showing,
+)
 
 
 def noiseless_config(**overrides):
@@ -70,16 +82,12 @@ def initial_guess(trial: Trial) -> np.ndarray:
     return solver._initial_guess_array(TrialArrays.from_trial(trial))
 
 
-def one_run(trial: Trial, x0: np.ndarray):
-    """One run of the solver from ``x0``, as ``fit`` starts each run: its
-    best iterate, whether that iterate is certified, and its iterations."""
-    model = solver._Model(TrialArrays.from_trial(trial))
-    config = SolverConfig()
-    with np.errstate(over="ignore", invalid="ignore"):
-        best, used, _ = solver._minimize_arrays(model, np.asarray(x0, dtype=float), config)
-    return SimpleNamespace(
-        iterate=best, converged=best.meets(config.constraint_tolerance), iterations=used
-    )
+def test_a_behaviour_no_pool_trial_shows_fails_by_name():
+    def shown_by_no_trial(seen):
+        return False
+
+    with pytest.raises(pytest.fail.Exception, match="shows shown_by_no_trial$"):
+        trial_showing(shown_by_no_trial)
 
 
 class TestInitialGuess:
@@ -141,23 +149,19 @@ class TestMinimize:
         trial = pull_trial([0.4, 0.0, 0.6], n=12)
         fruit0 = TrialArrays.from_trial(trial).grasp_world[0].copy()
         start = np.array([0.4, 0.0, 0.55])
-        metrics = _record_metrics(monkeypatch)
-        ends = []
 
-        def at_the_fruit(*args, **kwargs):
+        def at_the_fruit(fun, y0, **kwargs):
             # SLSQP's variables y of the point x0 + M y at the first sample
-            x0, metric = metrics[-1]
-            y = np.linalg.solve(metric, fruit0 - x0)
-            ends.append(x0 + metric @ y)
-            return SimpleNamespace(x=y, nit=1)
+            x0, metric = recorder.metrics[-1]
+            return SimpleNamespace(x=np.linalg.solve(metric, fruit0 - x0), nit=1)
 
         monkeypatch.setattr(solver, "_scipy_minimize", at_the_fruit)
-        polishes = _record_polishes(monkeypatch)
+        recorder = FitRecorder(monkeypatch)
         result = one_run(trial, start)
-        (end,) = ends
-        assert np.linalg.norm(end - fruit0) < spring_model.SINGULARITY_DISTANCE
+        (call,) = recorder.calls
+        assert np.linalg.norm(call.end - fruit0) < spring_model.SINGULARITY_DISTANCE
         # the run goes on from its start, and the singular point is never returned
-        assert [polish_start.x.tobytes() for polish_start, _, _ in polishes] == [start.tobytes()]
+        assert [polish.start.x.tobytes() for polish in recorder.polishes] == [start.tobytes()]
         assert np.linalg.norm(result.iterate.x - fruit0) > spring_model.SINGULARITY_DISTANCE
         assert result.converged
         assert np.linalg.norm(result.iterate.x - trial.ground_truth.as_array()) < 1e-9
@@ -196,6 +200,32 @@ class TestFitRecovery:
         assert np.median(errors) < 0.05
 
 
+def blas_thread_fits(trial):
+    """The estimate, MSE and iterations of ``trial``'s fit with scipy's
+    OpenBLAS set to one thread, and to two."""
+    get, put = solver._BLAS_THREADS
+    before = get()
+    results = []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            result = fit(trial)
+            assert get() == threads
+            results.append((result.r_o_hat, result.final_mse, result.iterations_total))
+    finally:
+        put(before)
+    return results
+
+
+def depends_on_the_blas_thread_count(seen):
+    """Without the one-thread pin, its fits differ between one and two
+    OpenBLAS threads."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(solver, "_one_blas_thread", contextlib.nullcontext)
+        one, two = blas_thread_fits(seen.trial)
+    return one != two
+
+
 class TestFitContracts:
     def test_determinism_bit_identical(self):
         record = generate_trial(
@@ -213,23 +243,9 @@ class TestFitContracts:
 
     @pytest.mark.skipif(solver._BLAS_THREADS is None, reason="scipy links no OpenBLAS")
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
-        # SLSQP takes another path on this failure-class trial with two
-        # OpenBLAS threads than with one; a fit runs on one whatever is set
-        cfg = replace(SimConfig(), noise_sigma=0.05, seed=101)
-        trial = bias_compensate(generate_corpus(cfg, 10, 0.4)[6].trial)
-        get, put = solver._BLAS_THREADS
-        before = get()
-        results = []
-        try:
-            for threads in (1, 2):
-                put(threads)
-                results.append(fit(trial))
-                assert get() == threads
-        finally:
-            put(before)
-        one, two = results
-        assert one.r_o_hat == two.r_o_hat
-        assert (one.final_mse, one.iterations_total) == (two.final_mse, two.iterations_total)
+        # a fit runs on one OpenBLAS thread whatever is set
+        one, two = blas_thread_fits(trial_showing(depends_on_the_blas_thread_count))
+        assert one == two
 
     def test_translation_equivariance(self):
         shift = np.array([0.7, -0.4, 0.25])
@@ -310,10 +326,12 @@ class TestReseedingSchedule:
             assert result.final_mse <= previous + 1e-15
             previous = result.final_mse
 
-    def test_runtime_and_iterations_aggregate(self):
+    def test_runtime_and_iterations_aggregate(self, monkeypatch):
+        recorder = FitRecorder(monkeypatch)
         result = fit(heavy_violation_trial())
         assert result.runtime > 0.0
-        assert result.iterations_total >= result.restarts_used + 1
+        assert len(recorder.runs) == result.restarts_used + 1
+        assert result.iterations_total == sum(run.used for run in recorder.runs)
 
     @pytest.mark.parametrize(
         "seed, index, certifies", [(2, 91, True), (4, 92, True), (6, 85, True), (12, 74, False)]
@@ -336,91 +354,31 @@ def default_trial():
     return generate_trial(SimConfig(), np.random.default_rng(3), "default").trial
 
 
+def reruns_a_cycle(seen):
+    """Its run from ``mean_force_start`` reruns its SQP cycle on all rows."""
+    return len(recording_of(lambda: one_run(seen.trial)).calls) == 2
+
+
 def rerunning_trial():
-    """A failure-class trial with an SQP cycle whose working-set point breaks
-    a tension constraint SLSQP did not see, and one with an empty working set."""
-    return bias_compensate(generate_corpus(SimConfig(seed=2), 4, 1.0)[1].trial)
+    return trial_showing(reruns_a_cycle)
 
 
-def _record_metrics(monkeypatch):
-    """Wrap ``_metric``; each run's change of variables is recorded as
-    (start, M), so SLSQP's ``y`` is the point ``start + M @ y``."""
-    metrics = []
-    metric = solver._metric
-
-    def recorded(model, x):
-        m = metric(model, x)
-        metrics.append((x.copy(), m))
-        return m
-
-    monkeypatch.setattr(solver, "_metric", recorded)
-    return metrics
-
-
-def _record_slsqp_calls(monkeypatch):
-    """Record each ``_scipy_minimize`` call of a fit, mapped from SLSQP's
-    variables to points: its run's start ``x0`` and ``metric``, its
-    ``maxiter``, the point it returned (``end``), the number of rows its
-    constraint function gave (``m``) and each (kind, point, value) that the
-    cost, gradient, constraint function and constraint Jacobian handed
-    SLSQP (``received``)."""
-    calls = []
-    metrics = _record_metrics(monkeypatch)
-    minimize_slsqp = solver._scipy_minimize
-
-    def recorded(call, kind, fn):
-        def evaluate(y):
-            result = fn(y)
-            if kind == "values" and call.m is None:
-                call.m = len(result)
-            call.received.append((kind, call.x0 + call.metric @ y, np.copy(result)))
-            return result
-
-        return evaluate
-
-    def recording(fun, y0, *, jac, constraints, **kwargs):
-        (cons,) = constraints
-        maxiter = kwargs["options"]["maxiter"]
-        start, metric = metrics[-1]
-        # SLSQP starts at the run's start, y = 0
-        assert not y0.any()
-        call = SimpleNamespace(x0=start, metric=metric, maxiter=maxiter, m=None, received=[])
-        cons = {
-            **cons,
-            "fun": recorded(call, "values", cons["fun"]),
-            "jac": recorded(call, "jacobian", cons["jac"]),
-        }
-        res = minimize_slsqp(
-            recorded(call, "cost", fun),
-            y0,
-            jac=recorded(call, "gradient", jac),
-            constraints=[cons],
-            **kwargs,
-        )
-        call.end = start + metric @ res.x
-        calls.append(call)
-        return res
-
-    monkeypatch.setattr(solver, "_scipy_minimize", recording)
-    return calls
+def backtracks(seen):
+    """In its fit SLSQP asks for the cost at a point where it asks for no
+    derivative and that no iterate evaluates."""
+    recorded = seen.fit
+    return bool(recorded.asked("cost") - recorded.asked("gradient") - set(recorded.iterates))
 
 
 class TestEvaluationsPerPoint:
     @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
     def test_each_kernel_evaluates_each_point_once(self, monkeypatch, make_trial):
-        points = {}
-        for name in ("cost_and_gradient", "constraint_values_jacobian"):
-            seen = points[name] = []
-
-            def counted(x, arrays, kernel=getattr(solver, name), seen=seen):
-                seen.append(x.tobytes())
-                return kernel(x, arrays)
-
-            monkeypatch.setattr(solver, name, counted)
+        calls = self._record_model_calls(monkeypatch)
         fit(make_trial())
-        assert points["cost_and_gradient"] and points["constraint_values_jacobian"]
+        points = [calls["cost_and_gradient"], calls["constraint_values_jacobian"]]
+        assert all(points)
         # no kernel sees a point twice: its call count is its distinct points
-        for seen in points.values():
+        for seen in points:
             assert len(seen) == len(set(seen))
 
     @staticmethod
@@ -461,35 +419,14 @@ class TestEvaluationsPerPoint:
         terms = calls["point_terms"]
         assert terms and len(terms) == len(set(terms))
 
-    @staticmethod
-    def _asked(slsqp_calls, kind):
-        """The points at which SLSQP asked for ``kind``."""
-        return {x.tobytes() for call in slsqp_calls for k, x, _ in call.received if k == kind}
-
-    @staticmethod
-    def _record_iterates(monkeypatch):
-        """Record the bytes of each point an ``_Iterate`` evaluates in full. At
-        the point SLSQP returns, the model may hold only the cost and the
-        constraint values that SLSQP asked for; the iterate asks for the
-        derivatives there too."""
-        points = set()
-
-        class Recorded(solver._Iterate):
-            __slots__ = ()
-
-            def __init__(self, x, model):
-                points.add(x.tobytes())
-                super().__init__(x, model)
-
-        monkeypatch.setattr(solver, "_Iterate", Recorded)
-        return points
-
     @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
     def test_derivatives_only_where_asked(self, monkeypatch, make_trial):
         calls = self._record_model_calls(monkeypatch)
-        slsqp = _record_slsqp_calls(monkeypatch)
-        iterated = self._record_iterates(monkeypatch)
+        recorder = FitRecorder(monkeypatch)
         fit(make_trial())
+        # at the point SLSQP returns, the model may hold only the cost and the
+        # constraint values; the iterate asks for the derivatives there too
+        iterated = set(recorder.iterates)
         full = calls["cost_and_gradient"]
         values = set(calls["terms_cost"] + full)
         gradients = calls["terms_gradient"] + full
@@ -498,29 +435,30 @@ class TestEvaluationsPerPoint:
         # them at or an iterate evaluates, and every other derivative comes
         # with a full evaluation
         assert calls["terms_gradient"] and calls["terms_constraint_jacobian"]
-        assert set(calls["terms_gradient"]) <= self._asked(slsqp, "gradient") | iterated
-        assert set(calls["terms_constraint_jacobian"]) <= self._asked(slsqp, "jacobian") | iterated
+        assert set(calls["terms_gradient"]) <= recorder.asked("gradient") | iterated
+        assert set(calls["terms_constraint_jacobian"]) <= recorder.asked("jacobian") | iterated
         assert set(gradients) <= values and set(jacobians) <= values
         # and nothing is computed twice at a point
         for seen in (gradients, jacobians, calls["terms_cost"], calls["terms_constraint_values"]):
             assert len(seen) == len(set(seen))
 
     def test_no_derivatives_where_the_line_search_backtracks(self, monkeypatch):
-        # on this failure-class trial SLSQP asks for the cost at points where
-        # it asks for no derivative; the model computes none there
+        # where SLSQP asks for the cost and no derivative, the model computes none
+        trial = trial_showing(backtracks)
         calls = self._record_model_calls(monkeypatch)
-        slsqp = _record_slsqp_calls(monkeypatch)
-        iterated = self._record_iterates(monkeypatch)
-        fit(rerunning_trial())
-        assert self._asked(slsqp, "cost") - self._asked(slsqp, "gradient") - iterated
-        assert set(calls["terms_gradient"]) <= self._asked(slsqp, "gradient") | iterated
-        assert set(calls["terms_constraint_jacobian"]) <= self._asked(slsqp, "jacobian") | iterated
+        recorder = FitRecorder(monkeypatch)
+        fit(trial)
+        iterated = set(recorder.iterates)
+        assert recorder.asked("cost") - recorder.asked("gradient") - iterated
+        assert set(calls["terms_gradient"]) <= recorder.asked("gradient") | iterated
+        assert set(calls["terms_constraint_jacobian"]) <= recorder.asked("jacobian") | iterated
 
     @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial, rerunning_trial])
     def test_slsqp_receives_the_kernel_bits(self, monkeypatch, make_trial):
-        calls = _record_slsqp_calls(monkeypatch)
         trial = make_trial()
-        fit(trial)
+        calls = FitRecorder(monkeypatch).calls
+        # a rerun belongs to one run, not to a fit
+        (one_run if make_trial is rerunning_trial else fit)(trial)
         arrays = TrialArrays.from_trial(trial)
         n = len(arrays)
 
@@ -559,9 +497,21 @@ class TestEvaluationsPerPoint:
         assert (reruns > 0) == (make_trial is rerunning_trial)
 
 
-def polishing_failure_trial():
-    """A failure-class trial whose fit takes polish steps and restarts five times."""
-    return bias_compensate(generate_corpus(SimConfig(seed=10), 4, 1.0)[2].trial)
+def polishes(recorded) -> bool:
+    """A polish of the recorded fit accepts a step."""
+    return any(polish.end is not polish.start for polish in recorded.polishes)
+
+
+def polishes_a_success_fit(seen):
+    """A success-class fit whose polish accepts a step."""
+    return seen.trial.label is Label.SUCCESS and polishes(seen.fit)
+
+
+def restarts_five_times_and_polishes(seen):
+    """A failure-class fit that restarts five times, and whose polish accepts a step."""
+    if seen.trial.label is not Label.FAILURE:
+        return False
+    return seen.fit.result.restarts_used == 5 and polishes(seen.fit)
 
 
 def finite_fields(result) -> bool:
@@ -574,12 +524,6 @@ def finite_fields(result) -> bool:
             result.projected_gradient,
         )
     )
-
-
-def rigid_corpus():
-    """Bias-compensated slow rigid pulls, about 2,000 samples each."""
-    config = replace(SimConfig(seed=7), pull_speed=5.0 / 632.0 / 4.0)
-    return [bias_compensate(record.trial) for record in generate_corpus(config, 4, 0.0)]
 
 
 class TestWorkingSet:
@@ -597,40 +541,37 @@ class TestWorkingSet:
             assert (a.r_o_hat - b.r_o_hat).norm() <= 1e-8
 
     def test_working_set_is_smaller_on_long_pulls(self, monkeypatch):
-        calls = _record_slsqp_calls(monkeypatch)
         trial = rigid_corpus()[0]
+        calls = FitRecorder(monkeypatch).calls
         fit(trial)
         assert calls and all(call.m < len(trial.samples) / 2 for call in calls)
 
     def test_a_point_that_breaks_an_omitted_row_reruns_its_cycle(self, monkeypatch):
-        calls = _record_slsqp_calls(monkeypatch)
         trial = rerunning_trial()
         arrays = TrialArrays.from_trial(trial)
-        n = len(arrays)
-        fit(trial)
-        reruns = 0
-        for first, second in zip(calls, calls[1:]):
-            near = constraint_values_jacobian(first.x0, arrays)[0] >= -1e-3
-            broken = constraint_values_jacobian(first.end, arrays)[0] > 0.0
-            if (broken & ~near).any():
-                reruns += 1
-                assert np.array_equal(second.x0, first.x0)
-                assert (first.m, second.m) == (near.sum(), n)
-                # the rerun is the cycle's full call: cut short, it can stop
-                # far above the floor of its basin
-                assert second.maxiter == first.maxiter
-        assert reruns > 0
+        calls = FitRecorder(monkeypatch).calls
+        one_run(trial)
+        first, second = calls
+        near = constraint_values_jacobian(first.x0, arrays)[0] >= -1e-3
+        broken = constraint_values_jacobian(first.end, arrays)[0] > 0.0
+        assert (broken & ~near).any()
+        assert np.array_equal(second.x0, first.x0)
+        assert (first.m, second.m) == (near.sum(), len(arrays))
+        # the rerun is the cycle's full call: cut short, it can stop far above
+        # the floor of its basin
+        assert second.maxiter == first.maxiter
 
     def test_an_empty_working_set_still_gives_finite_fields(self, monkeypatch):
-        calls = _record_slsqp_calls(monkeypatch)
+        trials = (default_trial(), rerunning_trial())
+        calls = FitRecorder(monkeypatch).calls
         monkeypatch.setattr(solver, "_WORKING_SET_SLACK", -1.0)
-        for make_trial in (default_trial, rerunning_trial):
-            result = fit(make_trial())
-            assert finite_fields(result)
+        for trial in trials:
+            assert finite_fields(fit(trial))
         assert any(call.m == 0 for call in calls)
 
     def test_a_converged_fit_holds_every_constraint(self):
-        trials = [default_trial(), rerunning_trial(), polishing_failure_trial(), *rigid_corpus()]
+        trials = [default_trial(), rerunning_trial(), *rigid_corpus()]
+        trials.append(trial_showing(restarts_five_times_and_polishes))
         trials += [
             bias_compensate(record.trial) for record in generate_corpus(SimConfig(seed=42), 12, 0.5)
         ]
@@ -664,30 +605,18 @@ class TestScaledVariables:
     def test_slsqp_evaluates_few_points(self, monkeypatch):
         # at the identity metric SLSQP's line search backtracks: 16 to 40
         # cost evaluations per call on these trials
-        evaluations = []
-        minimize_slsqp = solver._scipy_minimize
-
-        def counting(fun, y0, **kwargs):
-            count = [0]
-
-            def counted(y):
-                count[0] += 1
-                return fun(y)
-
-            res = minimize_slsqp(counted, y0, **kwargs)
-            evaluations.append(count[0])
-            return res
-
-        monkeypatch.setattr(solver, "_scipy_minimize", counting)
-        for trial in (default_trial(), rigid_corpus()[0]):
-            evaluations.clear()
+        trials = (default_trial(), rigid_corpus()[0])
+        recorder = FitRecorder(monkeypatch)
+        for trial in trials:
+            recorder.calls.clear()
             assert fit(trial).converged
-            assert evaluations and max(evaluations) <= 12
+            kinds = [[kind for kind, _, _ in call.received] for call in recorder.calls]
+            assert kinds and max(called.count("cost") for called in kinds) <= 12
 
     @pytest.mark.parametrize("hessian", [np.nan, 0.0])
     def test_a_hessian_without_a_metric_gives_the_identity(self, monkeypatch, hessian):
         # the polish reads the same Hessian, so its steps end at once too
-        metrics = _record_metrics(monkeypatch)
+        metrics = FitRecorder(monkeypatch).metrics
         monkeypatch.setattr(
             solver, "terms_hessian", lambda terms, arrays: np.full((3, 3), hessian)
         )
@@ -698,97 +627,85 @@ class TestScaledVariables:
         assert metrics and all(np.array_equal(m, np.eye(3)) for _, m in metrics)
 
 
-def projecting_trial():
-    """A failure-class trial whose polish accepts a point moved onto the
-    sphere of its one binding constraint."""
-    return bias_compensate(generate_corpus(SimConfig(seed=1), 4, 1.0)[1].trial)
+def projections(recorded) -> list:
+    """Each ``_on_sphere`` call whose point a polish of the recorded fit returned."""
+    projected = {call.point.tobytes(): call for call in recorded.spheres if call.point is not None}
+    return [
+        projected[polish.end.x.tobytes()]
+        for polish in recorded.polishes
+        if polish.end is not polish.start and polish.end.x.tobytes() in projected
+    ]
+
+
+def projects_onto_a_sphere(seen):
+    """A polish of its fit returns a point moved onto the sphere of its one
+    binding constraint."""
+    return bool(projections(seen.fit))
+
+
+THREE_BUDGETS = SolverConfig(max_iterations_per_run=20)
+
+
+def spends_three_budgets(seen):
+    """Its run from ``mean_force_start`` takes more than two of
+    ``THREE_BUDGETS``' budgets."""
+    run = one_run(seen.trial, config=THREE_BUDGETS)
+    return run.iterations > 2 * THREE_BUDGETS.max_iterations_per_run
 
 
 class TestRunStages:
     """A run is SLSQP, its rerun on all rows when needed, and one polish."""
 
     def test_a_run_spends_at_most_three_budgets(self, monkeypatch):
-        budget = 20
-        calls = _record_slsqp_calls(monkeypatch)
-        polish_budgets = []
-        polish = solver._polish
-        runs = []
-        minimize_arrays = solver._minimize_arrays
-
-        def recorded_polish(start, model, ctol, budget):
-            polish_budgets.append(budget)
-            return polish(start, model, ctol, budget)
-
-        def recorded_run(*args):
-            run = minimize_arrays(*args)
-            _, used, _ = run
-            runs.append(used)
-            return run
-
-        monkeypatch.setattr(solver, "_polish", recorded_polish)
-        monkeypatch.setattr(solver, "_minimize_arrays", recorded_run)
-        fit(rerunning_trial(), SolverConfig(max_iterations_per_run=budget))
+        trial = trial_showing(spends_three_budgets)
+        budget = THREE_BUDGETS.max_iterations_per_run
+        recorder = FitRecorder(monkeypatch)
+        fit(trial, THREE_BUDGETS)
+        run = one_run(trial, config=THREE_BUDGETS)
         # each stage gets the whole budget
-        assert calls and {call.maxiter for call in calls} == {budget}
-        assert polish_budgets and set(polish_budgets) == {budget}
-        assert max(runs) <= 3 * budget
+        assert {call.maxiter for call in recorder.calls} == {budget}
+        assert {polish.budget for polish in recorder.polishes} == {budget}
+        assert max(each.used for each in recorder.runs) <= 3 * budget
         # beyond twice the budget: the three stages all counted
-        assert max(runs) > 2 * budget
+        assert run.iterations > 2 * budget
 
     def test_a_polish_point_on_one_binding_constraint_lies_on_its_sphere(self, monkeypatch):
-        projected = {}
-        on_sphere = solver._on_sphere
-
-        def recorded(x, centre, radius):
-            point = on_sphere(x, centre, radius)
-            projected[point.tobytes()] = (centre, radius)
-            return point
-
-        monkeypatch.setattr(solver, "_on_sphere", recorded)
-        polishes = _record_polishes(monkeypatch)
-        fit(projecting_trial())
-        accepted = [
-            (polished.x, *projected[polished.x.tobytes()])
-            for start, polished, _ in polishes
-            if polished is not start and polished.x.tobytes() in projected
-        ]
+        trial = trial_showing(projects_onto_a_sphere)
+        recorder = FitRecorder(monkeypatch)
+        fit(trial)
+        accepted = projections(recorder)
         assert accepted
-        for x, centre, radius in accepted:
-            assert abs(np.linalg.norm(x - centre) - radius) <= 4 * np.spacing(radius)
+        for call in accepted:
+            distance = np.linalg.norm(call.point - call.centre)
+            assert abs(distance - call.radius) <= 4 * np.spacing(call.radius)
 
     def test_a_trial_point_at_the_centre_is_halved(self, monkeypatch):
-        trial = rerunning_trial()
-        model = solver._Model(TrialArrays.from_trial(trial))
-        with np.errstate(over="ignore", invalid="ignore"):
-            start = solver._Iterate(solver._initial_guess_array(model.arrays), model)
-        # the start binds only its first sample's constraint
-        assert start.active.tolist() == [0] and start.lam[0] > 0.0
+        model = solver._Model(TrialArrays.from_trial(heavy_violation_trial()))
         centre = model.arrays.grasp_world[0]
+        # a start on sample 0's sphere, straight above it, where the later
+        # samples have pulled away; it binds only sample 0's constraint
+        start = solver._Iterate(centre + [0.0, 0.0, model.arrays.l], model)
+        assert start.active.tolist() == [0] and start.lam[0] > 0.0
         step = centre - start.x
         assert np.array_equal(start.x + step, centre)
-        points = []
-        on_sphere = solver._on_sphere
-
-        def recorded(x, centre, radius):
-            points.append(x.copy())
-            return on_sphere(x, centre, radius)
-
-        monkeypatch.setattr(solver, "_on_sphere", recorded)
+        recorder = FitRecorder(monkeypatch)
         monkeypatch.setattr(solver, "_kkt_step", lambda hess, it: centre - it.x)
         with np.errstate(over="ignore", invalid="ignore"):
             polished, used = solver._polish(start, model, SolverConfig().constraint_tolerance, 1)
         # the step to the centre is halved, not evaluated
+        points = [call.x for call in recorder.spheres]
         assert np.array_equal(points[0], centre)
         assert np.array_equal(points[1], start.x + 0.5 * step)
         assert used == 1
         with pytest.raises(SingularityError, match="centre"):
-            on_sphere(centre, centre, model.arrays.l)
+            solver._on_sphere(centre, centre, model.arrays.l)
 
 
 class _PointTermsCalls:
-    """Record a fit's ``point_terms`` calls, each as its stage and point, and
-    make the point of call ``singular_at`` (counting from 1) singular: that
-    call and every later one there raise ``SingularityError``.
+    """Record a fit's ``point_terms`` calls, each as its stage (as a
+    ``FitRecorder`` tells it) and point, and make the point of call
+    ``singular_at`` (counting from 1) singular: that call and every later one
+    there raise ``SingularityError``.
 
     Singularity is a property of the point, so only a call at a point not
     evaluated before can make it singular. Both names are patched: the
@@ -798,13 +715,13 @@ class _PointTermsCalls:
 
     def __init__(self, monkeypatch, singular_at=None):
         self.calls = []
-        self.stage = None
         singular = set()
         terms = spring_model.point_terms
+        recorder = FitRecorder(monkeypatch)
 
         def counted(x, arrays):
             key = x.tobytes()
-            self.calls.append((self.stage, key))
+            self.calls.append((recorder.stage, key))
             if len(self.calls) == singular_at:
                 singular.add(key)
             if key in singular:
@@ -813,22 +730,6 @@ class _PointTermsCalls:
 
         monkeypatch.setattr(spring_model, "point_terms", counted)
         monkeypatch.setattr(solver, "point_terms", counted)
-        for name, stage in (
-            ("_minimize_arrays", "run start"),
-            ("_scipy_minimize", "sqp"),
-            ("_polish", "polish"),
-        ):
-            monkeypatch.setattr(solver, name, self._staged(getattr(solver, name), stage))
-
-    def _staged(self, fn, stage):
-        def call(*args, **kwargs):
-            self.stage = stage
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self.stage = "between stages"
-
-        return call
 
 
 def _new_point_calls(monkeypatch, trial):
@@ -868,33 +769,19 @@ class TestSingularPointAnywhere:
                 assert result is not None and finite_fields(result), k
 
     def test_every_point_of_a_success_trial(self, monkeypatch):
-        trial = default_trial()
+        trial = trial_showing(polishes_a_success_fit)
         calls, first_start = _new_point_calls(monkeypatch, trial)
         assert {stage for _, stage in calls} == {"run start", "sqp", "polish"}
         self._check(monkeypatch, trial, calls, first_start)
 
     def test_a_spread_of_points_on_a_failure_trial(self, monkeypatch):
-        trial = polishing_failure_trial()
+        trial = trial_showing(restarts_five_times_and_polishes)
         calls, first_start = _new_point_calls(monkeypatch, trial)
-        # every point outside the SQP stage, and every 20th call inside it
-        calls = [(k, stage) for k, stage in calls if stage != "sqp" or k % 20 == 0]
+        # every point outside the SQP stage, and about 40 spread through it
+        sqp = [(k, stage) for k, stage in calls if stage == "sqp"]
+        calls = [(k, stage) for k, stage in calls if stage != "sqp"] + sqp[:: len(sqp) // 40 + 1]
         assert {stage for _, stage in calls} == {"run start", "sqp", "polish"}
         self._check(monkeypatch, trial, calls, first_start)
-
-
-def _record_polishes(monkeypatch):
-    """Wrap ``_polish``; each call is recorded as (start, returned iterate,
-    iterations used)."""
-    polishes = []
-    polish = solver._polish
-
-    def recorded(start, *args):
-        polished, used = polish(start, *args)
-        polishes.append((start, polished, used))
-        return polished, used
-
-    monkeypatch.setattr(solver, "_polish", recorded)
-    return polishes
 
 
 class TestFailedPolishSteps:
@@ -909,61 +796,47 @@ class TestFailedPolishSteps:
     def _singular_matrix(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    @staticmethod
+    def _each_polish_ends_at_once(polishes):
+        assert polishes
+        for polish in polishes:
+            assert polish.end is polish.start and polish.used == 1
+
     @pytest.mark.parametrize("broken_solve", ["_singular_matrix", "_nan_solution"])
     def test_a_failed_kkt_solve_falls_back_to_least_squares(self, monkeypatch, broken_solve):
-        trial = default_trial()
+        trial = trial_showing(polishes_a_success_fit)
         clean = fit(trial)
-        fallbacks = []
-        lstsq = np.linalg.lstsq
-
-        def counted(*args, **kwargs):
-            fallbacks.append(args)
-            return lstsq(*args, **kwargs)
-
         monkeypatch.setattr(np.linalg, "solve", getattr(self, broken_solve))
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        recorder = FitRecorder(monkeypatch)
         result = fit(trial)
-        assert fallbacks  # the polish ran
+        assert recorder.lstsq  # the polish ran
         assert result.converged
         assert (result.r_o_hat - clean.r_o_hat).norm() < 1e-6
 
     def test_a_non_finite_step_ends_the_polish(self, monkeypatch):
-        trial = default_trial()
-        polishes = _record_polishes(monkeypatch)
+        trial = trial_showing(polishes_a_success_fit)
+        polishes = FitRecorder(monkeypatch).polishes
         monkeypatch.setattr(np.linalg, "solve", self._nan_solution)
         monkeypatch.setattr(
             np.linalg, "lstsq", lambda a, b, rcond: (self._nan_solution(a, b), None, 0, None)
         )
-        result = fit(trial)
-        assert finite_fields(result)
-        assert polishes
-        for start, polished, used in polishes:
-            assert polished is start and used == 1
+        assert finite_fields(fit(trial))
+        self._each_polish_ends_at_once(polishes)
 
     def test_a_step_that_cannot_move_the_point_ends_the_polish(self, monkeypatch):
         # a quarter of the point's resolution rounds away, at every halving
-        trial = default_trial()
-        polishes = _record_polishes(monkeypatch)
-        halvings = []
-        iterate = solver._Iterate
-
-        def counted(x, model):
-            halvings.append(x.tobytes())
-            return iterate(x, model)
-
+        trial = trial_showing(polishes_a_success_fit)
+        recorder = FitRecorder(monkeypatch)
         monkeypatch.setattr(solver, "_kkt_step", lambda hess, it: np.spacing(it.x) / 4)
-        monkeypatch.setattr(solver, "_Iterate", counted)
-        result = fit(trial)
-        assert finite_fields(result)
-        assert polishes
-        for start, polished, used in polishes:
-            assert polished is start and used == 1
-            assert halvings.count(start.x.tobytes()) == 1 + solver._MAX_HALVINGS
+        assert finite_fields(fit(trial))
+        self._each_polish_ends_at_once(recorder.polishes)
+        for polish in recorder.polishes:
+            assert recorder.iterates.count(polish.start.x.tobytes()) == 1 + solver._MAX_HALVINGS
 
     def test_a_non_finite_kkt_system_ends_the_polish_before_lstsq(self, monkeypatch):
         # numpy's lstsq can spin, never returning, on a system that holds a NaN
-        trial = default_trial()
-        polishes = _record_polishes(monkeypatch)
+        trial = trial_showing(polishes_a_success_fit)
+        polishes = FitRecorder(monkeypatch).polishes
         lstsq = np.linalg.lstsq
 
         def finite_only(a, b, *args, **kwargs):
@@ -973,11 +846,8 @@ class TestFailedPolishSteps:
 
         monkeypatch.setattr(solver, "terms_hessian", lambda terms, arrays: np.full((3, 3), np.nan))
         monkeypatch.setattr(np.linalg, "lstsq", finite_only)
-        result = fit(trial)
-        assert finite_fields(result)
-        assert polishes
-        for start, polished, used in polishes:
-            assert polished is start and used == 1
+        assert finite_fields(fit(trial))
+        self._each_polish_ends_at_once(polishes)
 
     def test_a_singular_finite_kkt_system_is_solved_by_least_squares(self, monkeypatch):
         # two equal working-set rows, as two samples taken while the hand pauses give
@@ -989,18 +859,21 @@ class TestFailedPolishSteps:
             jac=np.array([row, row]),
             grad=np.array([-1.0, 2.0, 3.0]),
         )
-        fallbacks = []
-        lstsq = np.linalg.lstsq
-
-        def counted(*args, **kwargs):
-            fallbacks.append(args)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        recorder = FitRecorder(monkeypatch)
         step = solver._kkt_step(np.eye(3), it)
-        assert len(fallbacks) == 1
+        assert len(recorder.lstsq) == 1
         # on the constraint boundary, and a Newton step along the free axes
         np.testing.assert_allclose(step, [-0.5, -2.0, -3.0], rtol=0, atol=1e-15)
+
+
+SHORT_BUDGET = SolverConfig(max_iterations_per_run=5)
+
+
+def restarts_uncertified_on_a_short_budget(seen):
+    """On ``SHORT_BUDGET`` its fit restarts five times, and no run certifies."""
+    recorded = recording_of(lambda: fit(seen.trial, SHORT_BUDGET))
+    certified = [run.best.meets(SHORT_BUDGET.constraint_tolerance) for run in recorded.runs]
+    return recorded.result.restarts_used == 5 and not any(certified)
 
 
 class TestNonFiniteCost:
@@ -1011,21 +884,15 @@ class TestNonFiniteCost:
         """Wrap ``_Model.evaluate``; each call is recorded as the number of
         the run it is made in (0 for the first), and call ``inf_at``
         (counting from 1) returns an infinite cost."""
-        runs = []
+        runs = FitRecorder(monkeypatch).runs
         evaluations = []
-        minimize_arrays = solver._minimize_arrays
         evaluate = solver._Model.evaluate
 
-        def counted_run(*args):
-            runs.append(len(runs))
-            return minimize_arrays(*args)
-
         def counted(model, x):
-            evaluations.append(runs[-1])
+            evaluations.append(len(runs) - 1)
             cost, *rest = evaluate(model, x)
             return (math.inf if len(evaluations) == inf_at else cost, *rest)
 
-        monkeypatch.setattr(solver, "_minimize_arrays", counted_run)
         monkeypatch.setattr(solver._Model, "evaluate", counted)
         return evaluations
 
@@ -1042,7 +909,7 @@ class TestNonFiniteCost:
             monkeypatch.undo()
 
     def test_in_a_restart_it_ends_the_schedule_with_the_best_earlier_run(self, monkeypatch):
-        trial = polishing_failure_trial()
+        trial = trial_showing(restarts_five_times_and_polishes)
         evaluations = self._evaluations(monkeypatch)
         assert fit(trial).restarts_used == 5
         monkeypatch.undo()
@@ -1066,17 +933,17 @@ class TestNonFiniteCost:
         self, monkeypatch
     ):
         # a short budget leaves each run uncertified, so every restart works
-        trial = polishing_failure_trial()
-        config = SolverConfig(max_iterations_per_run=5)
+        trial = trial_showing(restarts_uncertified_on_a_short_budget)
         evaluations = self._evaluations(monkeypatch)
-        assert fit(trial, config).restarts_used == 5
+        assert fit(trial, SHORT_BUDGET).restarts_used == 5
         monkeypatch.undo()
         for restart in range(1, 6):
             # the restart's first evaluation is its start, which it notes
             after_start = [at for at, run in enumerate(evaluations, 1) if run == restart][1]
             self._evaluations(monkeypatch, inf_at=after_start)
-            result = fit(trial, config, collect_trace=True)
+            result = fit(trial, SHORT_BUDGET, collect_trace=True)
             monkeypatch.undo()
-            earlier = fit(trial, replace(config, max_restarts=restart - 1), collect_trace=True)
+            earlier_config = replace(SHORT_BUDGET, max_restarts=restart - 1)
+            earlier = fit(trial, earlier_config, collect_trace=True)
             assert result.restarts_used == restart
             assert result.trace == earlier.trace
