@@ -21,6 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import localization_error, orientation_error, summarize, welch_t_test
+from .geometry import finite_number, finite_numbers
 from .solver import SolverConfig, fit
 from .spring_model import Label, apple_position_world, bias_compensate
 from .trial_io import atomic_write_text, dump_json, load_manifest, load_trial, read_json
@@ -205,21 +206,15 @@ def save_report(report: dict, path):
     atomic_write_text(path, dump_json(report))
 
 
-def _is_finite(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float is not finite
-        return False
-
-
-# what a row value of each kind must be, and the test of it
+# what a row value of each kind must be, and the test of it; a value fails
+# when its test is false or raises the number rule's ValueError
 _KINDS = {
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
-    "number": ("a finite number or null", lambda v: v is None or _is_finite(v)),
+    "number": ("a finite number or null", lambda v: v is None or finite_number("", v) == v),
     "vec3": (
         "an array of 3 finite numbers or null",
-        lambda v: v is None or (isinstance(v, list) and len(v) == 3 and all(map(_is_finite, v))),
+        lambda v: v is None or finite_numbers("", v, (3,)) == tuple(v),
     ),
 }
 
@@ -235,7 +230,11 @@ def _check_row(row, where: str):
         raise ValidationError(f"{where}: 'id' and 'label' must be strings")
     for key, spec in _ROW_KEYS.items():
         what, valid = _KINDS[spec.kind]
-        if key not in row or not valid(row[key]):
+        try:
+            ok = key in row and valid(row[key])
+        except ValueError:
+            ok = False
+        if not ok:
             raise ValidationError(f"{where}: {key!r} must be {what}")
 
 
@@ -253,10 +252,15 @@ def load_report(path) -> dict:
     timing = report.get("timing")
     if timing is not None:
         per_trial = timing.get("per_trial") if isinstance(timing, dict) else None
-        if not isinstance(per_trial, dict) or not all(map(_is_finite, per_trial.values())):
+        try:
+            if not isinstance(per_trial, dict):
+                raise ValueError("timing has no per_trial object")
+            for seconds in per_trial.values():
+                finite_number("timing", seconds)
+        except ValueError as exc:
             raise ValidationError(
                 f"{path}: timing must be an object whose per_trial maps ids to finite seconds"
-            )
+            ) from exc
     return report
 
 

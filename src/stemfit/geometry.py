@@ -33,6 +33,26 @@ def finite_number(name: str, value):
     return value
 
 
+def finite_numbers(name: str, values, shape: tuple) -> tuple:
+    """``values``, nested lists or tuples of ``shape``, as nested tuples of
+    entries that each pass ``finite_number`` and are kept as given; an
+    ndarray at any level is read through ``.tolist()``, so its entries meet
+    the same rule. Wrong nesting or length is a ValueError naming ``name``."""
+
+    def read(node, dims):
+        if isinstance(node, np.ndarray):
+            node = node.tolist()
+        if not dims:
+            return finite_number(name, node)
+        if not (isinstance(node, (list, tuple)) and len(node) == dims[0]):
+            size = "x".join(map(str, shape))
+            what = f"an array of {size} numbers" if len(shape) == 1 else f"a {size} matrix"
+            raise ValueError(f"{name} must be {what}")
+        return tuple(read(entry, dims[1:]) for entry in node)
+
+    return read(values, shape)
+
+
 @dataclass(frozen=True)
 class Vec3:
     """Immutable 3-vector with finite components (SI units per context)."""

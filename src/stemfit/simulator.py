@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import SimulationConfigError
-from .geometry import UnitQuaternion, Vec3, cross3, finite_number, rotate_rows
+from .geometry import UnitQuaternion, Vec3, cross3, finite_number, finite_numbers, rotate_rows
 from .spring_model import Label, SampleColumns, SpringParams, Trial
 
 _ZERO_COMPLIANCE = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
@@ -78,14 +78,9 @@ class SimConfig:
                 f"pull window exceeds {MAX_WINDOW_SAMPLES} samples; shorten "
                 "pull_distance, lower sample_rate or raise pull_speed"
             )
-        try:
-            comp = np.asarray(self.grasp_compliance, dtype=float)
-        except (TypeError, ValueError) as exc:  # not numbers, or ragged rows
-            raise ValueError("grasp_compliance must be a 3x3 matrix") from exc
-        if comp.shape != (3, 3):
-            raise ValueError("grasp_compliance must be a 3x3 matrix")
-        if not np.isfinite(comp).all():
-            raise ValueError("grasp_compliance must be finite")
+        rows = finite_numbers("grasp_compliance", self.grasp_compliance, (3, 3))
+        rows = tuple(tuple(map(float, row)) for row in rows)
+        comp = np.array(rows)
         # a difference that overflows is not close, and must not warn
         with np.errstate(over="ignore"):
             symmetric = np.allclose(comp, comp.T, atol=1e-12)
@@ -93,9 +88,7 @@ class SimConfig:
             raise ValueError("grasp_compliance must be symmetric")
         if np.linalg.eigvalsh(comp).min() < -1e-12:
             raise ValueError("grasp_compliance must be positive semidefinite")
-        object.__setattr__(
-            self, "grasp_compliance", tuple(tuple(float(v) for v in row) for row in comp)
-        )
+        object.__setattr__(self, "grasp_compliance", rows)
         if not isinstance(self.grasp_point, Vec3):
             raise ValueError("grasp_point must be a Vec3")
         region = self.attachment_region
@@ -108,16 +101,11 @@ class SimConfig:
         lo, hi = region
         if not all(getattr(lo, a) < getattr(hi, a) for a in ("x", "y", "z")):
             raise ValueError("attachment_region must be a box with min < max per axis")
-        compliance_range = self.failure_compliance_range
-        if not (isinstance(compliance_range, (tuple, list)) and len(compliance_range) == 2):
-            raise ValueError("failure_compliance_range must be a pair [lo, hi]")
-        # kept as tuples of the values given, as from_dict builds them, so a
-        # config equals its JSON round trip and hashes
-        for name in ("attachment_region", "failure_compliance_range"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        clo, chi = (
-            finite_number("failure_compliance_range", v) for v in self.failure_compliance_range
-        )
+        # kept as tuples of the values given, so a config equals its JSON
+        # round trip and hashes
+        object.__setattr__(self, "attachment_region", tuple(region))
+        clo, chi = finite_numbers("failure_compliance_range", self.failure_compliance_range, (2,))
+        object.__setattr__(self, "failure_compliance_range", (clo, chi))
         if not (0.0 < clo <= chi):
             raise ValueError("failure_compliance_range must satisfy 0 < lo <= hi")
         if not (0.0 <= finite_number("off_axis_angle_deg", self.off_axis_angle_deg) < 90.0):
@@ -145,37 +133,38 @@ class SimConfig:
             raise ValueError(f"unknown simulator config fields: {sorted(unknown)}")
         kwargs = dict(data)
         for name, (_, decode) in _NESTED_FIELDS.items():
-            if name in kwargs:
+            if decode is not None and name in kwargs:
                 try:
                     kwargs[name] = decode(kwargs[name])
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"{name}: malformed value ({exc!r})") from exc
         return cls(**kwargs)
 
 
-def _numbers(name: str, values, length: int) -> tuple:
-    """A JSON array of ``length`` finite numbers, as floats; a string, a
-    boolean or any other non-number in it is a ValueError, as it is in a
-    plain number field."""
-    if not (isinstance(values, list) and len(values) == length):
-        raise ValueError(f"{name} must be an array of {length} numbers")
-    return tuple(float(finite_number(name, v)) for v in values)
+def _box(box: dict) -> tuple:
+    """attachment_region's JSON form ``{"min": [x, y, z], "max": [x, y, z]}``
+    as a pair of Vec3."""
+    if not isinstance(box, dict):
+        raise ValueError("attachment_region must be an object with 'min' and 'max'")
+    unknown = set(box) - {"min", "max"}
+    if unknown:
+        raise ValueError(f"unknown attachment_region keys: {sorted(unknown)}")
+    ends = (box["min"], box["max"])
+    return tuple(Vec3(*finite_numbers("attachment_region", end, (3,))) for end in ends)
 
 
-# the fields that are not plain numbers: (field value -> JSON form, JSON form -> field value)
+# the fields that are not plain numbers: (field value -> JSON form, JSON form
+# -> field value, or None where the constructor takes the JSON form itself)
 _NESTED_FIELDS = {
-    "grasp_compliance": (
-        lambda rows: [list(row) for row in rows],
-        lambda rows: tuple(_numbers("grasp_compliance", row, 3) for row in rows),
-    ),
+    "grasp_compliance": (lambda rows: [list(row) for row in rows], None),
     "attachment_region": (
         lambda box: {"min": box[0].as_array().tolist(), "max": box[1].as_array().tolist()},
-        lambda box: tuple(Vec3(*_numbers("attachment_region", box[end], 3)) for end in ("min", "max")),
+        _box,
     ),
-    "failure_compliance_range": (list, tuple),
+    "failure_compliance_range": (list, None),
     "grasp_point": (
         lambda point: point.as_array().tolist(),
-        lambda point: Vec3(*_numbers("grasp_point", point, 3)),
+        lambda point: Vec3(*finite_numbers("grasp_point", point, (3,))),
     ),
 }
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .geometry import Vec3, _quaternion_norms
+from .geometry import Vec3, _quaternion_norms, finite_numbers
 from .spring_model import COLUMN_WIDTHS, Label, SampleColumns, SpringParams, Trial
 
 TRIAL_SCHEMA_VERSION = 2
@@ -93,31 +93,14 @@ def config_digest(config_dict: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _all_numbers(values) -> bool:
-    """Whether ``values`` is a JSON number or nested arrays of them: no
-    string, boolean, null or object anywhere."""
-    if isinstance(values, list):
-        return all(map(_all_numbers, values))
-    return type(values) in (int, float)
-
-
 def _floats(values, shape: tuple, where: str) -> np.ndarray:
     """The one conversion every decimal number in a trial file goes through:
-    an array of ``shape`` holding finite floats, else a ValidationError naming
-    ``where``. Only JSON numbers count; numpy would read ``"632"`` or
-    ``true`` as one."""
-    if not _all_numbers(values):
-        raise ValidationError(f"{where}: expected JSON numbers only")
+    ``finite_numbers``' check of ``values`` against ``shape``, as a float
+    array; its ValueError is a ValidationError naming ``where``."""
     try:
-        array = np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    if array.shape != shape:
-        expected = f"a {shape[-1]}-element array" if shape else "a number"
-        raise ValidationError(f"{where}: expected {expected}")
-    if not np.isfinite(array).all():
-        raise ValidationError(f"{where}: numbers must be finite")
-    return array
+        return np.array(finite_numbers(where, values, shape), dtype=float)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def _column(rows: list, row_shape: tuple, where: str, name: str) -> np.ndarray:

@@ -244,6 +244,11 @@ BAD_REPORTS = {
         "per_trial": [{**_OK_ROW, "ground_truth": [0.0, -math.inf, 1.0]}]
     },
     "nan_timing": {"per_trial": [_OK_ROW], "timing": {"per_trial": {"a": math.nan}}},
+    # neither a boolean nor an integer too large for a float is a finite number
+    "huge_final_mse": {"per_trial": [{**_OK_ROW, "final_mse": 10**400}]},
+    "huge_r_o_hat": {"per_trial": [{**_OK_ROW, "r_o_hat": [0.0, 10**400, 1.0]}]},
+    "boolean_timing": {"per_trial": [_OK_ROW], "timing": {"per_trial": {"a": True}}},
+    "huge_timing": {"per_trial": [_OK_ROW], "timing": {"per_trial": {"a": 10**400}}},
 }
 
 

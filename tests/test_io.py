@@ -436,7 +436,7 @@ class TestTrialValidationOnLoad:
     def test_grasp_point_needs_three_numbers(self):
         doc = self.doc()
         doc["grasp_point"] = [0.0, 0.05]
-        message = "^<memory>: grasp_point: expected a 3-element array$"
+        message = "^<memory>: grasp_point must be an array of 3 numbers$"
         with pytest.raises(ValidationError, match=message):
             trial_from_dict(doc)
 
@@ -457,7 +457,7 @@ class TestTrialValidationOnLoad:
         node[path[-1]] = value
         text = json.dumps(doc)  # writes the literal NaN, Infinity or -Infinity
         assert "NaN" in text or "Infinity" in text
-        with pytest.raises(ValidationError, match=f"{re.escape(named)}: numbers must be finite$"):
+        with pytest.raises(ValidationError, match=f"{re.escape(named)} must be finite$"):
             loaded_from(text)
 
     def test_zero_spring_stiffness_in_a_file(self):

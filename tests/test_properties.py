@@ -171,6 +171,38 @@ def test_config_numbers_written_as_strings_or_booleans_are_rejected(data):
         SimConfig.from_dict(_set(copy.deepcopy(SIM_CONFIG_DOC), path, value))
 
 
+def _python_form(name, value):
+    """The config field ``name``, given in its JSON form ``value``, in the
+    form SimConfig takes: a Vec3 for each point, tuples for arrays."""
+    if name == "grasp_point":
+        return Vec3(*value)
+    if name == "attachment_region":
+        return (Vec3(*value["min"]), Vec3(*value["max"]))
+    if isinstance(value, list):
+        return tuple(_python_form(name, entry) for entry in value)
+    return value
+
+
+@pytest.mark.parametrize(
+    "path", _leaf_paths(SIM_CONFIG_DOC), ids=lambda path: ".".join(map(str, path))
+)
+def test_every_config_number_rejects_strings_booleans_and_null(path):
+    """Each number of a config, replaced by its repr string, a boolean or
+    null, is a ValueError naming its field, whether the config is read from
+    its JSON form or built directly. A point's Python form is a Vec3, which
+    applies the same rule and names its component."""
+    name = path[0]
+    named = rf"^{name}\b"
+    if name in ("grasp_point", "attachment_region"):
+        named = rf"^Vec3\.{'xyz'[path[-1]]} must be a number, got "
+    for value in (repr(_get(SIM_CONFIG_DOC, path)), True, False, None):
+        doc = _set(copy.deepcopy(SIM_CONFIG_DOC), path, value)
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            SimConfig.from_dict(doc)
+        with pytest.raises(ValueError, match=named):
+            SimConfig(**{name: _python_form(name, doc[name])})
+
+
 CONFIG_FIELDS = sorted({*SimConfig().to_dict(), *SolverConfig().to_dict()})
 config_objects = st.dictionaries(
     st.sampled_from(CONFIG_FIELDS) | st.text(max_size=6),

@@ -16,6 +16,7 @@ from stemfit.simulator import (
     MAX_WINDOW_SAMPLES,
     SimConfig,
     _equilibrium,
+    _failure_config,
     generate_corpus,
     generate_trial,
     sample_orientation,
@@ -728,15 +729,15 @@ REJECTED_CONFIGS = {
     ),
     "failure_compliance_range_single": (
         {"failure_compliance_range": (0.002,)},
-        "failure_compliance_range must be a pair [lo, hi]",
+        "failure_compliance_range must be an array of 2 numbers",
     ),
     "failure_compliance_range_triple": (
         {"failure_compliance_range": (0.002, 0.004, 0.01)},
-        "failure_compliance_range must be a pair [lo, hi]",
+        "failure_compliance_range must be an array of 2 numbers",
     ),
     "failure_compliance_range_number": (
         {"failure_compliance_range": 0.005},
-        "failure_compliance_range must be a pair [lo, hi]",
+        "failure_compliance_range must be an array of 2 numbers",
     ),
     "failure_compliance_range_zero_lo": (
         {"failure_compliance_range": (0.0, 0.01)},
@@ -840,6 +841,22 @@ class TestSimConfigSerialization:
         with pytest.raises(ValueError, match="unknown"):
             SimConfig.from_dict({"bogus": 1.0})
 
+    def test_unknown_attachment_region_key_rejected(self):
+        box = {**SimConfig().to_dict()["attachment_region"], "extra": [1, 2, 3]}
+        message = r"unknown attachment_region keys: \['extra'\]"
+        with pytest.raises(ValueError, match=rf"^attachment_region: malformed value .*{message}"):
+            SimConfig.from_dict({"attachment_region": box})
+
+    def test_array_and_list_compliances_equal_their_round_trip(self):
+        # _failure_config passes the float64 matrix it draws
+        drawn = _failure_config(SimConfig(), np.random.default_rng(3), "trial_000")
+        matrix = drawn.compliance_matrix
+        assert matrix.dtype == np.float64 and np.any(matrix != 0.0)
+        for compliance in (matrix, matrix.tolist()):
+            cfg = SimConfig(grasp_compliance=compliance)
+            again = SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+            assert again == cfg == drawn and hash(again) == hash(cfg)
+
     @pytest.mark.parametrize("data", [[], 5, None, "{}"])
     def test_from_dict_needs_an_object(self, data):
         with pytest.raises(ValueError, match="^simulator config must be a JSON object$"):
@@ -857,5 +874,7 @@ class TestSimConfigSerialization:
     def test_nested_field_of_the_wrong_length_rejected(self, data):
         (name,) = data
         message = f"^{name}: malformed value .*{name} must be an array of 3 numbers"
+        if name == "grasp_compliance":  # the constructor reads its JSON form itself
+            message = "^grasp_compliance must be a 3x3 matrix$"
         with pytest.raises(ValueError, match=message):
             SimConfig.from_dict(data)
