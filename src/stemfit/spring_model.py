@@ -36,16 +36,18 @@ class Label(Enum):
 
 @dataclass(frozen=True)
 class SpringParams:
-    """Stiffness (N/m) and resting length (m) of the stem spring."""
+    """Stiffness (N/m) and resting length (m) of the stem spring, each a
+    positive finite number stored as a float."""
 
     k: float
     l: float
 
     def __post_init__(self):
-        if not finite_number("spring stiffness", self.k) > 0.0:
-            raise ValueError(f"spring stiffness must be positive and finite, got {self.k}")
-        if not finite_number("spring resting length", self.l) > 0.0:
-            raise ValueError(f"spring resting length must be positive and finite, got {self.l}")
+        for name, what in (("k", "spring stiffness"), ("l", "spring resting length")):
+            value = float(finite_number(what, getattr(self, name)))
+            if not value > 0.0:
+                raise ValueError(f"{what} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
 
 
 COLUMN_WIDTHS = {"t": None, "translation": 3, "rotation_wxyz": 4, "force": 3, "torque": 3}
@@ -60,8 +62,11 @@ class SampleColumns:
     ``t`` (n,) in seconds; the sensor pose as ``translation`` (n, 3) in the
     world frame and ``rotation_wxyz`` (n, 4), a world-from-sensor unit
     quaternion; the sensor-frame wrench as ``force`` (n, 3) and
-    ``torque`` (n, 3). Each column is copied to C-ordered float64 and made
-    read-only on construction; :class:`Trial` checks the values.
+    ``torque`` (n, 3). Each column is copied to C-ordered float64, checked
+    for its shape and for finite values in one whole-array pass, and made
+    read-only on construction; a column that holds a NaN or an infinity is
+    a ValueError naming its first bad ``samples[i]``. :class:`Trial` checks
+    how the rows relate.
     """
 
     t: np.ndarray
@@ -82,6 +87,10 @@ class SampleColumns:
                 raise ValueError(
                     f"samples.{name}: expected shape {(n, width)}, got {column.shape}"
                 )
+            finite = np.isfinite(column)
+            if not finite.all():
+                i = int(np.argmin(finite)) // (width or 1)
+                raise ValueError(f"samples[{i}]: {name} must be finite")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -97,9 +106,9 @@ class SampleColumns:
 class Trial:
     """A pull recording: sample columns, spring parameters, grasp geometry, labels.
 
-    Construction checks the type of every field but ``id`` (a TypeError),
-    then the columns: at least 2 samples, every value finite, strictly
-    increasing ``t`` and unit quaternions (within
+    Construction checks the type of every field (a TypeError), then the
+    columns, whose values :class:`SampleColumns` has checked: at least 2
+    samples, strictly increasing ``t`` and unit quaternions (within
     ``UNIT_QUATERNION_TOL``). Each check is one whole-array pass; only a
     check that fails searches for the first bad ``samples[i]``, which its
     message names. A ``ground_truth`` must lie away from the first fruit
@@ -115,7 +124,13 @@ class Trial:
     id: str = ""
 
     def __post_init__(self):
-        kinds = {"samples": SampleColumns, "spring": SpringParams, "grasp_point": Vec3, "label": Label}
+        kinds = {
+            "samples": SampleColumns,
+            "spring": SpringParams,
+            "grasp_point": Vec3,
+            "label": Label,
+            "id": str,
+        }
         if self.ground_truth is not None:
             kinds["ground_truth"] = Vec3
         for name, kind in kinds.items():
@@ -125,11 +140,6 @@ class Trial:
         s = self.samples
         if len(s) < 2:
             raise ValueError(f"trial needs at least 2 samples, got {len(s)}")
-        for name in COLUMN_WIDTHS:
-            finite = np.isfinite(getattr(s, name))
-            if not finite.all():
-                i = int(np.argmin(finite)) // (finite.size // len(s))
-                raise ValueError(f"samples[{i}]: {name} must be finite")
         increasing = s.t[1:] > s.t[:-1]  # np.diff can overflow
         if not increasing.all():
             i = int(np.argmin(increasing)) + 1
@@ -333,9 +343,9 @@ def bias_compensate(trial: Trial) -> Trial:
     fruit's weight in one step.
     """
     s = trial.samples
-    with np.errstate(over="ignore"):
-        columns = replace(s, force=s.force - s.force[0], torque=s.torque - s.torque[0])
     try:
-        return replace(trial, samples=columns)
+        with np.errstate(over="ignore"):
+            columns = replace(s, force=s.force - s.force[0], torque=s.torque - s.torque[0])
     except ValueError as exc:  # a difference of two finite values overflowed
         raise ValidationError(f"{trial.id}: bias compensation overflows: {exc}") from exc
+    return replace(trial, samples=columns)

@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,25 +94,15 @@ def config_digest(config_dict: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _floats(values, shape: tuple, where: str) -> np.ndarray:
-    """The one conversion every decimal number in a trial file goes through:
-    ``finite_numbers``' check of ``values`` against ``shape``, as a float
-    array; its ValueError is a ValidationError naming ``where``."""
+def _column(rows: list, row_shape: tuple, name: str) -> np.ndarray:
+    """One field of every v1 sample as a float array, each value read by
+    ``finite_numbers``; its ValueError names the first bad ``samples[i]``."""
+    shape = (len(rows), *row_shape)
     try:
-        return np.array(finite_numbers(where, values, shape), dtype=float)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _column(rows: list, row_shape: tuple, where: str, name: str) -> np.ndarray:
-    """Stack one field of every sample; on failure, name the first bad sample."""
-    if not rows:
-        return np.empty((0, *row_shape))
-    try:
-        return _floats(rows, (len(rows), *row_shape), f"{where}: samples: {name}")
-    except ValidationError:
+        return np.array(finite_numbers(f"samples: {name}", rows, shape), dtype=float).reshape(shape)
+    except ValueError:
         for i, row in enumerate(rows):
-            _floats(row, row_shape, f"{where}: samples[{i}]: {name}")
+            finite_numbers(f"samples[{i}]: {name}", row, row_shape)
         raise
 
 
@@ -180,9 +171,8 @@ def _v1_columns(doc: dict, source: str) -> dict:
                 "('translation', 'rotation_wxyz') and 'wrench' ('force', 'torque')"
             ) from exc
     columns = [list(column) for column in zip(*rows)] or [[]] * len(COLUMN_WIDTHS)
-    # messages call the quaternion column "rotation"
     return {
-        name: _column(values, () if width is None else (width,), source, name.removesuffix("_wxyz"))
+        name: _column(values, () if width is None else (width,), name)
         for (name, width), values in zip(COLUMN_WIDTHS.items(), columns)
     }
 
@@ -216,18 +206,15 @@ def _v2_columns(doc: dict, source: str) -> dict:
                 f"{where}: expected {n * width} float64 values for {n} samples, "
                 f"got {len(raw)} bytes"
             )
-        column = np.frombuffer(raw, "<f8").reshape((n,) if width is None else (n, width))
-        finite = np.isfinite(column)
-        if not finite.all():
-            i = int(np.argmin(finite)) // (width or 1)
-            raise ValidationError(f"{where}: samples[{i}]: numbers must be finite")
-        columns[name] = column
+        columns[name] = np.frombuffer(raw, "<f8").reshape((n,) if width is None else (n, width))
     return columns
 
 
 def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
-    """Build a trial from a parsed v1 or v2 document; any defect is a
-    ValidationError naming ``source`` and the field."""
+    """Build a trial from a parsed v1 or v2 document: the head, then the
+    columns, go into the types that check them (``SpringParams``, ``Vec3``,
+    ``SampleColumns``, ``Trial``), and any defect is a ValidationError
+    naming ``source`` and the field."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{source}: trial document must be a JSON object")
     version = doc.get("schema_version")
@@ -242,8 +229,6 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
     for field in ("id", "label", "spring", "grasp_point", body):
         if field not in doc:
             raise ValidationError(f"{source}: missing required field '{field}'")
-    if not isinstance(doc["id"], str):
-        raise ValidationError(f"{source}: id must be a string, got {doc['id']!r}")
     try:
         label = Label(doc["label"])
     except ValueError:
@@ -253,30 +238,20 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
     spring_doc = doc["spring"]
     if not isinstance(spring_doc, dict) or "k" not in spring_doc or "l" not in spring_doc:
         raise ValidationError(f"{source}: spring must be an object with 'k' and 'l'")
-    k = _floats(spring_doc["k"], (), f"{source}: spring: k")
-    l = _floats(spring_doc["l"], (), f"{source}: spring: l")
     try:
-        spring = SpringParams(float(k), float(l))
-    except ValueError as exc:
-        raise ValidationError(f"{source}: spring: {exc}") from exc
-    grasp_point = Vec3.from_array(_floats(doc["grasp_point"], (3,), f"{source}: grasp_point"))
-    ground_truth = None
-    if doc.get("ground_truth") is not None:
-        ground_truth = Vec3.from_array(
-            _floats(doc["ground_truth"], (3,), f"{source}: ground_truth")
-        )
-    columns = read_columns(doc, source)
-    columns["rotation_wxyz"] = _normalized_rotations(columns["rotation_wxyz"], source)
-    try:
+        spring = SpringParams(spring_doc["k"], spring_doc["l"])
+        grasp_point = Vec3(*finite_numbers("grasp_point", doc["grasp_point"], (3,)))
+        ground_truth = doc.get("ground_truth")
+        if ground_truth is not None:
+            ground_truth = Vec3(*finite_numbers("ground_truth", ground_truth, (3,)))
+        samples = SampleColumns(**read_columns(doc, source))
+        rotations = _normalized_rotations(samples.rotation_wxyz, source)
+        if rotations is not samples.rotation_wxyz:
+            samples = replace(samples, rotation_wxyz=rotations)
         return Trial(
-            samples=SampleColumns(**columns),
-            spring=spring,
-            grasp_point=grasp_point,
-            label=label,
-            ground_truth=ground_truth,
-            id=doc["id"],
+            samples, spring, grasp_point, label=label, ground_truth=ground_truth, id=doc["id"]
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{source}: {exc}") from exc
 
 

@@ -108,33 +108,35 @@ def quaternion_norms_reference(q) -> np.ndarray:
         return np.sqrt(np.sum(q * q, axis=1))
 
 
-def first_non_finite_reference(samples: SampleColumns):
-    """``(column name, row)`` of the first row holding a NaN or an infinity,
-    in column order, each row reduced over its width; None if all finite."""
-    n = len(samples)
+def first_non_finite_reference(columns: dict):
+    """``(column name, row)`` of the first row of the sample ``columns``
+    (name → array) holding a NaN or an infinity, in column order, each row
+    reduced over its width; None if all finite."""
+    n = len(columns["t"])
     for name in COLUMN_WIDTHS:
-        finite = np.isfinite(getattr(samples, name)).reshape(n, -1).all(axis=1)
+        finite = np.isfinite(columns[name]).reshape(n, -1).all(axis=1)
         if not finite.all():
             return name, int(np.argmin(finite))
     return None
 
 
-def trial_check_reference(samples: SampleColumns) -> str | None:
-    """The message of the first column check that ``Trial`` fails on
-    ``samples``, or None: finiteness, increasing ``t`` and unit quaternions,
+def trial_check_reference(columns: dict) -> str | None:
+    """The message of the first check that ``SampleColumns`` and then
+    ``Trial`` fail on the sample ``columns`` (name → array), or None:
+    finiteness, at least 2 samples, increasing ``t`` and unit quaternions,
     each computed row by row."""
-    n = len(samples)
-    if n < 2:
-        return f"trial needs at least 2 samples, got {n}"
-    bad = first_non_finite_reference(samples)
+    bad = first_non_finite_reference(columns)
     if bad is not None:
         return f"samples[{bad[1]}]: {bad[0]} must be finite"
-    t = samples.t
+    n = len(columns["t"])
+    if n < 2:
+        return f"trial needs at least 2 samples, got {n}"
+    t = columns["t"]
     steps = np.flatnonzero(~(t[1:] > t[:-1]))
     if steps.size:
         i = int(steps[0]) + 1
         return f"samples[{i}]: timestamp {t[i]} not strictly greater than previous {t[i - 1]}"
-    q = samples.rotation_wxyz
+    q = columns["rotation_wxyz"]
     off_unit = ~(np.abs(quaternion_norms_reference(q) - 1.0) <= UNIT_QUATERNION_TOL)
     if off_unit.any():
         i = int(np.argmax(off_unit))
@@ -460,18 +462,11 @@ def _head(trial: Trial, version: int) -> dict:
     return doc
 
 
-def trial_to_dict(trial: Trial) -> dict:
-    """The v1 trial document, built sample by sample as plain JSON values."""
-    s = trial.samples
-    rows = zip(
-        s.t.tolist(),
-        s.translation.tolist(),
-        s.rotation_wxyz.tolist(),
-        s.force.tolist(),
-        s.torque.tolist(),
-    )
-    doc = _head(trial, 1)
-    doc["samples"] = [
+def v1_samples(columns: dict) -> list:
+    """A v1 document's ``samples`` for the sample ``columns`` (name →
+    array), built sample by sample as plain JSON values."""
+    rows = zip(*(columns[name].tolist() for name in COLUMN_WIDTHS))
+    return [
         {
             "t": t,
             "pose": {"translation": translation, "rotation_wxyz": rotation},
@@ -479,6 +474,12 @@ def trial_to_dict(trial: Trial) -> dict:
         }
         for t, translation, rotation, force, torque in rows
     ]
+
+
+def trial_to_dict(trial: Trial) -> dict:
+    """The v1 trial document, built sample by sample as plain JSON values."""
+    doc = _head(trial, 1)
+    doc["samples"] = v1_samples({name: getattr(trial.samples, name) for name in COLUMN_WIDTHS})
     return doc
 
 

@@ -228,6 +228,14 @@ class TestBitExactRoundTrip:
                 np.testing.assert_array_equal(bits(loaded)[name], column)
                 np.testing.assert_array_equal(bits(load_trial(path))[name], column)
 
+    def test_integer_spring_saves_loads_and_saves_again_to_the_same_bytes(self, tmp_path):
+        # SpringParams stores floats, so the first save already writes 632.0
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        save_trial(sim_trial(k=632), first)
+        save_trial(load_trial(first), again)
+        assert '"k": 632.0,' in first.read_text()
+        assert again.read_bytes() == first.read_bytes()
+
     def test_v2_file_is_smaller_than_v1(self):
         trial = sim_trial()
         assert len(written(trial)) < len(v1_text(trial).encode()) / 2
@@ -365,7 +373,7 @@ class TestTrialValidationOnLoad:
             (("samples", 2, "pose", "translation", 2), "samples\\[2\\]: translation"),
             (("samples", 0, "t"), "samples\\[0\\]: t"),
             (("grasp_point", 1), "grasp_point"),
-            (("spring", "k"), "spring: k"),
+            (("spring", "k"), "spring stiffness"),
         ],
     )
     def test_number_too_large_for_a_float(self, path, named):
@@ -381,13 +389,14 @@ class TestTrialValidationOnLoad:
     def test_id_must_be_a_string(self, tmp_path, capsys, bad_id):
         doc = self.doc()
         doc["id"] = bad_id
-        with pytest.raises(ValidationError, match="^t.json: id must be a string"):
+        with pytest.raises(ValidationError, match="^t.json: Trial.id must be str, got "):
             trial_from_dict(doc, source="t.json")
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))
         assert main(["fit", "--trial", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: id must be a string") and "Traceback" not in err
+        assert err.startswith(f"error: {path}: Trial.id must be str, got ")
+        assert "Traceback" not in err
 
     def test_non_utf8_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -444,7 +453,7 @@ class TestTrialValidationOnLoad:
     @pytest.mark.parametrize(
         "path, named",
         [
-            (("spring", "k"), "spring: k"),
+            (("spring", "k"), "spring stiffness"),
             (("grasp_point", 1), "grasp_point"),
             (("samples", 1, "wrench", "force", 0), "samples[1]: force"),
         ],
@@ -465,7 +474,7 @@ class TestTrialValidationOnLoad:
         doc["spring"]["k"] = 0
         with pytest.raises(
             ValidationError,
-            match=r"t\.json: spring: spring stiffness must be positive and finite, got 0\.0$",
+            match=r"/t\.json: spring stiffness must be positive and finite, got 0\.0$",
         ):
             loaded_from(json.dumps(doc))
 
@@ -570,7 +579,7 @@ class TestV2ColumnsOnLoad:
         values = getattr(trial.samples, name).copy()
         values[row] = bad
         doc = with_column(trial_to_v2_dict(trial), name, values)
-        named = f"columns: {name}: samples\\[{row}\\]: .*finite"
+        named = f"^<memory>: samples\\[{row}\\]: {name} must be finite$"
         with pytest.raises(ValidationError, match=named):
             trial_from_dict(doc)
 

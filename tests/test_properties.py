@@ -8,6 +8,7 @@ import json
 import pickle
 import shutil
 import tempfile
+import warnings
 from argparse import Namespace
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -50,6 +51,7 @@ from conftest import (
     trial_check_reference,
     trial_to_dict,
     trial_to_v2_dict,
+    v1_samples,
     v1_text,
     wxyz,
 )
@@ -161,14 +163,6 @@ def test_numbers_written_as_strings_or_booleans_are_rejected(data, version):
 
 
 SIM_CONFIG_DOC = SimConfig().to_dict()
-
-
-@given(st.data())
-def test_config_numbers_written_as_strings_or_booleans_are_rejected(data):
-    path = data.draw(st.sampled_from(_leaf_paths(SIM_CONFIG_DOC)))
-    value = data.draw(st.sampled_from([repr(_get(SIM_CONFIG_DOC, path)), True, False]))
-    with pytest.raises(ValueError):
-        SimConfig.from_dict(_set(copy.deepcopy(SIM_CONFIG_DOC), path, value))
 
 
 def _python_form(name, value):
@@ -413,27 +407,46 @@ def checked_columns(draw):
             column[row] = value
         else:
             column[row, entry % column.shape[1]] = value
-    return SampleColumns(**columns)
+    return columns
+
+
+def _documents_of(columns: dict) -> list:
+    """A v1 and a v2 document of the sample ``columns`` under
+    ``BASE_TRIAL``'s head without its ground truth."""
+    v1, v2 = (copy.deepcopy(BASE_DOCS[version]) for version in ("v1", "v2"))
+    v1["samples"] = v1_samples(columns)
+    v2["columns"] = {name: encode_column(columns[name]) for name in COLUMN_WIDTHS}
+    for doc in (v1, v2):
+        doc.pop("ground_truth", None)
+    return [v1, v2]
 
 
 @settings(max_examples=300, deadline=None)
 @given(checked_columns())
-def test_trial_checks_agree_with_the_row_by_row_checks(samples):
-    expected = trial_check_reference(samples)
+def test_trial_checks_agree_with_the_row_by_row_checks(columns):
+    """``SampleColumns`` and ``Trial`` raise the reference's first failing
+    check. A v1 and a v2 document of the same columns read alike, and a
+    non-finite entry is one message from all three: ``samples[i]:
+    <column> must be finite``, after the source for a document."""
+    expected = trial_check_reference(columns)
     try:
-        Trial(samples, SpringParams(1.0, 1.0), Vec3(0.0, 0.0, 0.0))
+        Trial(SampleColumns(**columns), SpringParams(1.0, 1.0), Vec3(0.0, 0.0, 0.0))
     except ValueError as exc:
         assert str(exc) == expected
     else:
         assert expected is None
-    bad = first_non_finite_reference(samples)
-    if bad is not None:
-        doc = copy.deepcopy(BASE_DOCS["v2"])
-        doc["columns"] = {name: encode_column(getattr(samples, name)) for name in COLUMN_WIDTHS}
-        named = f"<memory>: columns: {bad[0]}: samples[{bad[1]}]: numbers must be finite"
-        with pytest.raises(ValidationError) as info:
-            trial_from_dict(doc)
-        assert str(info.value) == named
+    messages = []
+    for doc in _documents_of(columns):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the renormalizing warning
+            try:
+                trial_from_dict(doc)
+                messages.append(None)
+            except ValidationError as exc:
+                messages.append(str(exc))
+    assert messages[0] == messages[1]
+    if first_non_finite_reference(columns) is not None:
+        assert messages == [f"<memory>: {expected}"] * 2
 
 
 finite_moderate = st.floats(-1e6, 1e6)

@@ -393,6 +393,11 @@ class TestTrialValidation:
         with pytest.raises(ValueError, match="^spring stiffness must be finite$"):
             SpringParams(10**400, 0.1)
 
+    def test_spring_params_are_stored_as_floats(self):
+        spring = SpringParams(632, 1)
+        assert (spring.k, spring.l) == (632.0, 1.0)
+        assert type(spring.k) is float and type(spring.l) is float
+
     @pytest.mark.parametrize(
         "field, value, kind",
         [
@@ -400,6 +405,7 @@ class TestTrialValidation:
             ("grasp_point", (0.0, 0.0, 0.05), "Vec3"),
             ("ground_truth", (0.5, 0.0, 0.4), "Vec3"),
             ("label", "success", "Label"),
+            ("id", 5, "str"),
         ],
     )
     def test_fields_must_have_their_types(self, field, value, kind):
