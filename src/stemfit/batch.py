@@ -22,7 +22,7 @@ from .errors import (
 )
 from .evaluation import localization_error, orientation_error, summarize, welch_t_test
 from .geometry import finite_number, finite_numbers
-from .solver import SolverConfig, fit
+from .solver import SolverConfig, _load_scipy, fit
 from .spring_model import Label, apple_position_world, bias_compensate
 from .trial_io import atomic_write_text, dump_json, load_manifest, load_trial, read_json
 
@@ -111,6 +111,7 @@ def run_batch(
     # the pool starts all its workers at the first submit
     workers = min(jobs, len(work))
     if workers > 1:
+        _load_scipy()  # once, in the parent; the forked workers share it
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_fit_entry, work))

@@ -4,7 +4,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InsufficientSamplesError
 from .geometry import Vec3, angle_between
@@ -95,6 +94,8 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
         )
     t = mean_diff / math.sqrt(se2)
     df = se2 * se2 / (va * va / (a.size - 1) + vb * vb / (b.size - 1))
+    from scipy import special  # here, so that importing stemfit does not load scipy
+
     p = 2.0 * float(special.stdtr(df, -abs(t)))
     return WelchResult(float(t), min(p, 1.0), float(df))
 

@@ -20,18 +20,21 @@ squared error stays above ``mse_target``, the next run is seeded at the
 previous run's best iterate, up to ``max_restarts`` times. Each run returns
 its best iterate, its iteration count and the points it noted for the trace;
 the fit's certificate is read off the best iterate of all runs.
+
+scipy is loaded by a process's first fit, inside its timing: ``minimize``
+and ``nnls`` are imported at their first call (``_FromScipyOptimize``),
+and scipy's OpenBLAS is looked up when the first fit pins its thread count
+(``_blas_threads``). Importing this module loads numpy only.
 """
 
-import ctypes
+import functools
+import importlib
 import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-import scipy.linalg.cython_blas
-from scipy.optimize import minimize as _scipy_minimize
-from scipy.optimize import nnls
 
 from .errors import EvaluationFailureError, SingularityError
 from .geometry import Vec3, finite_number
@@ -67,9 +70,38 @@ MAX_ITERATIONS_PER_RUN = 1_000_000
 MAX_RESTARTS = 1_000
 
 
-def _blas_thread_count_functions():
+class _FromScipyOptimize:
+    """The function ``name`` of ``scipy.optimize``, imported at its first
+    call, so that importing stemfit does not load scipy."""
+
+    __slots__ = ("_name", "_function")
+
+    def __init__(self, name: str):
+        self._name = name
+        self._function = None
+
+    def __call__(self, *args, **kwargs):
+        if self._function is None:
+            self._function = getattr(importlib.import_module("scipy.optimize"), self._name)
+        return self._function(*args, **kwargs)
+
+
+# perfbench/tracing.py wraps these two names from outside, so they are bound
+# once and never rebound; not being functions, they escape its layer loop,
+# which would wrap nnls a second time.
+_scipy_minimize = _FromScipyOptimize("minimize")
+nnls = _FromScipyOptimize("nnls")
+
+
+@functools.cache
+def _blas_threads():
     """The thread-count getter and setter of the OpenBLAS that scipy (and so
-    SLSQP) links, or None when scipy links another BLAS."""
+    SLSQP) links, or None when scipy links another BLAS. Loads scipy's BLAS
+    at the first call."""
+    import ctypes
+
+    import scipy.linalg.cython_blas
+
     try:
         blas = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
     except OSError:
@@ -82,7 +114,11 @@ def _blas_thread_count_functions():
     return None
 
 
-_BLAS_THREADS = _blas_thread_count_functions()
+def _load_scipy():
+    """Load all a fit uses of scipy. A batch calls this before it forks its
+    workers, so that they share scipy's pages rather than each load it."""
+    importlib.import_module("scipy.optimize")
+    _blas_threads()
 
 
 @contextmanager
@@ -94,10 +130,11 @@ def _one_blas_thread():
     has the same bits on every machine, and batch workers do not contend
     for cores. Does nothing where scipy links another BLAS.
     """
-    if _BLAS_THREADS is None:
+    functions = _blas_threads()
+    if functions is None:
         yield
         return
-    get, put = _BLAS_THREADS
+    get, put = functions
     threads = get()
     put(1)
     try:

@@ -115,17 +115,22 @@ def _huge_quaternion_v2(path):
 HUGE_QUATERNIONS = {"v1": _huge_quaternion, "v2": _huge_quaternion_v2}
 
 
-def _stemfit_cli(*args):
-    """Run the CLI in a fresh interpreter, which prints the warnings a user would see."""
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports this stemfit, with ``args``."""
     src = str(Path(stemfit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "stemfit.cli", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def _stemfit_cli(*args):
+    """Run the CLI in a fresh interpreter, which prints the warnings a user would see."""
+    return _fresh_python("-m", "stemfit.cli", *args)
 
 
 # config files the CLI must reject with "error: ..." and exit 1, each with
@@ -879,3 +884,76 @@ class TestCli:
         assert main(["batch", "--corpus", str(empty), "--report",
                      str(tmp_path / "r.json")]) == 1
         capsys.readouterr()
+
+
+
+# run first in each fresh interpreter of TestScipyLoading
+_LOADED = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
+def _in_fresh_python(code, *args):
+    """Run ``code`` after ``_LOADED`` in a fresh interpreter that imports this
+    stemfit, with ``args`` as its ``sys.argv[1:]``; it must exit 0."""
+    done = _fresh_python("-c", _LOADED + code, *args)
+    assert done.returncode == 0, done.stderr
+
+
+class TestScipyLoading:
+    """scipy is loaded by a process's first fit, not by importing stemfit."""
+
+    def test_import_loads_no_scipy(self):
+        _in_fresh_python("import stemfit\nassert loaded() == [], loaded()")
+
+    def test_simulate_and_report_load_no_scipy(self, corpus_dir, tmp_path):
+        save_report(run_batch(corpus_dir), tmp_path / "report.json")
+        code = """
+from stemfit.cli import main
+out = sys.argv[1]
+assert main(["simulate", "--n", "3", "--failure-fraction", "0.34", "--out", out + "/corpus"]) == 0
+assert loaded() == [], loaded()
+assert main(["report", "--in", out + "/report.json", "--plot-data", "error_vs_mse",
+             "--out", out + "/error_vs_mse.csv"]) == 0
+assert loaded() == [], loaded()
+"""
+        _in_fresh_python(code, tmp_path)
+
+    def test_a_fit_loads_scipy_and_keeps_the_solver_bindings(self):
+        code = """
+import numpy as np
+import stemfit
+from stemfit import solver
+minimize, nnls = solver._scipy_minimize, solver.nnls
+record = stemfit.generate_trial(stemfit.SimConfig(), np.random.default_rng(3), "t")
+stemfit.fit(stemfit.bias_compensate(record.trial))
+assert "scipy.optimize" in loaded(), loaded()
+assert solver._scipy_minimize is minimize and solver.nnls is nnls
+"""
+        _in_fresh_python(code)
+
+    def test_a_jobs_1_batch_loads_scipy_in_its_first_fit(self, corpus_dir):
+        code = """
+from stemfit import batch
+fit, at_entry = batch.fit, []
+
+def recorded(*args, **kwargs):
+    at_entry.append(loaded())
+    return fit(*args, **kwargs)
+
+batch.fit = recorded
+batch.run_batch(sys.argv[1], jobs=1)
+assert at_entry[0] == [] and "scipy.optimize" in at_entry[1], at_entry[:2]
+"""
+        _in_fresh_python(code, corpus_dir)
+
+    def test_a_jobs_2_batch_loads_scipy_in_the_parent(self, corpus_dir):
+        code = """
+import stemfit
+stemfit.run_batch(sys.argv[1], jobs=2)
+assert "scipy.optimize" in loaded(), loaded()
+"""
+        _in_fresh_python(code, corpus_dir)

@@ -203,7 +203,7 @@ class TestFitRecovery:
 def blas_thread_fits(trial):
     """The estimate, MSE and iterations of ``trial``'s fit with scipy's
     OpenBLAS set to one thread, and to two."""
-    get, put = solver._BLAS_THREADS
+    get, put = solver._blas_threads()
     before = get()
     results = []
     try:
@@ -241,7 +241,7 @@ class TestFitContracts:
         assert a.final_mse == b.final_mse
         assert a.iterations_total == b.iterations_total
 
-    @pytest.mark.skipif(solver._BLAS_THREADS is None, reason="scipy links no OpenBLAS")
+    @pytest.mark.skipif(solver._blas_threads() is None, reason="scipy links no OpenBLAS")
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # a fit runs on one OpenBLAS thread whatever is set
         one, two = blas_thread_fits(trial_showing(depends_on_the_blas_thread_count))
