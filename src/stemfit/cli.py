@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit a single trial file")
-    p_fit.add_argument("--trial", required=True, help="trial JSON file")
+    p_fit.add_argument("--trial", required=True, help="trial file (.trial, or a v1/v2 .json)")
     p_fit.add_argument(
         "--no-bias-compensation",
         action="store_true",

@@ -1,18 +1,18 @@
 """Trial and corpus file formats.
 
-A trial file is one JSON document with an explicit schema version, byte for
-byte what ``dump_json`` writes for it, like every other stemfit file.
-``save_trial`` writes schema version 2: the head keys (``id``, ``label``,
-``spring``, ``grasp_point``, optional ``ground_truth``) as plain JSON, and
-under ``columns`` each sample column (``t``, ``translation``,
-``rotation_wxyz``, ``force``, ``torque``) as the RFC 4648 base64 text of its
-row-major little-endian float64 bytes, so save/load is bit-exact and no
-number is formatted or parsed as decimal text. JSON escapes no character of
-the base64 alphabet and ``columns`` sorts before every head key, so the
-writer puts the base64 bytes in place in front of ``dump_json``'s text of
-the head instead of having ``json`` copy them. ``load_trial`` also reads
-the legacy version 1, one object per sample with decimal numbers, which is
-what a hand-written or externally recorded file may still be. A corpus is a
+``save_trial`` writes schema version 3, a ``.trial`` file: the head keys
+(``schema_version``, ``id``, ``label``, ``spring``, ``grasp_point``,
+optional ``ground_truth``, and ``sample_count`` n) as ``dump_json`` text,
+one NUL byte, which no JSON text holds, and then the sample columns
+(``t``, ``translation``, ``rotation_wxyz``, ``force``, ``torque``, in
+``COLUMN_WIDTHS`` order) as row-major little-endian float64 bytes, 112 per
+sample. Save/load is bit-exact, and no number is formatted or parsed as
+decimal text: the writer joins the column buffers, and the reader hands
+``SampleColumns`` views of the bytes it read.
+``load_trial`` also reads the two JSON versions that stemfit wrote before:
+version 2 holds each column as the base64 text of the same bytes, and
+version 1 one object per sample with decimal numbers, which is what a
+hand-written or externally recorded file may still be. A corpus is a
 directory of trial files plus ``manifest.json`` listing ids, labels, the
 generation seed, and a digest of the generating configuration. All writes
 go through one temp-file-then-rename step, which takes the file's bytes:
@@ -21,7 +21,7 @@ before any temp file exists.
 """
 
 import base64
-import binascii
+import functools
 import hashlib
 import json
 import os
@@ -35,9 +35,11 @@ from .errors import ParseError, ValidationError
 from .geometry import Vec3, _quaternion_norms, finite_numbers
 from .spring_model import COLUMN_WIDTHS, Label, SampleColumns, SpringParams, Trial
 
-TRIAL_SCHEMA_VERSION = 2
+TRIAL_SCHEMA_VERSION = 3
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+# one sample of a v3 body: a float64 per entry of each column
+SAMPLE_BYTES = 8 * sum(width or 1 for width in COLUMN_WIDTHS.values())
 
 # the longest file name, in bytes, that common file systems take
 NAME_MAX = 255
@@ -77,12 +79,17 @@ def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _parse_json(data: bytes, source: str):
+    """Parse UTF-8 JSON ``data``; undecodable or malformed bytes raise ParseError."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # decode, syntax, or size/depth limits
+        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
+
+
 def read_json(path):
     """Parse a UTF-8 JSON file; undecodable or malformed contents raise ParseError."""
-    try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # decode, syntax, or size/depth limits
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    return _parse_json(Path(path).read_bytes(), path)
 
 
 def dump_json(data) -> str:
@@ -111,14 +118,14 @@ def _vec(v: Vec3) -> list:
 
 
 def _head(trial: Trial) -> dict:
-    """The keys of a trial's v2 document other than ``columns``; each sorts
-    after ``columns``."""
+    """The JSON head of a trial's v3 file."""
     doc = {
         "schema_version": TRIAL_SCHEMA_VERSION,
         "id": trial.id,
         "label": trial.label.value,
         "spring": {"k": trial.spring.k, "l": trial.spring.l},
         "grasp_point": _vec(trial.grasp_point),
+        "sample_count": len(trial.samples),
     }
     if trial.ground_truth is not None:
         doc["ground_truth"] = _vec(trial.ground_truth)
@@ -210,25 +217,54 @@ def _v2_columns(doc: dict, source: str) -> dict:
     return columns
 
 
-def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
-    """Build a trial from a parsed v1 or v2 document: the head, then the
-    columns, go into the types that check them (``SpringParams``, ``Vec3``,
+def _v3_columns(doc: dict, source: str, *, body) -> dict:
+    """The sample columns of a v3 file from ``body``, the bytes after its
+    head: ``sample_count`` rows of each column in ``COLUMN_WIDTHS`` order,
+    as row-major little-endian float64 bytes, and nothing else."""
+    n = doc["sample_count"]
+    if type(n) is not int or n < 0:  # a JSON true is a bool, not an int
+        raise ValidationError(f"{source}: sample_count must be a non-negative integer, got {n!r}")
+    if len(body) != SAMPLE_BYTES * n:
+        raise ValidationError(
+            f"{source}: expected {SAMPLE_BYTES * n} column bytes for {n} samples "
+            f"after the head, got {len(body)}"
+        )
+    columns, offset = {}, 0
+    for name, width in COLUMN_WIDTHS.items():
+        shape = (n,) if width is None else (n, width)
+        columns[name] = np.frombuffer(body, "<f8", n * (width or 1), offset).reshape(shape)
+        offset += columns[name].nbytes
+    return columns
+
+
+def trial_from_dict(doc: dict, source: str = "<memory>", body=None) -> Trial:
+    """Build a trial from a parsed v1 or v2 document, or from a v3 head and
+    ``body``, the bytes that follow its NUL: the head, then the columns, go
+    into the types that check them (``SpringParams``, ``Vec3``,
     ``SampleColumns``, ``Trial``), and any defect is a ValidationError
     naming ``source`` and the field."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{source}: trial document must be a JSON object")
     version = doc.get("schema_version")
-    if version == 1 and version is not True:  # JSON true equals 1 in Python
-        body, read_columns = "samples", _v1_columns
-    elif version == 2:
-        body, read_columns = "columns", _v2_columns
-    else:
+    if version is True or version not in (1, 2, 3):  # JSON true equals 1 in Python
         raise ValidationError(
-            f"{source}: unsupported schema_version {version!r} (expected 1 or 2)"
+            f"{source}: unsupported schema_version {version!r} (expected 1, 2 or 3)"
         )
-    for field in ("id", "label", "spring", "grasp_point", body):
-        if field not in doc:
-            raise ValidationError(f"{source}: missing required field '{field}'")
+    if version == 3:
+        if body is None:
+            raise ValidationError(
+                f"{source}: a schema_version 3 head must be followed by a NUL byte and its columns"
+            )
+        field, read_columns = "sample_count", functools.partial(_v3_columns, body=body)
+    elif body is not None:
+        raise ValidationError(
+            f"{source}: a schema_version {version!r} document must not be followed by binary bytes"
+        )
+    else:
+        field, read_columns = ("samples", _v1_columns) if version == 1 else ("columns", _v2_columns)
+    for name in ("id", "label", "spring", "grasp_point", field):
+        if name not in doc:
+            raise ValidationError(f"{source}: missing required field '{name}'")
     try:
         label = Label(doc["label"])
     except ValueError:
@@ -256,33 +292,32 @@ def trial_from_dict(doc: dict, source: str = "<memory>") -> Trial:
 
 
 def save_trial(trial: Trial, path):
-    """Write ``trial`` as a v2 document, byte for byte ``dump_json`` of it:
-    ``columns``, the first key in sorted order, at ``dump_json``'s
-    indentation in front of its text of the head. Each column goes in, in
-    sorted name order, as the base64 bytes ``b2a_base64`` writes from the
-    column's buffer rather than text that ``json`` copies; JSON escapes no
-    character of that alphabet."""
+    """Write ``trial`` as a v3 file: ``dump_json`` of its head, a NUL byte,
+    and the bytes of its columns, joined from the column buffers."""
     s = trial.samples
-    parts = [b'{\n  "columns": {\n']
-    for name in sorted(COLUMN_WIDTHS):
-        encoded = binascii.b2a_base64(getattr(s, name).astype("<f8", copy=False), newline=False)
-        parts += (b'    "', name.encode(), b'": "', encoded, b'",\n')
-    parts[-1] = b'"\n  },\n'
-    parts.append(dump_json(_head(trial)).encode()[2:])  # without the head's "{\n"
+    parts = [dump_json(_head(trial)).encode(), b"\0"]
+    parts += (getattr(s, name).astype("<f8", copy=False) for name in COLUMN_WIDTHS)
     atomic_write_bytes(path, b"".join(parts))
 
 
 def load_trial(path) -> Trial:
-    return trial_from_dict(read_json(path), source=str(path))
+    """Read a trial file: a v3 file if it holds a NUL byte, which ends its
+    JSON head, else a v1 or v2 JSON document."""
+    data = Path(path).read_bytes()
+    end = data.find(b"\0")
+    if end < 0:
+        return trial_from_dict(_parse_json(data, path), source=str(path))
+    head = _parse_json(data[:end], path)
+    return trial_from_dict(head, source=str(path), body=memoryview(data)[end + 1 :])
 
 
 def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: int | None = None):
     """Write trials plus a manifest into ``out_dir`` (created if needed).
 
-    Each trial goes to ``<id>.json``. The manifest entries pass
+    Each trial goes to ``<id>.trial``. The manifest entries pass
     ``load_manifest``'s checks, and each id must be a plain file name (not
-    empty, ``.`` or ``..``, without a path separator or NUL, and not naming
-    the manifest) that the file system can take: ``<id>.json`` must encode
+    empty, ``.`` or ``..``, and without a path separator or NUL) that the
+    file system can take: ``<id>.trial`` must encode
     to file-system bytes, and the temp name ``atomic_write_bytes`` writes it
     through must fit in ``NAME_MAX`` bytes. The manifest, ``seed`` and
     ``sim_config_dict`` included, must hold no NaN or infinity. All of this
@@ -292,21 +327,16 @@ def save_corpus(trials, out_dir, *, sim_config_dict: dict | None = None, seed: i
     manifest_path = out_dir / MANIFEST_NAME
     trials = list(trials)
     entries = [
-        {"id": trial.id, "label": trial.label.value, "file": f"{trial.id}.json"}
+        {"id": trial.id, "label": trial.label.value, "file": f"{trial.id}.trial"}
         for trial in trials
     ]
     _check_entries(entries, str(manifest_path))
     for i, entry in enumerate(entries):
         trial_id = entry["id"]
-        if (
-            trial_id in ("", ".", "..")
-            or any(sep in trial_id for sep in ("/", os.sep, "\0"))
-            or entry["file"] == MANIFEST_NAME
-        ):
+        if trial_id in ("", ".", "..") or any(sep in trial_id for sep in ("/", os.sep, "\0")):
             raise ValidationError(
                 f"{manifest_path}: trials[{i}]: id {trial_id!r} is not a plain file "
-                f"name (an id may not be empty, '.' or '..', hold a path separator "
-                f"or NUL, or name {MANIFEST_NAME})"
+                f"name (an id may not be empty, '.' or '..', or hold a path separator or NUL)"
             )
         try:
             fits = len(os.fsencode(_temp_name(entry["file"]))) <= NAME_MAX

@@ -4,14 +4,15 @@ per-sample pose and wrench mappings behind its stacked (columnar)
 computations, the row-wise (n, 3) model formulas behind its columnar model
 kernels, the per-row column checks behind ``Trial``'s whole-array passes,
 the one-quaternion rotation stacks behind the first pose and
-``UnitQuaternion.rotation_matrix``, the v1 and v2 trial documents behind its
-trial-file reader and writer, and the whole-window, row-by-row pull and the
-trial-by-trial corpus behind the simulator's prefix evaluation and
-row-parallel equilibrium solve. The solver tests' fit recorder and their
+``UnitQuaternion.rotation_matrix``, the v1, v2 and v3 trial files behind its
+trial-file reader and writer (and the corpora stemfit wrote before version
+3), and the whole-window, row-by-row pull and the trial-by-trial corpus
+behind the simulator's prefix evaluation and row-parallel equilibrium solve. The solver tests' fit recorder and their
 trial finder close the file."""
 
 import base64
 import functools
+import json
 import math
 import struct
 from dataclasses import replace
@@ -47,7 +48,7 @@ from stemfit.spring_model import (
     TrialArrays,
     bias_compensate,
 )
-from stemfit.trial_io import dump_json
+from stemfit.trial_io import MANIFEST_NAME, config_digest, dump_json, load_manifest
 
 
 def random_unit_quaternion(rng) -> UnitQuaternion:
@@ -505,6 +506,67 @@ def trial_to_v2_dict(trial: Trial) -> dict:
         for name in ("t", "translation", "rotation_wxyz", "force", "torque")
     }
     return doc
+
+
+def v2_bytes(trial: Trial) -> bytes:
+    """A v2 trial file: ``dump_json`` of its v2 document, byte for byte what
+    ``save_trial`` wrote before schema version 3."""
+    return dump_json(trial_to_v2_dict(trial)).encode()
+
+
+def v3_file(head: dict, columns: dict) -> bytes:
+    """A v3 trial file: ``dump_json`` of ``head`` as given, a NUL byte, then
+    the sample ``columns`` (name → array) in ``COLUMN_WIDTHS`` order, each
+    value packed one by one as a little-endian double."""
+    values = [v for name in COLUMN_WIDTHS for v in np.ravel(columns[name]).tolist()]
+    return dump_json(head).encode() + b"\0" + struct.pack(f"<{len(values)}d", *values)
+
+
+def v3_bytes(trial: Trial) -> bytes:
+    """What ``save_trial`` writes for ``trial``: the v1 head at schema
+    version 3 with ``sample_count``, then the columns, built value by value."""
+    s = trial.samples
+    head = {**_head(trial, 3), "sample_count": len(s)}
+    return v3_file(head, {name: getattr(s, name) for name in COLUMN_WIDTHS})
+
+
+def split_v3(data: bytes) -> tuple:
+    """The parsed head and the body bytes of the v3 file ``data``."""
+    head, body = data.split(b"\0", 1)
+    return json.loads(head), body
+
+
+def edit_v3_head(path, edit):
+    """Rewrite the head of the v3 file at ``path`` as ``edit`` changes it."""
+    head, body = split_v3(path.read_bytes())
+    edit(head)
+    path.write_bytes(dump_json(head).encode() + b"\0" + body)
+
+
+def save_json_corpus(trials, out, version: int, *, sim_config_dict=None, seed=None):
+    """A corpus of JSON trial files as stemfit wrote them before schema
+    version 3: each trial as ``<id>.json`` holding its v1 or v2 file, and
+    the manifest ``save_corpus`` writes, listing those files."""
+    out.mkdir(parents=True)
+    entries = []
+    for trial in trials:
+        entries.append({"id": trial.id, "label": trial.label.value, "file": f"{trial.id}.json"})
+        data = v1_text(trial).encode() if version == 1 else v2_bytes(trial)
+        (out / entries[-1]["file"]).write_bytes(data)
+    manifest = {
+        "schema_version": 1,
+        "seed": seed,
+        "sim_config": sim_config_dict,
+        "config_digest": config_digest(sim_config_dict or {}),
+        "trials": entries,
+    }
+    (out / MANIFEST_NAME).write_text(dump_json(manifest))
+
+
+def corpus_files(corpus) -> dict:
+    """Each trial id of the corpus at ``corpus`` → the path of its file, as
+    the manifest names it."""
+    return {entry["id"]: corpus / entry["file"] for entry in load_manifest(corpus)["trials"]}
 
 
 def columns(t, translation=None, rotation_wxyz=None, force=None, torque=None) -> SampleColumns:

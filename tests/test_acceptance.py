@@ -28,6 +28,7 @@ from stemfit.spring_model import (
 )
 from stemfit.trial_io import load_trial, save_corpus
 
+from conftest import corpus_files
 from test_solver import heavy_violation_trial
 
 
@@ -189,9 +190,10 @@ def test_criterion_05_constraint_satisfaction(
         if result.converged:
             pairs.append((trial, result.r_o_hat))
     report, _ = mixed_report
+    files = corpus_files(mixed_corpus_dir)
     for row in report["per_trial"]:
         if row["status"] == "ok" and row["converged"]:
-            trial = load_trial(mixed_corpus_dir / f"{row['id']}.json")
+            trial = load_trial(files[row["id"]])
             pairs.append((trial, Vec3.from_array(row["r_o_hat"])))
     assert len(pairs) >= 300
     worst = -math.inf

@@ -1,4 +1,3 @@
-import base64
 import csv
 import json
 import math
@@ -35,10 +34,19 @@ from stemfit.evaluation import orientation_error, summarize, welch_t_test
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
 from stemfit.solver import FitResult
-from stemfit.spring_model import SpringParams, apple_position_world
+from stemfit.spring_model import COLUMN_WIDTHS, SpringParams, apple_position_world
 from stemfit.trial_io import MANIFEST_NAME, load_trial, save_corpus
 
-from conftest import encode_column, pull_trial, trial_to_dict
+from conftest import (
+    corpus_files,
+    edit_v3_head,
+    encode_column,
+    pull_trial,
+    split_v3,
+    trial_to_dict,
+    trial_to_v2_dict,
+    v3_file,
+)
 
 
 def _as_v1(path, edit):
@@ -49,12 +57,21 @@ def _as_v1(path, edit):
 
 
 def _in_column(path, name, row, values):
-    """Overwrite one row of one encoded column of the v2 file at ``path``."""
-    doc = json.loads(path.read_text())
-    width = {"t": 1, "rotation_wxyz": 4}.get(name, 3)
-    raw = base64.b64decode(doc["columns"][name])
-    column = np.frombuffer(raw, "<f8").reshape(-1, width).copy()
+    """Overwrite one row of one column of the v3 file at ``path``."""
+    head, _ = split_v3(path.read_bytes())
+    samples = load_trial(path).samples
+    columns = {column: getattr(samples, column).copy() for column in COLUMN_WIDTHS}
+    columns[name][row] = values
+    path.write_bytes(v3_file(head, columns))
+
+
+def _in_v2_column(path, name, row, values):
+    """Rewrite the trial file at ``path`` as its v2 document, with one row of
+    one encoded column overwritten."""
+    trial = load_trial(path)
+    column = getattr(trial.samples, name).copy()
     column[row] = values
+    doc = trial_to_v2_dict(trial)
     doc["columns"][name] = encode_column(column)
     path.write_text(json.dumps(doc))
 
@@ -96,6 +113,10 @@ def _overflowing_translation(path):
 
 
 def _overflowing_translation_v2(path):
+    _in_v2_column(path, "translation", 1, [1.34078079e154, 0.0, 0.0])
+
+
+def _overflowing_translation_v3(path):
     _in_column(path, "translation", 1, [1.34078079e154, 0.0, 0.0])
 
 
@@ -109,10 +130,14 @@ def _huge_quaternion(path):
 
 
 def _huge_quaternion_v2(path):
+    _in_v2_column(path, "rotation_wxyz", 1, [1e200, 0.0, 0.0, 0.0])
+
+
+def _huge_quaternion_v3(path):
     _in_column(path, "rotation_wxyz", 1, [1e200, 0.0, 0.0, 0.0])
 
 
-HUGE_QUATERNIONS = {"v1": _huge_quaternion, "v2": _huge_quaternion_v2}
+HUGE_QUATERNIONS = {"v1": _huge_quaternion, "v2": _huge_quaternion_v2, "v3": _huge_quaternion_v3}
 
 
 def _fresh_python(*args):
@@ -400,11 +425,9 @@ class TestRunBatch:
         # 1e-13 m is a positive distance, so the trial loads, but too short a
         # ray for angle_between
         out = _small_corpus(tmp_path / "c", seed=9, n=2)
-        path = out / "trial_000.json"
+        path = corpus_files(out)["trial_000"]
         r_a0 = apple_position_world(load_trial(path))
-        doc = json.loads(path.read_text())
-        doc["ground_truth"] = [r_a0.x + 1e-13, r_a0.y, r_a0.z]
-        path.write_text(json.dumps(doc))
+        edit_v3_head(path, lambda head: head.update(ground_truth=[r_a0.x + 1e-13, r_a0.y, r_a0.z]))
         trial = load_trial(path)
         with pytest.raises(DegenerateInputError, match="angle_between needs nonzero vectors"):
             orientation_error(r_a0 + Vec3(0.1, 0.0, 0.0), trial.ground_truth, r_a0)
@@ -438,7 +461,7 @@ class TestRunBatch:
         records = generate_corpus(cfg, 3, 0.0)
         out = tmp_path / "c"
         save_corpus([r.trial for r in records], out, sim_config_dict=cfg.to_dict(), seed=7)
-        (out / "trial_001.json").write_text("{broken")
+        (corpus_files(out)["trial_001"]).write_text("{broken")
         report = run_batch(out)
         assert report["counts"]["fitted"] == 2
         assert report["counts"]["failed"] == 1
@@ -453,7 +476,7 @@ class TestRunBatch:
 
     def _one_overflow_error_row(self, tmp_path, corrupt):
         out = _small_corpus(tmp_path / "c", seed=7, n=2)
-        corrupt(out / "trial_001.json")
+        corrupt(corpus_files(out)["trial_001"])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = run_batch(out)
@@ -470,10 +493,13 @@ class TestRunBatch:
     def test_overflowing_v2_trial_gives_one_error_row(self, tmp_path):
         self._one_overflow_error_row(tmp_path, _overflowing_translation_v2)
 
+    def test_overflowing_v3_trial_gives_one_error_row(self, tmp_path):
+        self._one_overflow_error_row(tmp_path, _overflowing_translation_v3)
+
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_unreadable_trial_gives_one_error_row(self, tmp_path, corruption):
         out = _small_corpus(tmp_path / "c", seed=7)
-        CORRUPTIONS[corruption](out / "trial_001.json")
+        CORRUPTIONS[corruption](corpus_files(out)["trial_001"])
         report = run_batch(out)
         statuses = {r["id"]: r["status"] for r in report["per_trial"]}
         assert [i for i, status in statuses.items() if status != "ok"] == ["trial_001"]
@@ -482,7 +508,7 @@ class TestRunBatch:
     @pytest.mark.parametrize("version", sorted(HUGE_QUATERNIONS))
     def test_huge_quaternion_gives_one_error_row(self, tmp_path, version):
         out = _small_corpus(tmp_path / "c", seed=7, n=2)
-        HUGE_QUATERNIONS[version](out / "trial_001.json")
+        HUGE_QUATERNIONS[version](corpus_files(out)["trial_001"])
         report = run_batch(out)  # a RuntimeWarning fails the suite
         status = {r["id"]: r["status"] for r in report["per_trial"]}["trial_001"]
         assert status.startswith("error: ")
@@ -495,7 +521,7 @@ class TestRunBatch:
             doc["samples"][0]["wrench"]["force"][0] = 1.7e308
             doc["samples"][1]["wrench"]["force"][0] = -1.7e308
 
-        _as_v1(out / "trial_001.json", edit)
+        _as_v1(corpus_files(out)["trial_001"], edit)
         report = run_batch(out)
         status = {r["id"]: r["status"] for r in report["per_trial"]}["trial_001"]
         assert status.startswith("error: ") and "bias compensation overflows" in status
@@ -553,7 +579,7 @@ class TestReportFiles:
 
     def test_written_report_with_error_rows_loads(self, tmp_path):
         out = _small_corpus(tmp_path / "c", seed=7, n=2)
-        (out / "trial_001.json").write_text("{broken")
+        (corpus_files(out)["trial_001"]).write_text("{broken")
         report = run_batch(out, include_timing=True)
         save_report(report, tmp_path / "r.json")
         assert load_report(tmp_path / "r.json") == report
@@ -647,10 +673,8 @@ class TestCli:
         # squared variances to a NaN p-value, which a report cannot hold
         out = tmp_path / "c"
         save_corpus([r.trial for r in generate_corpus(SimConfig(seed=5), 4, 0.5)], out)
-        for i, path in enumerate(sorted(out.glob("trial_*.json"))):
-            doc = json.loads(path.read_text())
-            doc["ground_truth"] = [1e80 * (i + 1), 0.0, 0.0]
-            path.write_text(json.dumps(doc))
+        for i, path in enumerate(corpus_files(out).values()):
+            edit_v3_head(path, lambda head: head.update(ground_truth=[1e80 * (i + 1), 0.0, 0.0]))
         report = tmp_path / "r.json"
         assert main(["batch", "--corpus", str(out), "--report", str(report)]) == 0
         loaded = load_report(report)
@@ -664,10 +688,10 @@ class TestCli:
         out = tmp_path / "c"
         args = ["--n", "4", "--failure-fraction", "0.5", "--seed", "5", "--out", str(out)]
         assert main(["simulate", *args]) == 0
+        files = corpus_files(out)
         for source, copy in (("trial_000", "trial_001"), ("trial_002", "trial_003")):
-            doc = json.loads((out / f"{source}.json").read_text())
-            doc["id"] = copy
-            (out / f"{copy}.json").write_text(json.dumps(doc))
+            files[copy].write_bytes(files[source].read_bytes())
+            edit_v3_head(files[copy], lambda head: head.update(id=copy))
         report = tmp_path / "r.json"
         assert main(["batch", "--corpus", str(out), "--report", str(report)]) == 0
         capsys.readouterr()
@@ -682,7 +706,7 @@ class TestCli:
         cfg = replace(SimConfig(), noise_sigma=0.0, seed=9)
         records = generate_corpus(cfg, 2, 0.0)
         save_corpus([r.trial for r in records], corpus, sim_config_dict=cfg.to_dict(), seed=9)
-        trial_file = corpus / "trial_000.json"
+        trial_file = corpus_files(corpus)["trial_000"]
         assert main(["fit", "--trial", str(trial_file)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is True
@@ -697,7 +721,7 @@ class TestCli:
         assert set(doc) == result_fields | {"trial_id"}
 
     def test_fit_runtime_only_with_timing(self, tmp_path, capsys):
-        trial_file = _small_corpus(tmp_path / "c", seed=9, n=1) / "trial_000.json"
+        trial_file = corpus_files(_small_corpus(tmp_path / "c", seed=9, n=1))["trial_000"]
         outputs = []
         for _ in range(2):
             assert main(["fit", "--trial", str(trial_file)]) == 0
@@ -715,7 +739,7 @@ class TestCli:
         cfg = replace(SimConfig(), noise_sigma=0.1, seed=13)
         records = generate_corpus(cfg, 2, 0.0)
         save_corpus([r.trial for r in records], corpus, sim_config_dict=cfg.to_dict(), seed=13)
-        trial_file = corpus / "trial_000.json"
+        trial_file = corpus_files(corpus)["trial_000"]
         code_default = main(["fit", "--trial", str(trial_file)])
         out_default = json.loads(capsys.readouterr().out)
         code_raw = main(["fit", "--trial", str(trial_file), "--no-bias-compensation"])
@@ -731,7 +755,7 @@ class TestCli:
         solver_path = tmp_path / "solver.json"
         solver_path.write_text(json.dumps({"max_iterations_per_run": 1}))
         code = main([
-            "fit", "--trial", str(corpus / "trial_000.json"),
+            "fit", "--trial", str(corpus_files(corpus)["trial_000"]),
             "--solver-config", str(solver_path),
         ])
         capsys.readouterr()
@@ -747,19 +771,19 @@ class TestCli:
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_fit_unreadable_trial_exits_1(self, tmp_path, capsys, corruption):
         out = _small_corpus(tmp_path / "c", seed=9, n=1)
-        CORRUPTIONS[corruption](out / "trial_000.json")
-        assert main(["fit", "--trial", str(out / "trial_000.json")]) == 1
+        CORRUPTIONS[corruption](corpus_files(out)["trial_000"])
+        assert main(["fit", "--trial", str(corpus_files(out)["trial_000"])]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
     def _fit_fails_cleanly(self, tmp_path, capsys, corrupt):
         out = _small_corpus(tmp_path / "c", seed=7, n=1)
-        corrupt(out / "trial_000.json")
-        assert main(["fit", "--trial", str(out / "trial_000.json")]) == 2
+        corrupt(corpus_files(out)["trial_000"])
+        assert main(["fit", "--trial", str(corpus_files(out)["trial_000"])]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("fit failed: ") and "Traceback" not in captured.err
-        run = _stemfit_cli("fit", "--trial", out / "trial_000.json")
+        run = _stemfit_cli("fit", "--trial", corpus_files(out)["trial_000"])
         assert run.returncode == 2
         assert run.stderr.startswith("fit failed: ") and "RuntimeWarning" not in run.stderr
 
@@ -769,13 +793,16 @@ class TestCli:
     def test_fit_overflowing_v2_trial_fails_cleanly(self, tmp_path, capsys):
         self._fit_fails_cleanly(tmp_path, capsys, _overflowing_translation_v2)
 
+    def test_fit_overflowing_v3_trial_fails_cleanly(self, tmp_path, capsys):
+        self._fit_fails_cleanly(tmp_path, capsys, _overflowing_translation_v3)
+
     @pytest.mark.parametrize("version", sorted(HUGE_QUATERNIONS))
     def test_fit_huge_quaternion_exits_1_without_a_warning(self, tmp_path, capsys, version):
         out = _small_corpus(tmp_path / "c", seed=9, n=1)
-        HUGE_QUATERNIONS[version](out / "trial_000.json")
-        assert main(["fit", "--trial", str(out / "trial_000.json")]) == 1
+        HUGE_QUATERNIONS[version](corpus_files(out)["trial_000"])
+        assert main(["fit", "--trial", str(corpus_files(out)["trial_000"])]) == 1
         capsys.readouterr()
-        run = _stemfit_cli("fit", "--trial", out / "trial_000.json")
+        run = _stemfit_cli("fit", "--trial", corpus_files(out)["trial_000"])
         assert run.returncode == 1
         assert run.stderr.startswith("error: ") and "quaternion norm inf" in run.stderr
         assert "Warning" not in run.stderr
@@ -826,7 +853,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(BAD_SOLVER_CONFIGS))
     def test_bad_solver_config_exits_1(self, tmp_path, capsys, case):
-        trial = _small_corpus(tmp_path / "c", seed=9, n=1) / "trial_000.json"
+        trial = corpus_files(_small_corpus(tmp_path / "c", seed=9, n=1))["trial_000"]
         config = tmp_path / "solver.json"
         config.write_text(BAD_SOLVER_CONFIGS[case])
         assert main(["fit", "--trial", str(trial), "--solver-config", str(config)]) == 1
@@ -862,7 +889,7 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(NON_FINITE_MANIFESTS))
     def test_non_finite_manifest_exits_1(self, tmp_path, capsys, monkeypatch, case):
         out = _small_corpus(tmp_path / "c", seed=9, n=2)
-        (out / "trial_001.json").write_text("{broken")
+        (corpus_files(out)["trial_001"]).write_text("{broken")
         manifest = json.loads((out / MANIFEST_NAME).read_text())
         NON_FINITE_MANIFESTS[case](manifest)
         (out / MANIFEST_NAME).write_text(json.dumps(manifest))

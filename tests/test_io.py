@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from stemfit.batch import run_batch
 from stemfit.cli import main
-from stemfit.errors import ParseError, ValidationError
+from stemfit.errors import ParseError, StemfitError, ValidationError
 from stemfit.simulator import SimConfig, generate_corpus, generate_trial
 from stemfit.geometry import Vec3
 from stemfit.spring_model import Label, SampleColumns, SpringParams, Trial
@@ -33,11 +33,17 @@ from stemfit.trial_io import (
 
 from conftest import (
     columns,
+    corpus_files,
     encode_column,
     pull_trial,
+    save_json_corpus,
+    split_v3,
     trial_to_dict,
     trial_to_v2_dict,
     v1_text,
+    v2_bytes,
+    v3_bytes,
+    v3_file,
 )
 
 
@@ -83,14 +89,9 @@ class TestTrialRoundTrip:
         assert len(load_trial(path).samples) == 2
 
 
-def json_text(trial) -> bytes:
-    """What a trial file must hold: its v2 document as ``dump_json`` writes it."""
-    return dump_json(trial_to_v2_dict(trial)).encode()
-
-
 def written(trial) -> bytes:
     with tempfile.TemporaryDirectory() as work:
-        path = Path(work) / "t.json"
+        path = Path(work) / "t.trial"
         save_trial(trial, path)
         return path.read_bytes()
 
@@ -103,25 +104,39 @@ def bits(trial) -> dict:
     return {name: getattr(trial.samples, name).view(np.uint64) for name in COLUMNS}
 
 
-def loaded_from(text: str) -> Trial:
+def loaded_from(data) -> Trial:
+    """The trial loaded from a file holding ``data``: bytes, or a text
+    written as UTF-8."""
     with tempfile.TemporaryDirectory() as work:
-        path = Path(work) / "t.json"
-        path.write_text(text)
+        path = Path(work) / "t.trial"
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
         return load_trial(path)
 
 
 def assert_loads_bit_exact(trial):
-    """Saved as v2, ``trial`` loads to the bits it holds and to the bits its
-    v1 document loads to; quaternions are compared with v1 only, because
-    both readers normalize them."""
-    from_v2 = loaded_from(written(trial).decode())
+    """Saved as v3, ``trial`` loads to the bits it holds and to the bits its
+    v2 file and its v1 document load to; quaternions are compared with v2
+    and v1 only, because every reader normalizes them."""
+    saved = written(trial)
+    from_v3 = loaded_from(saved)
+    from_v2 = loaded_from(v2_bytes(trial))
     from_v1 = loaded_from(v1_text(trial))
-    original, v2, v1 = bits(trial), bits(from_v2), bits(from_v1)
+    original, v3, v2, v1 = bits(trial), bits(from_v3), bits(from_v2), bits(from_v1)
     for name in COLUMNS:
-        np.testing.assert_array_equal(v2[name], v1[name])
+        np.testing.assert_array_equal(v3[name], v2[name])
+        np.testing.assert_array_equal(v3[name], v1[name])
         if name != "rotation_wxyz":
-            np.testing.assert_array_equal(v2[name], original[name])
-    assert trial_to_dict(from_v2) == trial_to_dict(from_v1)
+            np.testing.assert_array_equal(v3[name], original[name])
+    assert trial_to_dict(from_v3) == trial_to_dict(from_v2) == trial_to_dict(from_v1)
+    # a loaded trial saves to bytes that load and save to themselves; those
+    # are the first save's unless the load renormalized a quaternion
+    resaved = written(from_v3)
+    assert written(loaded_from(resaved)) == resaved
+    if np.array_equal(v3["rotation_wxyz"], original["rotation_wxyz"]):
+        assert resaved == saved
 
 
 # floats whose shortest repr takes each of its forms: signed zero, subnormal,
@@ -153,15 +168,16 @@ def special_trial(trial_id="special", ground_truth=None) -> Trial:
 
 
 class TestTrialFileBytes:
-    """A trial file is byte for byte ``dump_json`` of its v2 trial document,
-    whose columns hold each value's little-endian float64 bytes."""
+    """A trial file is byte for byte ``dump_json`` of its v3 head, a NUL
+    byte, and each column's values as little-endian float64 bytes."""
 
     def test_generated_corpus_files(self, tmp_path):
         cfg = replace(SimConfig(), noise_sigma=0.05, seed=31)
         records = generate_corpus(cfg, 6, 0.5)
         assert {r.trial.label for r in records} == {Label.SUCCESS, Label.FAILURE}
         # a slow rigid pull of 2,001 samples, as in the rigid-2000 benchmark, and
-        # its first 2,000 and 1,999: the base64 of t ends in "", "==" and "="
+        # its first 2,000 and 1,999: the base64 of t in their v2 files ends in
+        # "", "==" and "=", and the v2 reader takes each
         slow = sim_trial(seed=2, pull_speed=5.0 / 632.0 / 4.0)
         assert len(slow.samples) == 2001
         prefixes = [
@@ -182,25 +198,32 @@ class TestTrialFileBytes:
         )
         trials = [r.trial for r in records] + prefixes + [transposed]
         save_corpus(trials, tmp_path, sim_config_dict=cfg.to_dict(), seed=31)
+        files = corpus_files(tmp_path)
         for trial in trials:
-            path = tmp_path / f"{trial.id}.json"
-            assert path.read_bytes() == json_text(trial)
-        endings = [json.loads(json_text(t))["columns"]["t"][-2:] for t in prefixes]
+            path = files[trial.id]
+            assert path.name == f"{trial.id}.trial"
+            assert path.read_bytes() == v3_bytes(trial)
+            assert len(split_v3(path.read_bytes())[1]) == 112 * len(trial.samples)
+        endings = [json.loads(v2_bytes(t))["columns"]["t"][-2:] for t in prefixes]
         assert [e.count("=") for e in endings] == [0, 2, 1]
+        for trial in prefixes:
+            from_v2 = bits(loaded_from(v2_bytes(trial)))
+            for name, column in bits(trial).items():
+                np.testing.assert_array_equal(from_v2[name], column)
 
     @pytest.mark.parametrize("trial_id", SPECIAL_IDS)
     @pytest.mark.parametrize("ground_truth", [None, Vec3(0.3, -0.0, 0.5)])
     def test_special_ids_and_values(self, trial_id, ground_truth):
         trial = special_trial(trial_id, ground_truth)
-        assert written(trial) == json_text(trial)
-        assert loaded_from(written(trial).decode()).id == trial_id
+        assert written(trial) == v3_bytes(trial)
+        assert loaded_from(written(trial)).id == trial_id
 
 
 class TestBitExactRoundTrip:
     def test_special_values_keep_their_bits(self):
         trial = special_trial()
         with tempfile.TemporaryDirectory() as work:
-            path = Path(work) / "t.json"
+            path = Path(work) / "t.trial"
             save_trial(trial, path)
             loaded = load_trial(path)
         original, got = bits(trial), bits(loaded)
@@ -210,7 +233,7 @@ class TestBitExactRoundTrip:
         assert loaded.samples.translation.max() == 1.7976931348623157e308
         assert_loads_bit_exact(trial)
 
-    def test_generated_trials_load_to_the_same_bits_from_v1_and_v2(self):
+    def test_generated_trials_load_to_the_same_bits_from_every_version(self):
         cfg = replace(SimConfig(), noise_sigma=0.05, seed=33)
         for record in generate_corpus(cfg, 4, 0.5):
             assert_loads_bit_exact(record.trial)
@@ -219,7 +242,7 @@ class TestBitExactRoundTrip:
         # norms within rounding of 1 are kept: trial_009 of this corpus has a
         # quaternion of norm 1 - 2.2e-16, which a division by its norm moved
         cfg = replace(SimConfig(), noise_sigma=0.05, seed=101)
-        path = tmp_path / "t.json"
+        path = tmp_path / "t.trial"
         for record in generate_corpus(cfg, 10, 0.4):
             save_trial(record.trial, path)
             loaded = load_trial(path)
@@ -230,15 +253,23 @@ class TestBitExactRoundTrip:
 
     def test_integer_spring_saves_loads_and_saves_again_to_the_same_bytes(self, tmp_path):
         # SpringParams stores floats, so the first save already writes 632.0
-        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        first, again = tmp_path / "first.trial", tmp_path / "again.trial"
         save_trial(sim_trial(k=632), first)
         save_trial(load_trial(first), again)
-        assert '"k": 632.0,' in first.read_text()
+        assert b'"k": 632.0,' in first.read_bytes().split(b"\0")[0]
         assert again.read_bytes() == first.read_bytes()
 
-    def test_v2_file_is_smaller_than_v1(self):
+    def test_saved_file_is_smaller_than_v2_and_v1(self):
         trial = sim_trial()
+        assert len(written(trial)) < len(v2_bytes(trial))
         assert len(written(trial)) < len(v1_text(trial).encode()) / 2
+
+    def test_every_strict_prefix_is_an_error(self):
+        data = written(pull_trial([0.3, 0.0, 0.5], n=3))
+        assert len(loaded_from(data).samples) == 3
+        for end in range(len(data)):
+            with pytest.raises(StemfitError):
+                loaded_from(data[:end])
 
 
 float_values = st.sampled_from(SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS]) | st.floats(
@@ -298,8 +329,8 @@ def trials(draw):
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(trials())
-def test_any_trial_file_is_its_json_document(trial):
-    assert written(trial) == json_text(trial)
+def test_any_trial_file_is_its_head_and_column_bytes(trial):
+    assert written(trial) == v3_bytes(trial)
     assert_loads_bit_exact(trial)
 
 
@@ -474,7 +505,7 @@ class TestTrialValidationOnLoad:
         doc["spring"]["k"] = 0
         with pytest.raises(
             ValidationError,
-            match=r"/t\.json: spring stiffness must be positive and finite, got 0\.0$",
+            match=r"/t\.trial: spring stiffness must be positive and finite, got 0\.0$",
         ):
             loaded_from(json.dumps(doc))
 
@@ -610,6 +641,133 @@ class TestV2ColumnsOnLoad:
             trial_from_dict(with_column(v2_doc(), "rotation_wxyz", q))
 
 
+def v3_parts():
+    """The head and sample columns of a 3-sample pull's v3 file, for a test
+    to change before ``v3_file`` joins them."""
+    trial = pull_trial([0.3, 0.0, 0.5], n=3)
+    head, _ = split_v3(v3_bytes(trial))
+    return head, {name: getattr(trial.samples, name).copy() for name in COLUMNS}
+
+
+class TestV3FileOnLoad:
+    """A file that holds a NUL byte is a v3 file: its JSON head before the
+    NUL, exactly ``sample_count`` rows of column bytes after it. Each defect
+    is an error naming the file."""
+
+    def test_v3_file_loads(self):
+        trial = loaded_from(v3_file(*v3_parts()))
+        assert len(trial.samples) == 3 and trial.id == "pull"
+
+    @pytest.mark.parametrize(
+        "head", [b"{not json", b'{"id": "\xff"}', b""], ids=["malformed", "non-utf8", "empty"]
+    )
+    def test_head_that_does_not_parse(self, head):
+        with pytest.raises(ParseError, match=r"/t\.trial: invalid JSON"):
+            loaded_from(head + b"\0" + bytes(112 * 3))
+
+    def test_head_without_a_body(self):
+        head, _ = v3_parts()
+        message = r"/t\.trial: a schema_version 3 head must be followed by a NUL byte"
+        with pytest.raises(ValidationError, match=message):
+            loaded_from(dump_json(head).encode())
+        with pytest.raises(ValidationError, match="^<memory>: a schema_version 3 head must"):
+            trial_from_dict(head)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_json_document_followed_by_binary_bytes(self, version):
+        trial = pull_trial([0.3, 0.0, 0.5], n=3)
+        text = v1_text(trial).encode() if version == 1 else v2_bytes(trial)
+        message = (
+            rf"/t\.trial: a schema_version {version} document must not be followed by "
+            r"binary bytes$"
+        )
+        for tail in (b"\0", b"\0" + bytes(112 * 3), b"\0\xff"):
+            with pytest.raises(ValidationError, match=message):
+                loaded_from(text + tail)
+
+    def test_unknown_schema_version(self):
+        head, cols = v3_parts()
+        head["schema_version"] = 4
+        message = r"unsupported schema_version 4 \(expected 1, 2 or 3\)"
+        with pytest.raises(ValidationError, match=message):
+            loaded_from(v3_file(head, cols))
+
+    @pytest.mark.parametrize("count", [-1, 3.0, True, False, "3", None, [3], 1.5])
+    def test_sample_count_must_be_a_non_negative_integer(self, count):
+        head, cols = v3_parts()
+        head["sample_count"] = count
+        message = (
+            r"/t\.trial: sample_count must be a non-negative integer, got "
+            rf"{re.escape(repr(count))}$"
+        )
+        with pytest.raises(ValidationError, match=message):
+            loaded_from(v3_file(head, cols))
+
+    def test_missing_sample_count(self):
+        head, cols = v3_parts()
+        del head["sample_count"]
+        with pytest.raises(ValidationError, match="missing required field 'sample_count'"):
+            loaded_from(v3_file(head, cols))
+
+    @pytest.mark.parametrize("change", [-112, -111, -8, -1, 1, 8, 111, 112, 10**400])
+    def test_body_of_the_wrong_length(self, change):
+        head, cols = v3_parts()
+        data = v3_file(head, cols)
+        if change == 10**400:  # a sample count no file can hold
+            head["sample_count"] = change
+            data = v3_file(head, cols)
+        elif change < 0:
+            data = data[:change]
+        else:
+            data += bytes(change)
+        message = r"/t\.trial: expected \d+ column bytes for \d+ samples"
+        with pytest.raises(ValidationError, match=message):
+            loaded_from(data)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "name, row", [("force", 2), ("translation", 1), ("t", 0), ("torque", 2)]
+    )
+    def test_non_finite_value_names_the_sample(self, name, row, bad):
+        head, cols = v3_parts()
+        cols[name][row] = bad
+        message = rf"/t\.trial: samples\[{row}\]: {name} must be finite$"
+        with pytest.raises(ValidationError, match=message):
+            loaded_from(v3_file(head, cols))
+
+    def test_decreasing_timestamps_name_the_sample(self):
+        head, cols = v3_parts()
+        cols["t"][2] = cols["t"][1] - 1e-3
+        with pytest.raises(ValidationError, match="samples\\[2\\]: timestamp"):
+            loaded_from(v3_file(head, cols))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_two_sample_minimum(self, n):
+        head, cols = v3_parts()
+        head["sample_count"] = n
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            loaded_from(v3_file(head, {name: column[:n] for name, column in cols.items()}))
+
+    def test_quaternion_norm_policy(self):
+        head, cols = v3_parts()
+        cols["rotation_wxyz"][0, 0] = 1.0 + 5e-8
+        loaded_from(v3_file(head, cols))
+        cols["rotation_wxyz"][0, 0] = 1.0 + 5e-5
+        with pytest.warns(UserWarning, match="renormalizing"):
+            trial = loaded_from(v3_file(head, cols))
+        assert abs(trial.samples.rotation_wxyz[0, 0] - 1.0) < 1e-12
+        cols["rotation_wxyz"][0, 0] = 1.1
+        with pytest.raises(ValidationError, match="quaternion norm"):
+            loaded_from(v3_file(head, cols))
+
+    def test_a_nul_inside_the_body_is_data(self):
+        # only the first NUL ends the head; zero bytes in the columns are values
+        head, cols = v3_parts()
+        cols["force"][:] = 0.0
+        trial = loaded_from(v3_file(head, cols))
+        assert not trial.samples.force.any()
+
+
 class TestHugeQuaternion:
     """A finite quaternion whose squared norm overflows is rejected with the
     norm error and no numpy warning (the suite turns RuntimeWarning into an
@@ -627,6 +785,12 @@ class TestHugeQuaternion:
         with pytest.raises(ValidationError, match="samples\\[1\\]: rotation: quaternion norm inf"):
             trial_from_dict(with_column(v2_doc(), "rotation_wxyz", q))
 
+    def test_v3(self):
+        head, cols = v3_parts()
+        cols["rotation_wxyz"][1] = [1e200, 0.0, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="samples\\[1\\]: rotation: quaternion norm inf"):
+            loaded_from(v3_file(head, cols))
+
     def test_trial_from_columns(self):
         q = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
         q[2] = [0.0, -1e200, 0.0, 0.0]
@@ -641,15 +805,9 @@ class TestHugeQuaternion:
             trial_from_dict(doc)
 
 
-def _save_as_v1(trials, out, cfg, seed):
-    """The corpus ``save_corpus`` writes, with every trial file in schema v1."""
-    save_corpus(trials, out, sim_config_dict=cfg.to_dict(), seed=seed)
-    for trial in trials:
-        (out / f"{trial.id}.json").write_text(v1_text(trial))
-
-
 class TestFormatParity:
-    """A corpus saved as v2 and the same trials saved as v1 fit to the same
+    """A corpus saved as v3, the same trials as a v2 corpus written the way
+    ``save_corpus`` wrote one before version 3, and as v1 fit to the same
     report bytes, because every column loads to the same bits."""
 
     @pytest.mark.parametrize(
@@ -662,17 +820,24 @@ class TestFormatParity:
     )
     def test_reports_and_columns_match(self, tmp_path, cfg, n, failure_fraction):
         trials = [r.trial for r in generate_corpus(cfg, n, failure_fraction)]
-        save_corpus(trials, tmp_path / "v2", sim_config_dict=cfg.to_dict(), seed=cfg.seed)
-        _save_as_v1(trials, tmp_path / "v1", cfg, cfg.seed)
+        save_corpus(trials, tmp_path / "v3", sim_config_dict=cfg.to_dict(), seed=cfg.seed)
+        for version in (2, 1):
+            out = tmp_path / f"v{version}"
+            save_json_corpus(trials, out, version, sim_config_dict=cfg.to_dict(), seed=cfg.seed)
+        files = {d: corpus_files(tmp_path / d) for d in ("v3", "v2", "v1")}
         for trial in trials:
-            name = f"{trial.id}.json"
-            assert json.loads((tmp_path / "v2" / name).read_text())["schema_version"] == 2
-            assert json.loads((tmp_path / "v1" / name).read_text())["schema_version"] == 1
-            v2, v1 = (bits(load_trial(tmp_path / d / name)) for d in ("v2", "v1"))
+            assert files["v3"][trial.id].name == f"{trial.id}.trial"
+            assert split_v3(files["v3"][trial.id].read_bytes())[0]["schema_version"] == 3
+            for version in (2, 1):
+                path = files[f"v{version}"][trial.id]
+                assert path.name == f"{trial.id}.json"
+                assert json.loads(path.read_text())["schema_version"] == version
+            v3, v2, v1 = (bits(load_trial(files[d][trial.id])) for d in ("v3", "v2", "v1"))
             for column in COLUMNS:
-                np.testing.assert_array_equal(v2[column], v1[column])
-        reports = [dump_json(run_batch(tmp_path / d, jobs=1)) for d in ("v2", "v1")]
-        assert reports[0] == reports[1]
+                np.testing.assert_array_equal(v3[column], v2[column])
+                np.testing.assert_array_equal(v3[column], v1[column])
+        reports = [dump_json(run_batch(tmp_path / d, jobs=1)) for d in ("v3", "v2", "v1")]
+        assert reports[0] == reports[1] == reports[2]
         assert '"status": "ok"' in reports[0] and '"status": "error' not in reports[0]
 
 
@@ -750,7 +915,7 @@ class TestCorpus:
         "ids, named",
         [
             (["same", "same"], "duplicate id 'same'"),
-            (["ok", "../escaped"], "inside the corpus directory, got '../escaped.json'"),
+            (["ok", "../escaped"], "inside the corpus directory, got '../escaped.trial'"),
             (["/abs"], "inside the corpus directory"),
             (["a/../../b"], "inside the corpus directory"),
         ],
@@ -763,7 +928,7 @@ class TestCorpus:
             save_corpus(trials, out)
         assert list(tmp_path.rglob("*")) == []
 
-    @pytest.mark.parametrize("bad_id", ["", ".", "..", "sub/x", "manifest", "nul\0byte"])
+    @pytest.mark.parametrize("bad_id", ["", ".", "..", "sub/x", "nul\0byte"])
     def test_rejects_ids_that_are_not_plain_file_names(self, tmp_path, bad_id):
         # the good trial comes first: nothing may be written before the bad id is seen
         records = generate_corpus(SimConfig(seed=5), 2, 0.0)
@@ -772,12 +937,12 @@ class TestCorpus:
             save_corpus(trials, tmp_path / "work" / "corpus")
         assert list(tmp_path.rglob("*")) == []
 
-    # <id>.json plus the 22 bytes of atomic_write_text's temp-name decoration
-    # must fit in NAME_MAX (255) bytes: an id of at most 228 encoded bytes
+    # <id>.trial plus the 22 bytes of atomic_write_bytes's temp-name decoration
+    # must fit in NAME_MAX (255) bytes: an id of at most 227 encoded bytes
     @pytest.mark.parametrize(
         "bad_id",
-        ["\ud800", "x" * 300, "x" * 229, "\u00e9" * 114 + "x"],
-        ids=["lone-surrogate", "300-chars", "229-bytes", "229-bytes-utf8"],
+        ["\ud800", "x" * 300, "x" * 228, "\u00e9" * 114],
+        ids=["lone-surrogate", "300-chars", "228-bytes", "228-bytes-utf8"],
     )
     def test_rejects_ids_the_file_system_cannot_take(self, tmp_path, bad_id):
         records = generate_corpus(SimConfig(seed=5), 2, 0.0)
@@ -786,7 +951,7 @@ class TestCorpus:
             save_corpus(trials, tmp_path / "work" / "corpus")
         assert list(tmp_path.rglob("*")) == []
 
-    @pytest.mark.parametrize("longest", ["x" * 228, "\u00e9" * 114], ids=["ascii", "utf8"])
+    @pytest.mark.parametrize("longest", ["x" * 227, "\u00e9" * 113 + "x"], ids=["ascii", "utf8"])
     def test_accepts_the_longest_id_that_fits(self, tmp_path, longest):
         records = generate_corpus(SimConfig(seed=5), 2, 0.0)
         trials = [records[0].trial, replace(records[1].trial, id=longest)]
@@ -795,7 +960,7 @@ class TestCorpus:
         assert entry["id"] == longest
         assert load_trial(tmp_path / "corpus" / entry["file"]).id == longest
 
-    @pytest.mark.parametrize("bad_id", ["sub/x", "manifest"])
+    @pytest.mark.parametrize("bad_id", ["sub/x", ".."])
     def test_rejected_id_leaves_an_existing_directory_untouched(self, tmp_path, bad_id):
         out = tmp_path / "corpus"
         out.mkdir()
@@ -806,6 +971,15 @@ class TestCorpus:
             save_corpus(trials, out)
         assert [p.name for p in out.rglob("*")] == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_an_id_may_be_manifest(self, tmp_path):
+        # its file, manifest.trial, sits beside manifest.json
+        records = generate_corpus(SimConfig(seed=5), 2, 0.0)
+        trials = [records[0].trial, replace(records[1].trial, id="manifest")]
+        save_corpus(trials, tmp_path / "corpus")
+        files = corpus_files(tmp_path / "corpus")
+        assert files["manifest"].name == "manifest.trial"
+        assert load_trial(files["manifest"]).id == "manifest"
 
     def test_load_manifest_accepts_a_hand_made_subdirectory_entry(self, tmp_path):
         record = generate_trial(SimConfig(), np.random.default_rng(5), "x")

@@ -1,5 +1,5 @@
-"""Property tests of the input boundaries: trial documents (schema v1 and
-v2), sample columns, corpus files, report files, CLI config files, and fits
+"""Property tests of the input boundaries: trial files (schema v1, v2 and
+v3), sample columns, corpus files, report files, CLI config files, and fits
 of extreme but finite trials."""
 
 import base64
@@ -7,6 +7,7 @@ import copy
 import json
 import pickle
 import shutil
+import struct
 import tempfile
 import warnings
 from argparse import Namespace
@@ -36,6 +37,7 @@ from stemfit.trial_io import (
     _QUAT_UNIT_TOL,
     MANIFEST_NAME,
     _normalized_rotations,
+    load_manifest,
     save_corpus,
     trial_from_dict,
 )
@@ -48,11 +50,14 @@ from conftest import (
     pull_trial,
     quaternion_norms_reference,
     rotation_matrix_stack_reference,
+    save_json_corpus,
+    split_v3,
     trial_check_reference,
     trial_to_dict,
     trial_to_v2_dict,
     v1_samples,
-    v1_text,
+    v3_bytes,
+    v3_file,
     wxyz,
 )
 
@@ -75,7 +80,14 @@ json_values = st.recursive(
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 BASE_TRIAL = pull_trial([0.3, 0.0, 0.5], n=3)
-BASE_DOCS = {"v1": trial_to_dict(BASE_TRIAL), "v2": trial_to_v2_dict(BASE_TRIAL)}
+BASE_V3_HEAD, BASE_V3_BODY = split_v3(v3_bytes(BASE_TRIAL))
+# the document of each version; a v3 head is read with its body
+BASE_DOCS = {
+    "v1": trial_to_dict(BASE_TRIAL),
+    "v2": trial_to_v2_dict(BASE_TRIAL),
+    "v3": BASE_V3_HEAD,
+}
+BODIES = {"v3": BASE_V3_BODY}
 BASE64_TEXT = st.text(
     alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=", max_size=24
 )
@@ -147,7 +159,7 @@ def test_any_one_value_replaced_raises_only_stemfit_errors(data, version):
     path = data.draw(st.sampled_from(list(_paths(base))))
     doc = _set(copy.deepcopy(base), path, data.draw(json_values | encoded_columns))
     try:
-        trial = trial_from_dict(doc)
+        trial = trial_from_dict(doc, body=BODIES.get(version))
     except StemfitError:
         return
     assert len(trial.samples) >= 2
@@ -159,7 +171,7 @@ def test_numbers_written_as_strings_or_booleans_are_rejected(data, version):
     path = data.draw(st.sampled_from(_leaf_paths(base)))
     value = data.draw(st.sampled_from([repr(_get(base, path)), True, False]))
     with pytest.raises(ValidationError):
-        trial_from_dict(_set(copy.deepcopy(base), path, value))
+        trial_from_dict(_set(copy.deepcopy(base), path, value), body=BODIES.get(version))
 
 
 SIM_CONFIG_DOC = SimConfig().to_dict()
@@ -411,23 +423,25 @@ def checked_columns(draw):
 
 
 def _documents_of(columns: dict) -> list:
-    """A v1 and a v2 document of the sample ``columns`` under
-    ``BASE_TRIAL``'s head without its ground truth."""
-    v1, v2 = (copy.deepcopy(BASE_DOCS[version]) for version in ("v1", "v2"))
+    """A v1 document, a v2 document and a v3 head and body of the sample
+    ``columns`` under ``BASE_TRIAL``'s head without its ground truth, each
+    as the arguments of ``trial_from_dict``."""
+    v1, v2, v3 = (copy.deepcopy(BASE_DOCS[version]) for version in ("v1", "v2", "v3"))
     v1["samples"] = v1_samples(columns)
     v2["columns"] = {name: encode_column(columns[name]) for name in COLUMN_WIDTHS}
-    for doc in (v1, v2):
+    v3["sample_count"] = len(columns["t"])
+    for doc in (v1, v2, v3):
         doc.pop("ground_truth", None)
-    return [v1, v2]
+    return [(v1, None), (v2, None), split_v3(v3_file(v3, columns))]
 
 
 @settings(max_examples=300, deadline=None)
 @given(checked_columns())
 def test_trial_checks_agree_with_the_row_by_row_checks(columns):
     """``SampleColumns`` and ``Trial`` raise the reference's first failing
-    check. A v1 and a v2 document of the same columns read alike, and a
-    non-finite entry is one message from all three: ``samples[i]:
-    <column> must be finite``, after the source for a document."""
+    check. A v1 document, a v2 document and a v3 file of the same columns
+    read alike, and a non-finite entry is one message from all four:
+    ``samples[i]: <column> must be finite``, after the source for a file."""
     expected = trial_check_reference(columns)
     try:
         Trial(SampleColumns(**columns), SpringParams(1.0, 1.0), Vec3(0.0, 0.0, 0.0))
@@ -436,17 +450,17 @@ def test_trial_checks_agree_with_the_row_by_row_checks(columns):
     else:
         assert expected is None
     messages = []
-    for doc in _documents_of(columns):
+    for doc, body in _documents_of(columns):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the renormalizing warning
             try:
-                trial_from_dict(doc)
+                trial_from_dict(doc, body=body)
                 messages.append(None)
             except ValidationError as exc:
                 messages.append(str(exc))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
     if first_non_finite_reference(columns) is not None:
-        assert messages == [f"<memory>: {expected}"] * 2
+        assert messages == [f"<memory>: {expected}"] * 3
 
 
 finite_moderate = st.floats(-1e6, 1e6)
@@ -500,14 +514,15 @@ def test_normalized_rotations_divide_exactly_the_rows_off_unit(rows):
 
 @pytest.fixture(scope="module")
 def clean_corpora(tmp_path_factory):
-    """Three clean trials saved as a v2 corpus and as a v1 corpus."""
+    """Three clean trials saved as a v3 corpus, and as the v2 and v1
+    corpora stemfit wrote before version 3."""
     root = tmp_path_factory.mktemp("props")
     cfg = replace(SimConfig(), noise_sigma=0.0, seed=5)
     trials = [r.trial for r in generate_corpus(cfg, 3, 0.0)]
-    for version in ("v1", "v2"):
-        save_corpus(trials, root / version, sim_config_dict=cfg.to_dict(), seed=5)
-    for trial in trials:
-        (root / "v1" / f"{trial.id}.json").write_text(v1_text(trial))
+    save_corpus(trials, root / "v3", sim_config_dict=cfg.to_dict(), seed=5)
+    for version in (1, 2):
+        out = root / f"v{version}"
+        save_json_corpus(trials, out, version, sim_config_dict=cfg.to_dict(), seed=5)
     return root
 
 
@@ -567,19 +582,68 @@ def _bad_column(data, text):
     return json.dumps(doc).encode()
 
 
+def _cut(data, text):
+    # every strict prefix of a v3 file, down to none of it
+    return text[: data.draw(st.integers(min_value=0, max_value=len(text) - 1))]
+
+
+def _nul_dropped(data, text):
+    return text.replace(b"\0", b"", 1)
+
+
+def _body_length(data, text):
+    """A v3 body 1-111 bytes short of or beyond whole samples."""
+    change = data.draw(st.integers(min_value=1, max_value=111))
+    if data.draw(st.booleans()):
+        return text[:-change]
+    return text + data.draw(st.binary(min_size=change, max_size=change))
+
+
+def _non_finite_entry(data, text):
+    """NaN or an infinity written over one float64 entry of a v3 body."""
+    body_start = text.index(b"\0") + 1
+    at = body_start + 8 * data.draw(st.integers(0, (len(text) - body_start) // 8 - 1))
+    value = struct.pack("<d", data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+    return text[:at] + value + text[at + 8 :]
+
+
+def _bad_head_number(data, text):
+    """One number of a v3 head replaced, as ``_bad_number`` replaces one."""
+    head, body = text.split(b"\0", 1)
+    return _bad_number(data, head) + b"\0" + body
+
+
 CORRUPTIONS = {
     "truncated": _truncated,
     "invalid_utf8": _invalid_utf8,
     "bad_number": _bad_number,
     "not_a_trial": _not_a_trial,
     "bad_column": _bad_column,
+    "cut": _cut,
+    "nul_dropped": _nul_dropped,
+    "body_length": _body_length,
+    "non_finite_entry": _non_finite_entry,
+    "bad_head_number": _bad_head_number,
 }
-# a v1 file has no encoded columns
-VERSION_CORRUPTIONS = {"v1": sorted(set(CORRUPTIONS) - {"bad_column"}), "v2": sorted(CORRUPTIONS)}
+JSON_CORRUPTIONS = ["bad_number", "invalid_utf8", "not_a_trial", "truncated"]
+# a v1 file has no encoded columns, and only a v3 file has a body
+VERSION_CORRUPTIONS = {
+    "v1": JSON_CORRUPTIONS,
+    "v2": sorted([*JSON_CORRUPTIONS, "bad_column"]),
+    "v3": [
+        "bad_head_number",
+        "body_length",
+        "cut",
+        "invalid_utf8",
+        "non_finite_entry",
+        "not_a_trial",
+        "nul_dropped",
+    ],
+}
 
 
 @settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(
     st.data(), st.sampled_from(sorted(VERSION_CORRUPTIONS)), st.integers(min_value=0, max_value=2)
@@ -589,11 +653,12 @@ def test_one_corrupted_file_gives_exactly_one_error_row(clean_corpora, data, ver
     with tempfile.TemporaryDirectory() as work:
         corpus = Path(work) / "corpus"
         shutil.copytree(clean_corpora / version, corpus)
-        victim = corpus / f"trial_{index:03d}.json"
+        entry = load_manifest(corpus)["trials"][index]
+        victim = corpus / entry["file"]
         victim.write_bytes(CORRUPTIONS[corruption](data, victim.read_bytes()))
         report = run_batch(corpus)
     errors = [r["id"] for r in report["per_trial"] if r["status"] != "ok"]
-    assert errors == [victim.stem]
+    assert errors == [entry["id"]]
     assert report["counts"]["failed"] == 1 and report["counts"]["fitted"] == 2
 
 
@@ -609,7 +674,7 @@ def test_any_manifest_seed_and_config_give_only_stemfit_errors(clean_corpora, va
     # a report copies these three manifest fields
     with tempfile.TemporaryDirectory() as work:
         corpus, report = Path(work) / "corpus", Path(work) / "report.json"
-        shutil.copytree(clean_corpora / "v2", corpus)
+        shutil.copytree(clean_corpora / "v3", corpus)
         manifest = json.loads((corpus / MANIFEST_NAME).read_text())
         (corpus / MANIFEST_NAME).write_text(json.dumps({**manifest, **values}))
         code = main(["batch", "--corpus", str(corpus), "--report", str(report)])
