@@ -77,19 +77,8 @@ class Vec3:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
-    def __mul__(self, scalar: float) -> "Vec3":
-        return Vec3(self.x * scalar, self.y * scalar, self.z * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

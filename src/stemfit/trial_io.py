@@ -33,7 +33,14 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .geometry import Vec3, _quaternion_norms, finite_numbers
-from .spring_model import COLUMN_WIDTHS, Label, SampleColumns, SpringParams, Trial
+from .spring_model import (
+    COLUMN_WIDTHS,
+    UNIT_QUATERNION_TOL,
+    Label,
+    SampleColumns,
+    SpringParams,
+    Trial,
+)
 
 TRIAL_SCHEMA_VERSION = 3
 MANIFEST_SCHEMA_VERSION = 1
@@ -46,9 +53,6 @@ NAME_MAX = 255
 
 _QUAT_WARN_TOL = 1e-6
 _QUAT_ERROR_TOL = 1e-3
-# a quaternion this close to unit norm is kept as read; dividing one by its
-# norm leaves it within 1.5 eps (2e7 random draws), so a reload keeps its bits
-_QUAT_UNIT_TOL = 4 * np.finfo(float).eps
 
 
 def _temp_name(name: str) -> str:
@@ -134,12 +138,12 @@ def _head(trial: Trial) -> dict:
 
 def _normalized_rotations(q: np.ndarray, source: str) -> np.ndarray:
     """Quaternions off unit norm by more than 1e-6 warn, by more than 1e-3
-    fail; each one off by more than ``_QUAT_UNIT_TOL`` is divided by its
+    fail; each one off by more than ``UNIT_QUATERNION_TOL`` is divided by its
     norm, and the rest are kept bit for bit: ``q`` itself when no row is off."""
     # an infinite norm (a finite entry beyond ~1e154) fails the check below
     norm = _quaternion_norms(q)
     deviation = np.abs(norm - 1.0)
-    off_unit = deviation > _QUAT_UNIT_TOL
+    off_unit = deviation > UNIT_QUATERNION_TOL
     if not off_unit.any():
         return q
     for tol, severe in ((_QUAT_ERROR_TOL, True), (_QUAT_WARN_TOL, False)):

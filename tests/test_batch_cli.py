@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import multiprocessing
@@ -34,7 +35,7 @@ from stemfit.evaluation import orientation_error, summarize, welch_t_test
 from stemfit.geometry import Vec3
 from stemfit.simulator import SimConfig, generate_corpus
 from stemfit.solver import FitResult
-from stemfit.spring_model import COLUMN_WIDTHS, SpringParams, apple_position_world
+from stemfit.spring_model import COLUMN_WIDTHS, Label, SpringParams, apple_position_world
 from stemfit.trial_io import MANIFEST_NAME, load_trial, save_corpus
 
 from conftest import (
@@ -91,15 +92,27 @@ def _infinite_in_column(path):
     _in_column(path, "force", 1, [np.inf, 0.0, 0.0])
 
 
-def _nan_in_column(path):
-    _in_column(path, "t", 2, np.nan)
+def _nan_force(path, version):
+    """Rewrite the trial file at ``path`` as ``version`` with a NaN in
+    ``samples[3]``'s force."""
+    force = load_trial(path).samples.force[3].copy()
+    force[1] = np.nan
+    if version == "v1":
+        _as_v1(path, lambda doc: doc["samples"][3]["wrench"].update(force=force.tolist()))
+    elif version == "v2":
+        _in_v2_column(path, "force", 3, force)
+    else:
+        _in_column(path, "force", 3, force)
 
 
+NAN_FORCES = {
+    version: functools.partial(_nan_force, version=version) for version in ("v1", "v2", "v3")
+}
 CORRUPTIONS = {
     "huge_number": _huge_number,
     "non_utf8": _non_utf8,
     "infinite_in_column": _infinite_in_column,
-    "nan_in_column": _nan_in_column,
+    **{f"nan_in_column_{version}": corrupt for version, corrupt in NAN_FORCES.items()},
 }
 
 
@@ -140,22 +153,23 @@ def _huge_quaternion_v3(path):
 HUGE_QUATERNIONS = {"v1": _huge_quaternion, "v2": _huge_quaternion_v2, "v3": _huge_quaternion_v3}
 
 
-def _fresh_python(*args):
-    """Run a fresh interpreter that imports this stemfit, with ``args``."""
+def _fresh_python(*args, env=None):
+    """Run a fresh interpreter that imports this stemfit, with ``args`` and
+    the variables of ``env`` set in its environment."""
     src = str(Path(stemfit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
         timeout=120,
     )
 
 
-def _stemfit_cli(*args):
+def _stemfit_cli(*args, env=None):
     """Run the CLI in a fresh interpreter, which prints the warnings a user would see."""
-    return _fresh_python("-m", "stemfit.cli", *args)
+    return _fresh_python("-m", "stemfit.cli", *args, env=env)
 
 
 # config files the CLI must reject with "error: ..." and exit 1, each with
@@ -173,6 +187,15 @@ BAD_SIM_CONFIGS = {
         "0",
     ),
     "boolean_grasp_compliance": ('{"grasp_compliance": [[true, 0, 0], [0, 0, 0], [0, 0, 0]]}', "0"),
+    "string_grasp_compliance": (
+        '{"grasp_compliance": [["0.001", 0, 0], [0, 0, 0], [0, 0, 0]]}',
+        "0",
+    ),
+    "extra_region_key": (
+        '{"attachment_region": {"min": [0.4, -0.3, 0.2], "max": [0.8, 0.3, 0.6], '
+        '"extra": [1, 2, 3]}}',
+        "0",
+    ),
 }
 # configs with extreme numbers, rejected with one error line and no numpy
 # warning: valid ones whose pulls overflow, divide by zero or meet a
@@ -429,8 +452,9 @@ class TestRunBatch:
         r_a0 = apple_position_world(load_trial(path))
         edit_v3_head(path, lambda head: head.update(ground_truth=[r_a0.x + 1e-13, r_a0.y, r_a0.z]))
         trial = load_trial(path)
+        r_o_hat = Vec3.from_array(r_a0.as_array() + [0.1, 0.0, 0.0])
         with pytest.raises(DegenerateInputError, match="angle_between needs nonzero vectors"):
-            orientation_error(r_a0 + Vec3(0.1, 0.0, 0.0), trial.ground_truth, r_a0)
+            orientation_error(r_o_hat, trial.ground_truth, r_a0)
         report = run_batch(out)
         row = report["per_trial"][0]
         assert row["status"] == "ok" and row["localization_error"] is not None
@@ -651,11 +675,16 @@ class TestCli:
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(replace(SimConfig(), noise_sigma=0.05).to_dict()))
 
-        assert main([
-            "simulate", "--config", str(cfg_path), "--n", "6",
-            "--failure-fraction", "0.5", "--seed", "3", "--out", str(corpus),
-        ]) == 0
-        assert (corpus / "manifest.json").exists()
+        again = tmp_path / "again"
+        for out in (corpus, again):
+            assert main([
+                "simulate", "--config", str(cfg_path), "--n", "6",
+                "--failure-fraction", "0.5", "--seed", "3", "--out", str(out),
+            ]) == 0
+        # a seed reproduces its corpus, manifest included, byte for byte
+        files = {path.name: path.read_bytes() for path in sorted(corpus.iterdir())}
+        assert {path.name: path.read_bytes() for path in sorted(again.iterdir())} == files
+        assert MANIFEST_NAME in files and len(files) == 7
 
         assert main(["batch", "--corpus", str(corpus), "--jobs", "1",
                      "--report", str(report)]) == 0
@@ -807,6 +836,18 @@ class TestCli:
         assert run.stderr.startswith("error: ") and "quaternion norm inf" in run.stderr
         assert "Warning" not in run.stderr
 
+    def test_a_nan_force_is_one_error_line_that_reads_the_same_from_every_version(
+        self, tmp_path
+    ):
+        saved = corpus_files(_small_corpus(tmp_path / "c", seed=9, n=1))["trial_000"]
+        for version, corrupt in NAN_FORCES.items():
+            path = tmp_path / f"{version}.trial"
+            path.write_bytes(saved.read_bytes())
+            corrupt(path)
+            run = _stemfit_cli("fit", "--trial", path)
+            assert run.returncode == 1
+            assert run.stderr == f"error: {path}: samples[3]: force must be finite\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
         out = _small_corpus(tmp_path / "c", seed=9, n=1)
@@ -835,7 +876,7 @@ class TestCli:
         args = ["simulate", "--config", config, "--n", "2", "--failure-fraction", fraction]
         assert main([*map(str, args), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(EXTREME_SIM_CONFIGS))
@@ -912,6 +953,47 @@ class TestCli:
                      str(tmp_path / "r.json")]) == 1
         capsys.readouterr()
 
+
+@pytest.fixture(scope="module")
+def quick_start_corpus(tmp_path_factory):
+    """The quick-start corpus cut to 6 trials (seed 42): 4 success, 2 failure."""
+    out = tmp_path_factory.mktemp("quick_start") / "corpus"
+    args = ["--n", "6", "--failure-fraction", "0.34", "--seed", "42", "--out", str(out)]
+    assert main(["simulate", *args]) == 0
+    return out
+
+
+class TestFreshProcesses:
+    """A fit gives the same bits whatever the process it runs in."""
+
+    def test_the_blas_thread_count_a_process_starts_with_does_not_change_a_report(
+        self, quick_start_corpus, tmp_path
+    ):
+        # 2 is set, not left to the default, so that the two runs differ on
+        # a one-CPU machine too; a fit pins scipy's OpenBLAS to one thread
+        reports = []
+        for threads in ("1", "2"):
+            report = tmp_path / f"threads_{threads}.json"
+            run = _stemfit_cli(
+                "batch", "--corpus", quick_start_corpus, "--jobs", "2", "--report", report,
+                env={"OPENBLAS_NUM_THREADS": threads},
+            )
+            assert run.returncode == 0, run.stderr
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_two_traced_fits_print_the_same_bytes(self, quick_start_corpus):
+        # each process hashes strings with its own seed
+        path = corpus_files(quick_start_corpus)["trial_005"]
+        assert load_trial(path).label is Label.FAILURE
+        runs = [
+            _stemfit_cli("fit", "--trial", path, "--trace", env={"PYTHONHASHSEED": seed})
+            for seed in ("1", "2")
+        ]
+        for run in runs:
+            assert run.returncode in (0, 2), run.stderr
+        assert len(json.loads(runs[0].stdout)["trace"]) > 1
+        assert runs[0].stdout == runs[1].stdout
 
 
 # run first in each fresh interpreter of TestScipyLoading

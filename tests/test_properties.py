@@ -27,6 +27,7 @@ from stemfit.geometry import UnitQuaternion, Vec3, _quaternion_norms
 from stemfit.simulator import SimConfig, generate_corpus
 from stemfit.solver import SolverConfig, fit
 from stemfit.spring_model import (
+    UNIT_QUATERNION_TOL,
     SampleColumns,
     SpringParams,
     Trial,
@@ -34,7 +35,6 @@ from stemfit.spring_model import (
     apple_position_world,
 )
 from stemfit.trial_io import (
-    _QUAT_UNIT_TOL,
     MANIFEST_NAME,
     _normalized_rotations,
     load_manifest,
@@ -501,10 +501,10 @@ def test_quaternion_norms_keep_the_bits_of_a_sum_along_each_row(q):
 
 @given(st.lists(st.tuples(unit_quaternion_rows, st.integers(-8, 8)), min_size=1, max_size=12))
 def test_normalized_rotations_divide_exactly_the_rows_off_unit(rows):
-    """Rows scaled by up to 8 ulps, both sides of ``_QUAT_UNIT_TOL`` (4 eps)."""
+    """Rows scaled by up to 8 ulps, both sides of ``UNIT_QUATERNION_TOL`` (4 eps)."""
     q = np.array([row * (1.0 + k * EPS) for row, k in rows])
     norm = quaternion_norms_reference(q)
-    off = np.abs(norm - 1.0) > _QUAT_UNIT_TOL
+    off = np.abs(norm - 1.0) > UNIT_QUATERNION_TOL
     result = _normalized_rotations(q, "x")
     if not off.any():
         assert result is q

@@ -358,6 +358,17 @@ class TestTrialValidation:
                 Vec3(0, 0, 0),
             )
 
+    def test_a_quaternion_that_a_load_would_divide_by_its_norm_is_rejected(self):
+        # norm 1 + 1e-10: within 4 eps a load keeps a quaternion's bits, so a
+        # Trial holds only quaternions that save and load to themselves
+        rotations = [[1.0, 0.0, 0.0, 0.0], [1.0, 1e-5, -1e-5, -0.0]]
+        with pytest.raises(ValueError, match="samples\\[1\\].*unit quaternion"):
+            Trial(
+                columns([0.0, 1.0], rotation_wxyz=rotations),
+                SpringParams(1.0, 1.0),
+                Vec3(0, 0, 0),
+            )
+
     def test_column_shapes_checked(self):
         with pytest.raises(ValueError, match="samples.force"):
             columns([0.0, 1.0], force=np.zeros((3, 3)))
