@@ -5,7 +5,8 @@ iterations. SLSQP (scipy's, with the analytic cost gradient and constraint
 Jacobian) starts from the run's start on the tension constraints near their
 boundary; if its point breaks one it left out, it runs again from the same
 start on all of them. Both calls solve in variables scaled by the cost
-Hessian at the run's start (``_metric``), so that SLSQP's initial identity
+Hessian at the run's start (``_metric``, read off the terms the start's
+evaluation keeps in ``_Model``), so that SLSQP's initial identity
 quasi-Newton matrix has the cost's curvature.
 Unless that point is already certified, an active-set Newton polish then
 drives the KKT residual below the convergence gate.
@@ -41,7 +42,6 @@ from .geometry import Vec3, finite_number
 from .spring_model import (
     Trial,
     TrialArrays,
-    constraint_values_jacobian,
     cost_and_gradient,
     point_terms,
     terms_constraint_jacobian,
@@ -209,8 +209,9 @@ class _Model:
     model keeps one point's per-sample terms (``point_terms``) and computes
     each quantity from them the first time it is asked for. A full
     evaluation at a point the model has not seen (a run's start, a polish
-    trial point) goes to the public kernels. The key is the point's exact
-    bytes, because SLSQP updates its point in place.
+    trial point) takes its cost and gradient from ``cost_and_gradient`` and
+    the rest from its terms, which ``_metric`` and ``_lagrangian_hessian``
+    read too. The key is the point's bytes, as SLSQP moves it in place.
     """
 
     __slots__ = ("arrays", "_key", "_terms", "_cost", "_grad", "_values", "_jac")
@@ -265,7 +266,6 @@ class _Model:
         """Cost, gradient, constraint values and constraint Jacobian at ``x``."""
         if self._at(x):
             self._cost, self._grad = cost_and_gradient(x, self.arrays)
-            self._values, self._jac = constraint_values_jacobian(x, self.arrays)
         return self.value(x), self.gradient(x), self.constraint_values(x), self.constraint_jacobian(x)
 
 

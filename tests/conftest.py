@@ -667,7 +667,7 @@ class FitRecorder:
       function gave (``m``) and each (kind, point, value) handed to SLSQP
       (``received``);
     - ``_polish``, in ``polishes``: its ``start``, ``budget``, returned iterate
-      (``end``) and iterations ``used``;
+      (``end``), iterations ``used`` and ``steps`` accepted;
     - ``_on_sphere``, in ``spheres``: the point ``x`` given, ``centre``,
       ``radius`` and the ``point`` returned (None if it raised);
     - ``_Iterate``, in ``iterates``: the bytes of the point it evaluates;
@@ -682,6 +682,8 @@ class FitRecorder:
         self.runs, self.metrics, self.calls, self.polishes, self.spheres = [], [], [], [], []
         self.iterates, self.lstsq, self.stage = [], [], None
         minimize_arrays, metric, polish = solver._minimize_arrays, solver._metric, solver._polish
+        lagrangian_hessian = solver._lagrangian_hessian
+        hessian_at = []  # the iterate of each _lagrangian_hessian call
         slsqp, on_sphere, lstsq = solver._scipy_minimize, solver._on_sphere, np.linalg.lstsq
 
         def run(model, x0, config):
@@ -720,9 +722,19 @@ class FitRecorder:
             self.calls.append(call)
             return res
 
+        def hessian(it, model):
+            hessian_at.append(it)
+            return lagrangian_hessian(it, model)
+
         def polished(start, model, ctol, budget):
+            hessian_at.clear()
             end, used = polish(start, model, ctol, budget)
-            self.polishes.append(SimpleNamespace(start=start, budget=budget, end=end, used=used))
+            # each step takes the Hessian at the polish's current iterate,
+            # which only an accepted step changes, and the last one is ``end``
+            steps = len({id(it) for it in (*hessian_at, end)}) - 1
+            self.polishes.append(
+                SimpleNamespace(start=start, budget=budget, end=end, used=used, steps=steps)
+            )
             return end, used
 
         def projected(x, centre, radius):
@@ -749,6 +761,7 @@ class FitRecorder:
             ("_metric", metric_of),
             ("_scipy_minimize", self._staged("sqp", sqp)),
             ("_polish", self._staged("polish", polished)),
+            ("_lagrangian_hessian", hessian),
             ("_on_sphere", projected),
             ("_Iterate", Iterate),
         ):

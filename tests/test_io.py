@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +18,7 @@ from stemfit.cli import main
 from stemfit.errors import ParseError, StemfitError, ValidationError
 from stemfit.simulator import SimConfig, generate_corpus, generate_trial
 from stemfit.geometry import Vec3
-from stemfit.spring_model import Label, SampleColumns, SpringParams, Trial
+from stemfit.spring_model import Label, SampleColumns, SpringParams, Trial, apple_position_world
 from stemfit.trial_io import (
     MANIFEST_NAME,
     atomic_write_text,
@@ -268,15 +268,27 @@ class TestBitExactRoundTrip:
 float_values = st.sampled_from(SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
+
+
+def on_the_cube(q, axis, sign):
+    """``q`` normalized after its entry ``axis`` is set to ``sign``: a point
+    of the cube's surface, whose norm of at least 1 needs no filter. Every
+    unit quaternion is one of these."""
+    q = q.copy()
+    q[axis] = sign
+    return q / np.linalg.norm(q)
+
+
 # a unit quaternion with tiny or signed-zero entries, or a normalized random
 # one; each is within UNIT_QUATERNION_TOL of unit norm, so a Trial holds it
 near_axis_rows = st.sampled_from([-0.0, 0.0, 5e-324, 1e-08]).flatmap(
     lambda small: st.permutations([1.0, small, -small, -0.0])
 )
-random_rows = (
-    arrays(float, 4, elements=st.floats(-1.0, 1.0))
-    .filter(lambda q: np.linalg.norm(q) > 1e-3)
-    .map(lambda q: q / np.linalg.norm(q))
+random_rows = st.builds(
+    on_the_cube,
+    arrays(float, 4, elements=st.floats(-1.0, 1.0)),
+    st.integers(0, 3),
+    st.sampled_from([-1.0, 1.0]),
 )
 unit_rows = near_axis_rows | random_rows
 trial_ids = st.lists(st.sampled_from(SPECIAL_IDS) | st.text(max_size=3), max_size=4).map("".join)
@@ -295,30 +307,50 @@ def test_normalizing_twice_gives_the_bits_of_normalizing_once(rows):
 
 
 @st.composite
+def ground_truths(draw, fruit: np.ndarray):
+    """A point whose distance from ``fruit`` (``Vec3.norm``, a sum of
+    squares) is finite and positive, or None where there is none. Each
+    coordinate moves by at most 1e150, and one of them by at least 1e-150
+    and twice its ulp, so no square overflows and that one does not round
+    to 0. A coordinate beyond 1e160 stays: even its ulp would overflow."""
+    free = np.abs(fruit) <= 1e160
+    if not free.any() or not draw(st.booleans()):
+        return None
+    offset = np.where(free, draw(arrays(float, 3, elements=st.floats(-1e150, 1e150))), 0.0)
+    i = draw(st.sampled_from(np.flatnonzero(free).tolist()))
+    size = max(abs(offset[i]), 1e-150, 2.0 * np.spacing(abs(fruit[i])))
+    offset[i] = math.copysign(size, offset[i])
+    return Vec3.from_array(fruit + offset)
+
+
+@st.composite
 def trials(draw):
     n = draw(st.integers(min_value=2, max_value=6))
-    t = draw(arrays(float, n, elements=float_values, unique=True).map(np.sort))
+    t = np.unique(draw(arrays(float, n, elements=float_values)))
+    if t.size == 1:  # all n draws equal: add the next float toward 0 (5e-324 after a zero)
+        t = np.unique([t[0], np.nextafter(t[0], 0.0 if t[0] else 1.0)])
+    n = t.size
     positive = st.floats(min_value=5e-324, allow_infinity=False)
     spring_k = draw(st.integers(min_value=1, max_value=10**6) | positive)
-    truth = draw(st.none() | vectors)
     with np.errstate(all="ignore"):
+        trial = Trial(
+            samples=SampleColumns(
+                t=t,
+                translation=draw(arrays(float, (n, 3), elements=float_values)),
+                rotation_wxyz=np.array(draw(st.lists(unit_rows, min_size=n, max_size=n))),
+                force=draw(arrays(float, (n, 3), elements=float_values)),
+                torque=draw(arrays(float, (n, 3), elements=float_values)),
+            ),
+            spring=SpringParams(spring_k, draw(positive)),
+            grasp_point=Vec3(*draw(vectors)),
+            label=draw(st.sampled_from(Label)),
+            id=draw(trial_ids),
+        )
         try:
-            return Trial(
-                samples=SampleColumns(
-                    t=t,
-                    translation=draw(arrays(float, (n, 3), elements=float_values)),
-                    rotation_wxyz=np.array(draw(st.lists(unit_rows, min_size=n, max_size=n))),
-                    force=draw(arrays(float, (n, 3), elements=float_values)),
-                    torque=draw(arrays(float, (n, 3), elements=float_values)),
-                ),
-                spring=SpringParams(spring_k, draw(positive)),
-                grasp_point=Vec3(*draw(vectors)),
-                label=draw(st.sampled_from(Label)),
-                ground_truth=None if truth is None else Vec3(*truth),
-                id=draw(trial_ids),
-            )
-        except ValueError:  # a ground truth too far away to measure
-            reject()
+            fruit = apple_position_world(trial).as_array()
+        except ValueError:  # an overflowing fruit position has no ground truth
+            return trial
+        return replace(trial, ground_truth=draw(ground_truths(fruit)))
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])

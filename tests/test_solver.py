@@ -370,16 +370,63 @@ def backtracks(seen):
     return bool(recorded.asked("cost") - recorded.asked("gradient") - set(recorded.iterates))
 
 
+def polishes_twice(seen):
+    """A polish of its fit accepts at least two steps."""
+    return any(polish.steps >= 2 for polish in seen.fit.polishes)
+
+
+def twice_polishing_trial():
+    return trial_showing(polishes_twice)
+
+
 class TestEvaluationsPerPoint:
     @pytest.mark.parametrize("make_trial", [default_trial, heavy_violation_trial])
     def test_each_kernel_evaluates_each_point_once(self, monkeypatch, make_trial):
         calls = self._record_model_calls(monkeypatch)
         fit(make_trial())
-        points = [calls["cost_and_gradient"], calls["constraint_values_jacobian"]]
-        assert all(points)
+        full = calls["cost_and_gradient"]
+        assert full
         # no kernel sees a point twice: its call count is its distinct points
-        for seen in points:
-            assert len(seen) == len(set(seen))
+        assert len(full) == len(set(full))
+        # a full evaluation's constraints come from the point's own terms
+        assert set(full) <= set(calls["terms_constraint_values"])
+        assert set(full) <= set(calls["terms_constraint_jacobian"])
+
+    @pytest.mark.parametrize(
+        "make_trial", [default_trial, heavy_violation_trial, twice_polishing_trial]
+    )
+    def test_the_start_metric_and_the_polish_hessian_make_no_pass(self, monkeypatch, make_trial):
+        # they read the terms the model kept from the point's full evaluation
+        trial = make_trial()
+        terms = spring_model.point_terms
+        calls = {"_metric": 0, "_lagrangian_hessian": 0}
+        passes = dict.fromkeys(calls, 0)
+        running = []
+
+        def counted(x, arrays):
+            for name in running:
+                passes[name] += 1
+            return terms(x, arrays)
+
+        for name in calls:
+
+            def during(*args, fn=getattr(solver, name), name=name):
+                calls[name] += 1
+                running.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    running.pop()
+
+            monkeypatch.setattr(solver, name, during)
+        # the public kernels call spring_model's name, the model's own terms the solver's
+        monkeypatch.setattr(spring_model, "point_terms", counted)
+        monkeypatch.setattr(solver, "point_terms", counted)
+        fit(trial)
+        assert calls["_metric"]
+        # two accepted steps: the Hessian at the run's point and at the first step's
+        assert calls["_lagrangian_hessian"] >= (2 if make_trial is twice_polishing_trial else 0)
+        assert passes == {"_metric": 0, "_lagrangian_hessian": 0}
 
     @staticmethod
     def _record_model_calls(monkeypatch):
@@ -394,7 +441,6 @@ class TestEvaluationsPerPoint:
             "terms_constraint_values",
             "terms_constraint_jacobian",
             "cost_and_gradient",
-            "constraint_values_jacobian",
         ):
             seen = calls[name] = []
             piece = name.startswith("terms_")
@@ -430,7 +476,7 @@ class TestEvaluationsPerPoint:
         full = calls["cost_and_gradient"]
         values = set(calls["terms_cost"] + full)
         gradients = calls["terms_gradient"] + full
-        jacobians = calls["terms_constraint_jacobian"] + calls["constraint_values_jacobian"]
+        jacobians = calls["terms_constraint_jacobian"]
         # the model computes SLSQP's derivatives only at the points it asks
         # them at or an iterate evaluates, and every other derivative comes
         # with a full evaluation
